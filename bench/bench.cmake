@@ -37,11 +37,14 @@ set_tests_properties(bench_metrics_out_unwritable_fails PROPERTIES
 # drift (schema/metric/config changes, determinism violations) hard-fails;
 # throughput deltas only warn (shared runners are too noisy for a hard perf
 # gate — run compare_bench.py --hard-perf by hand on quiet hardware).
+# The bench's own scaling self-gates (producer_scaling_ok, worker_scaling_ok)
+# compare thread and process counts against the host's cores, so it runs
+# alone: under `ctest -j` other tests would take the cores it measures.
 add_test(NAME bench_runtime_perf_smoke
   COMMAND bench_runtime --bench-out ${CMAKE_BINARY_DIR}/BENCH_runtime.json)
 set_tests_properties(bench_runtime_perf_smoke PROPERTIES
   ENVIRONMENT "STREAMKC_BENCH_SCALE=small"
-  FIXTURES_SETUP bench_runtime_json LABELS "tier1" TIMEOUT 600)
+  FIXTURES_SETUP bench_runtime_json LABELS "tier1" TIMEOUT 600 RUN_SERIAL TRUE)
 find_package(Python3 COMPONENTS Interpreter)
 if(Python3_Interpreter_FOUND)
   add_test(NAME bench_runtime_compare

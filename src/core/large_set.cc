@@ -119,21 +119,25 @@ void LargeSetComplete::AdmitSuperset(uint64_t superset,
   cntr_small_.AddFolded(superset, folded);
   cntr_large_.AddFolded(superset, folded);
   if (pool_hash_.KeepFolded(folded, pool_rate_num_, pool_rate_den_)) {
-    auto it = pool_.find(superset);
-    if (it == pool_.end()) {
-      // Pool counters only feed a threshold test, so half-size KMV sketches
-      // (±2/√32 ≈ 35% worst case) are accurate enough and halve the pool's
-      // footprint.
-      it = pool_
-               .emplace(superset,
-                        L0Estimator(
-                            {.num_mins = std::max(
-                                 32u, config_.params.l0_num_mins / 2),
-                             .seed = SplitMix64(pool_l0_seed_ ^ superset)}))
-               .first;
-    }
-    it->second.AddFolded(element_folded);
+    AddToPool(superset, element_folded);
   }
+}
+
+void LargeSetComplete::AddToPool(uint64_t superset, uint64_t element_folded) {
+  auto it = pool_.find(superset);
+  if (it == pool_.end()) {
+    // Pool counters only feed a threshold test, so half-size KMV sketches
+    // (±2/√32 ≈ 35% worst case) are accurate enough and halve the pool's
+    // footprint.
+    it = pool_
+             .emplace(superset,
+                      L0Estimator(
+                          {.num_mins = std::max(
+                               32u, config_.params.l0_num_mins / 2),
+                           .seed = SplitMix64(pool_l0_seed_ ^ superset)}))
+             .first;
+  }
+  it->second.AddFolded(element_folded);
 }
 
 void LargeSetComplete::Process(const Edge& edge) {
@@ -151,7 +155,9 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
   uint64_t set_f[kTile];
   uint64_t elem_f[kTile];
   uint64_t supersets[kTile];
+  uint64_t superset_f[kTile];
   const bool gate = config_.element_rate < 1.0;
+  const bool pool_all = pool_rate_num_ >= pool_rate_den_;
   for (size_t i = 0; i < batch.size; i += kTile) {
     size_t m = std::min(kTile, batch.size - i);
     // Apply the element gate first and compact the survivors, so the
@@ -175,7 +181,21 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
       cnt = m;
     }
     superset_hash_.MapRangeFoldedBatch(set_f, supersets, cnt, num_supersets_);
-    for (size_t t = 0; t < cnt; ++t) AdmitSuperset(supersets[t], elem_f[t]);
+    // Hash the tile, mutate in order: fold the superset ids once, then each
+    // consumer takes them as one block. The two contributing sketches and
+    // the pool hold disjoint state, so feeding them one after the other
+    // leaves each with exactly AdmitSuperset's update sequence.
+    for (size_t t = 0; t < cnt; ++t) superset_f[t] = MersenneFold(supersets[t]);
+    cntr_small_.AddFoldedBatch(supersets, superset_f, cnt);
+    cntr_large_.AddFoldedBatch(supersets, superset_f, cnt);
+    if (!pool_all) {
+      pool_hash_.MapRangeFoldedBatch(superset_f, keys, cnt, pool_rate_den_);
+    }
+    for (size_t t = 0; t < cnt; ++t) {
+      if (pool_all || keys[t] < pool_rate_num_) {
+        AddToPool(supersets[t], elem_f[t]);
+      }
+    }
   }
 }
 

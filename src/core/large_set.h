@@ -61,9 +61,11 @@ class LargeSetComplete : public StreamingEstimator {
 
   // Batched ingest: the two Θ(log mn)-wise front gates (element sample and
   // superset hash — the deepest Horner chains in the oracle stack) run
-  // batched; survivors fold their superset id once and feed both
-  // contributing sketches and the pool through the `*Folded` entry points.
-  // Bit-identical to a Process() loop over the same edges.
+  // batched; the tile's survivors fold their superset ids once and feed
+  // both contributing sketches as AddFoldedBatch blocks, and the pool gate
+  // is hashed over the tile before the pool updates run in order.
+  // Bit-identical to a Process() loop over the same edges, which stays the
+  // per-edge reference.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // Estimate is at universe scale (already divided by the element rate).
@@ -98,6 +100,10 @@ class LargeSetComplete : public StreamingEstimator {
   // Post-gate work for one surviving edge: folds the superset id once and
   // routes it through both contributing sketches and the pool.
   void AdmitSuperset(uint64_t superset, uint64_t element_folded);
+
+  // Counts the element in the pooled superset's L0 counter, creating it on
+  // first sight. The caller has already passed the pool gate.
+  void AddToPool(uint64_t superset, uint64_t element_folded);
 
   Config config_;
   ElementSampler element_sampler_;

@@ -728,7 +728,7 @@ class ProcessReductionTree {
         ++retries;
         counters->stream_retries += 1;
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-        backoff = std::min(backoff * 2, pol.max_backoff_ns);
+        backoff = NextBackoffNs(backoff, pol);
       }
       if (!batch->empty()) {
         if (killable && inj->WorkerDiesAt(w, *batches_seen)) {

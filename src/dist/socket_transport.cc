@@ -11,7 +11,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -299,7 +298,7 @@ class TcpTransport : public Transport {
       ++retries;
       ++counters->connect_retries;
       std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-      backoff = std::min(backoff * 2, policy.max_backoff_ns);
+      backoff = NextBackoffNs(backoff, policy);
     }
   }
 

@@ -116,6 +116,16 @@ struct DegradationPolicy {
   bool strict = false;
 };
 
+// The backoff after one that slept `current_ns`: double it, saturating at
+// policy.max_backoff_ns. Exact for any cap — the doubling is skipped, not
+// wrapped, once it would pass the cap. Every retry loop (pipeline producers,
+// inline serving, dist workers, TCP redial) advances its backoff with this.
+inline uint64_t NextBackoffNs(uint64_t current_ns,
+                              const DegradationPolicy& policy) {
+  return current_ns > policy.max_backoff_ns / 2 ? policy.max_backoff_ns
+                                               : current_ns * 2;
+}
+
 struct ShardedPipelineOptions {
   uint32_t num_shards = 1;
   // Producer threads for RunSegmented(); Run() always uses exactly one.
@@ -313,11 +323,7 @@ class ShardedPipeline {
         pm.stream_retries.fetch_add(1, std::memory_order_relaxed);
         retry_backoff_hist->Observe(backoff_ns);
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-        // Saturating doubling: cap at max_backoff_ns without ever
-        // overflowing the multiplication itself.
-        backoff_ns = backoff_ns >= deg.max_backoff_ns / 2
-                         ? deg.max_backoff_ns
-                         : backoff_ns * 2;
+        backoff_ns = NextBackoffNs(backoff_ns, deg);
         continue;
       }
       // Unrecoverable (parse error, or transient budget exhausted): this

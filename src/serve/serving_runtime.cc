@@ -98,7 +98,7 @@ IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
         retries_used < deg.max_stream_retries) {
       ++retries_used;
       std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-      backoff_ns *= 2;
+      backoff_ns = NextBackoffNs(backoff_ns, deg);
       continue;
     }
     break;  // clean end of stream, or an unrecoverable error

@@ -23,11 +23,10 @@ void SnapshotStore::Publish(std::shared_ptr<const CoverageSnapshot> snap) {
   CHECK(snap != nullptr);
   CHECK_GT(snap->meta().epoch, epoch_.load(std::memory_order_relaxed));
   uint32_t write_slot = 1 - active_.load(std::memory_order_relaxed);
+  const uint64_t epoch = snap->meta().epoch;
   blob_bytes_gauge_->Set(snap->blob().size());
   edges_gauge_->Set(snap->meta().edges_ingested);
-  epoch_gauge_->Set(snap->meta().epoch);
   published_->Increment();
-  epoch_.store(snap->meta().epoch, std::memory_order_release);
   {
     // Only readers that loaded a stale index can be holding this slot, and
     // only for the duration of a shared_ptr copy — the writer's wait is
@@ -36,6 +35,10 @@ void SnapshotStore::Publish(std::shared_ptr<const CoverageSnapshot> snap) {
     slots_[write_slot].snap = std::move(snap);
   }
   active_.store(write_slot, std::memory_order_release);
+  // Advertise the epoch only once the snapshot is installed: a reader that
+  // sees epoch() == E must get a Current() of epoch E or later.
+  epoch_gauge_->Set(epoch);
+  epoch_.store(epoch, std::memory_order_release);
 }
 
 std::shared_ptr<const CoverageSnapshot> SnapshotStore::Current() const {

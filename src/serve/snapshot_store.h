@@ -53,6 +53,8 @@ class SnapshotStore {
   std::shared_ptr<const CoverageSnapshot> Current() const;
 
   // Epoch of the latest published snapshot (0 before the first publish).
+  // Stored after the snapshot is installed, so once a reader sees epoch E,
+  // Current() returns a snapshot of epoch E or later, never nullptr.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   const std::string& name() const { return name_; }

@@ -11,6 +11,7 @@ namespace streamkc {
 
 CountSketch::CountSketch(const Config& config) : config_(config) {
   CHECK_GE(config.depth, 1u);
+  CHECK_LE(config.depth, kMaxDepth);
   CHECK_GE(config.width, 2u);
   Rng rng(config.seed);
   row_hash_.reserve(config.depth);
@@ -25,8 +26,15 @@ void CountSketch::Add(uint64_t id, int64_t delta) {
 }
 
 void CountSketch::AddFolded(uint64_t folded, int64_t delta) {
+  uint64_t hashes[kMaxDepth];
+  HashFolded(folded, hashes);
+  AddHashed(hashes, 1, delta);
+}
+
+void CountSketch::AddHashed(const uint64_t* row_hashes, size_t stride,
+                            int64_t delta) {
   for (uint32_t r = 0; r < config_.depth; ++r) {
-    auto [sign, idx] = SignBucketFromHash(r, row_hash_[r].MapFolded(folded));
+    auto [sign, idx] = SignBucketFromHash(r, row_hashes[r * stride]);
     int64_t& cell = counters_[idx];
     int64_t update = sign * delta;
     if (r == 0) {
@@ -40,26 +48,18 @@ void CountSketch::AddFolded(uint64_t folded, int64_t delta) {
 void CountSketch::AddFoldedBatch(const uint64_t* folded, size_t n,
                                  int64_t delta) {
   constexpr size_t kTile = 128;
-  uint64_t hashes[kTile];
+  uint64_t hashes[kMaxDepth * kTile];
   for (size_t i = 0; i < n; i += kTile) {
     size_t m = std::min(kTile, n - i);
-    for (uint32_t r = 0; r < config_.depth; ++r) {
-      row_hash_[r].MapFoldedBatch(folded + i, hashes, m);
-      if (r == 0) {
-        for (size_t j = 0; j < m; ++j) {
-          auto [sign, idx] = SignBucketFromHash(0, hashes[j]);
-          int64_t& cell = counters_[idx];
-          int64_t update = sign * delta;
-          row0_f2_ += static_cast<double>(2 * cell * update + update * update);
-          cell += update;
-        }
-      } else {
-        for (size_t j = 0; j < m; ++j) {
-          auto [sign, idx] = SignBucketFromHash(r, hashes[j]);
-          counters_[idx] += sign * delta;
-        }
-      }
-    }
+    HashFoldedBatch(folded + i, m, hashes);
+    for (size_t j = 0; j < m; ++j) AddHashed(hashes + j, m, delta);
+  }
+}
+
+void CountSketch::HashFoldedBatch(const uint64_t* folded, size_t n,
+                                  uint64_t* hashes) const {
+  for (uint32_t r = 0; r < config_.depth; ++r) {
+    row_hash_[r].MapFoldedBatch(folded, hashes + r * n, n);
   }
 }
 
@@ -106,18 +106,23 @@ void CountSketch::Merge(const CountSketch& other) {
 }
 
 double CountSketch::PointQuery(uint64_t id) const {
-  std::vector<double> votes;
-  votes.reserve(config_.depth);
+  uint64_t hashes[kMaxDepth];
+  HashFolded(MersenneFold(id), hashes);
+  return PointQueryHashed(hashes, 1);
+}
+
+double CountSketch::PointQueryHashed(const uint64_t* row_hashes,
+                                     size_t stride) const {
+  double votes[kMaxDepth];
   for (uint32_t r = 0; r < config_.depth; ++r) {
-    auto [sign, idx] = RowSignBucket(r, id);
-    votes.push_back(sign * static_cast<double>(counters_[idx]));
+    auto [sign, idx] = SignBucketFromHash(r, row_hashes[r * stride]);
+    votes[r] = sign * static_cast<double>(counters_[idx]);
   }
-  return Median(std::move(votes));
+  return MedianInPlace(votes, config_.depth);
 }
 
 double CountSketch::EstimateF2() const {
-  std::vector<double> rows;
-  rows.reserve(config_.depth);
+  double rows[kMaxDepth];
   for (uint32_t r = 0; r < config_.depth; ++r) {
     double acc = 0;
     for (uint32_t b = 0; b < config_.width; ++b) {
@@ -125,9 +130,9 @@ double CountSketch::EstimateF2() const {
           counters_[static_cast<size_t>(r) * config_.width + b]);
       acc += c * c;
     }
-    rows.push_back(acc);
+    rows[r] = acc;
   }
-  return Median(std::move(rows));
+  return MedianInPlace(rows, config_.depth);
 }
 
 size_t CountSketch::MemoryBytes() const {

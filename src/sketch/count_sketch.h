@@ -12,6 +12,11 @@
 // which is what the variance analysis uses (for x ≠ y, (s_x, b_x) is
 // independent of (s_y, b_y), so E[s_x·s_y·1{b_x=b_y}] = 0); one hash
 // evaluation per row instead of two.
+//
+// The row hashes depend only on the id, so block updates hash a whole tile
+// up front with HashFoldedBatch and hand each update its precomputed row
+// values through the *Hashed entry points; a caller that updates and then
+// queries the same ids (F2HeavyHitters' admission gate) reads them too.
 
 #ifndef STREAMKC_SKETCH_COUNT_SKETCH_H_
 #define STREAMKC_SKETCH_COUNT_SKETCH_H_
@@ -30,10 +35,14 @@ namespace streamkc {
 class CountSketch : public SpaceMetered {
  public:
   struct Config {
-    uint32_t depth = 5;    // rows (median)
+    uint32_t depth = 5;    // rows (median), at most kMaxDepth
     uint32_t width = 256;  // buckets per row
     uint64_t seed = 1;
   };
+
+  // Per-update row hashes and per-query row votes live in stack arrays of
+  // this size, so neither path allocates.
+  static constexpr uint32_t kMaxDepth = 16;
 
   explicit CountSketch(const Config& config);
 
@@ -44,11 +53,34 @@ class CountSketch : public SpaceMetered {
   void AddFolded(uint64_t folded, int64_t delta = 1);
 
   // a[id] += delta for every pre-folded id in the block. Bit-identical to n
-  // AddFolded calls: rows touch disjoint counters (loop interchange is free)
-  // and within row 0 the updates — including the running row0_f2_ double
-  // accumulation — happen in edge order. Hash evaluation runs per row over
-  // the whole block with MapFoldedBatch.
+  // AddFolded calls: each tile is hashed with HashFoldedBatch, then the
+  // updates — including the running row0_f2_ double accumulation — apply
+  // in edge order through AddHashed.
   void AddFoldedBatch(const uint64_t* folded, size_t n, int64_t delta = 1);
+
+  // Row hashes of one pre-folded id: hashes[r] for every row r.
+  void HashFolded(uint64_t folded, uint64_t* hashes) const {
+    for (uint32_t r = 0; r < config_.depth; ++r) {
+      hashes[r] = row_hash_[r].MapFolded(folded);
+    }
+  }
+
+  // Row hashes of a block of pre-folded ids, row-major: hashes[r·n + j] is
+  // row r's hash value of folded[j], depth·n values in all, each row
+  // evaluated with MapFoldedBatch.
+  void HashFoldedBatch(const uint64_t* folded, size_t n,
+                       uint64_t* hashes) const;
+
+  // The *Hashed entry points take one id's row hashes out of such a block:
+  // row r's value at row_hashes[r·stride] (stride = the block's n; 1 for a
+  // single id). Each equals its namesake on that id bit for bit.
+  void AddHashed(const uint64_t* row_hashes, size_t stride,
+                 int64_t delta = 1);
+  double PointQueryHashed(const uint64_t* row_hashes, size_t stride) const;
+  double QuickEstimateHashed(const uint64_t* row_hashes) const {
+    auto [sign, bucket] = SignBucketFromHash(0, row_hashes[0]);
+    return sign * static_cast<double>(counters_[bucket]);
+  }
 
   // Median estimate of a[id].
   double PointQuery(uint64_t id) const;
@@ -67,14 +99,8 @@ class CountSketch : public SpaceMetered {
   // median over all rows. Noisier (±√(F2/width) without median boosting);
   // used as a cheap admission gate by F2HeavyHitters.
   double QuickEstimate(uint64_t id) const {
-    auto [sign, bucket] = RowSignBucket(0, id);
-    return sign * static_cast<double>(counters_[bucket]);
-  }
-
-  // QuickEstimate for a pre-folded id (folded == MersenneFold(id)).
-  double QuickEstimateFolded(uint64_t folded) const {
-    auto [sign, bucket] = SignBucketFromHash(0, row_hash_[0].MapFolded(folded));
-    return sign * static_cast<double>(counters_[bucket]);
+    uint64_t h = row_hash_[0].Map(id);
+    return QuickEstimateHashed(&h);
   }
 
   // Row 0's Σ_b C[0][b]², maintained incrementally (an always-current,
@@ -98,11 +124,6 @@ class CountSketch : public SpaceMetered {
     uint64_t bucket = static_cast<uint64_t>(
         (static_cast<__uint128_t>(h >> 1) * config_.width) >> 60);
     return {sign, static_cast<size_t>(r) * config_.width + bucket};
-  }
-
-  // (sign, flat index into counters_) for row r and item id.
-  std::pair<int, size_t> RowSignBucket(uint32_t r, uint64_t id) const {
-    return SignBucketFromHash(r, row_hash_[r].Map(id));
   }
 
   Config config_;

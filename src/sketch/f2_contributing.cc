@@ -59,6 +59,34 @@ void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
   }
 }
 
+void F2Contributing::AddFoldedBatch(const uint64_t* ids,
+                                    const uint64_t* folded, size_t n,
+                                    int64_t delta) {
+  constexpr size_t kTile = 128;
+  uint64_t keys[kTile];
+  uint64_t live_ids[kTile];
+  uint64_t live_folded[kTile];
+  for (size_t i = 0; i < n; i += kTile) {
+    size_t live = std::min(kTile, n - i);
+    sampler_.MapRangeFoldedBatch(folded + i, keys, live, kRateDen);
+    std::copy(ids + i, ids + i + live, live_ids);
+    std::copy(folded + i, folded + i + live, live_folded);
+    for (auto& level : levels_) {
+      size_t kept = 0;
+      for (size_t j = 0; j < live; ++j) {
+        if (keys[j] >= level.rate_num) continue;
+        keys[kept] = keys[j];
+        live_ids[kept] = live_ids[j];
+        live_folded[kept] = live_folded[j];
+        ++kept;
+      }
+      live = kept;
+      if (live == 0) break;
+      level.hh.AddFoldedBatch(live_ids, live_folded, live, delta);
+    }
+  }
+}
+
 namespace {
 constexpr uint32_t kFcMagic = 0x46324354;  // "F2CT"
 }  // namespace

@@ -64,8 +64,20 @@ class F2Contributing : public SpaceMetered {
 
   // Hash-once ingest path: `folded` must equal MersenneFold(id). One fold
   // serves the shared level sampler and every surviving level's
-  // heavy-hitter sketch.
+  // heavy-hitter sketch, but each call still evaluates the sampler and the
+  // levels' CountSketch rows for this id alone; AddFoldedBatch below runs
+  // the same hashes tile-wide.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
+
+  // n AddFolded calls in one block, bit-identical state. The shared sampler
+  // key is hashed over each tile at once; then each level, in order, takes
+  // the tile's survivors (nested, so every level filters the previous
+  // level's) as one F2HeavyHitters::AddFoldedBatch block. Levels hold
+  // disjoint state and each still sees its updates in stream order. This is
+  // the path LargeSetComplete::ProcessBatch uses; AddFolded is the per-edge
+  // reference.
+  void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
+                      int64_t delta = 1);
 
   // One representative (at least) from each γ-contributing class of size
   // ≤ max_class_size, deduplicated by id (max estimate wins), sorted by

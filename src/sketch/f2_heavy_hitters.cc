@@ -41,7 +41,26 @@ void F2HeavyHitters::Add(uint64_t id, int64_t delta) {
 }
 
 void F2HeavyHitters::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
-  count_sketch_.AddFolded(folded, delta);
+  uint64_t hashes[CountSketch::kMaxDepth];
+  count_sketch_.HashFolded(folded, hashes);
+  AddHashed(id, hashes, 1, delta);
+}
+
+void F2HeavyHitters::AddFoldedBatch(const uint64_t* ids,
+                                    const uint64_t* folded, size_t n,
+                                    int64_t delta) {
+  constexpr size_t kTile = 128;
+  uint64_t hashes[CountSketch::kMaxDepth * kTile];
+  for (size_t i = 0; i < n; i += kTile) {
+    size_t m = std::min(kTile, n - i);
+    count_sketch_.HashFoldedBatch(folded + i, m, hashes);
+    for (size_t j = 0; j < m; ++j) AddHashed(ids[i + j], hashes + j, m, delta);
+  }
+}
+
+void F2HeavyHitters::AddHashed(uint64_t id, const uint64_t* row_hashes,
+                               size_t stride, int64_t delta) {
+  count_sketch_.AddHashed(row_hashes, stride, delta);
   auto it = candidates_.find(id);
   if (it != candidates_.end()) {
     it->second += static_cast<double>(delta > 0 ? delta : -delta);
@@ -53,9 +72,9 @@ void F2HeavyHitters::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
   // which keeps map churn (and amortized point queries) low. A heavy
   // coordinate unluckily gated on one update passes on a later one — in an
   // insertion-only stream its estimate only grows.
-  double quick = count_sketch_.QuickEstimateFolded(folded);
+  double quick = count_sketch_.QuickEstimateHashed(row_hashes);
   if (quick * quick * 6.0 < config_.phi * count_sketch_.QuickF2()) return;
-  candidates_[id] = count_sketch_.PointQuery(id);
+  candidates_[id] = count_sketch_.PointQueryHashed(row_hashes, stride);
   if (candidates_.size() > 2 * capacity_) PruneCandidates();
 }
 

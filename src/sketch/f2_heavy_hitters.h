@@ -65,10 +65,16 @@ class F2HeavyHitters : public SpaceMetered {
   void Add(uint64_t id, int64_t delta = 1);
 
   // Hash-once ingest path: `folded` must equal MersenneFold(id). The raw id
-  // is still needed as the candidate-set key. The candidate admission gate
-  // reads the evolving QuickF2 per update, so there is no whole-batch
-  // variant — batching callers loop this, saving the per-sub-hash re-folds.
+  // is still needed as the candidate-set key.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
+
+  // n AddFolded calls in one block, bit-identical state. The CountSketch
+  // row hashes depend only on the id, so each tile is hashed up front (one
+  // MapFoldedBatch per row); the counter updates, the admission gate (which
+  // reads the evolving QuickF2) and pruning then run update by update in
+  // stream order, the gate and point query reading the precomputed hashes.
+  void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
+                      int64_t delta = 1);
 
   // All coordinates whose estimated frequency passes the φ test against the
   // estimated F2, most-frequent first. Call after the stream ends (may be
@@ -101,6 +107,10 @@ class F2HeavyHitters : public SpaceMetered {
   void ReportSpace(SpaceAccountant* acct) const override;
 
  private:
+  // One update given the id's CountSketch row hashes (layout as in
+  // CountSketch::AddHashed).
+  void AddHashed(uint64_t id, const uint64_t* row_hashes, size_t stride,
+                 int64_t delta);
   void PruneCandidates();
 
   Config config_;

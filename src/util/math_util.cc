@@ -5,12 +5,16 @@
 namespace streamkc {
 
 double Median(std::vector<double> v) {
-  CHECK(!v.empty());
-  size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
+  return MedianInPlace(v.data(), v.size());
+}
+
+double MedianInPlace(double* v, size_t n) {
+  CHECK(n > 0);
+  size_t mid = n / 2;
+  std::nth_element(v, v + mid, v + n);
   double hi = v[mid];
-  if (v.size() % 2 == 1) return hi;
-  double lo = *std::max_element(v.begin(), v.begin() + mid);
+  if (n % 2 == 1) return hi;
+  double lo = *std::max_element(v, v + mid);
   return 0.5 * (lo + hi);
 }
 

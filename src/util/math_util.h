@@ -47,6 +47,11 @@ inline uint64_t CeilDiv(uint64_t a, uint64_t b) {
 // programming error.
 double Median(std::vector<double> v);
 
+// Median of v[0, n), reordering v in place: the same order statistic as
+// Median (the mean of the two middle values when n is even), for callers
+// that keep a handful of values in a stack array.
+double MedianInPlace(double* v, size_t n);
+
 // Arithmetic mean; empty input is a programming error.
 double Mean(const std::vector<double>& v);
 

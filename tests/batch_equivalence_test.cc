@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "core/estimate_max_cover.h"
+#include "core/large_set.h"
 #include "core/report_max_cover.h"
+#include "hash/kwise_hash.h"
 #include "hash/mersenne.h"
 #include "runtime/edge_batch.h"
 #include "runtime/sketch_states.h"
@@ -29,6 +31,8 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
 #include "test_util.h"
+#include "util/math_util.h"
+#include "util/random.h"
 
 namespace streamkc {
 namespace {
@@ -130,6 +134,180 @@ TEST(BatchEquivalence, F2ContributingFoldedIdentical) {
     folded_path.AddFolded(e.element, MersenneFold(e.element));
   }
   EXPECT_EQ(Blob(per_edge), Blob(folded_path));
+}
+
+// Block sizes for the AddFoldedBatch differentials: single updates, both
+// sides of the 128-id tile, and (0 = the whole stream) one call spanning
+// many tiles.
+constexpr size_t kBlockSizes[] = {1, 127, 128, 129, 0};
+
+// Skewed id stream over [0, domain): id = h mod (1 + h' mod domain) puts a
+// harmonic-like weight on small ids. A few ids end up heavy while many light
+// ones arrive early, so the quick gate admits ids and the candidate set
+// overflows into PruneCandidates.
+std::vector<uint64_t> SkewedIds(size_t count, uint64_t seed, uint64_t domain) {
+  std::vector<uint64_t> ids;
+  ids.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t h = SplitMix64(seed + i);
+    ids.push_back(h % (1 + SplitMix64(h) % domain));
+  }
+  return ids;
+}
+
+std::vector<uint64_t> FoldedIds(const std::vector<uint64_t>& ids) {
+  std::vector<uint64_t> folded;
+  folded.reserve(ids.size());
+  for (uint64_t id : ids) folded.push_back(MersenneFold(id));
+  return folded;
+}
+
+// Streams the ids into `sketch` as AddFoldedBatch blocks of `block` ids
+// (0 = one call for everything).
+template <typename Sketch>
+void FeedBlocks(Sketch& sketch, const std::vector<uint64_t>& ids,
+                const std::vector<uint64_t>& folded, size_t block) {
+  if (block == 0) block = ids.size();
+  for (size_t i = 0; i < ids.size(); i += block) {
+    sketch.AddFoldedBatch(ids.data() + i, folded.data() + i,
+                          std::min(block, ids.size() - i));
+  }
+}
+
+TEST(BatchEquivalence, F2HeavyHittersBlockPathBitIdentical) {
+  const std::vector<uint64_t> ids = SkewedIds(40000, 13, 6144);
+  const std::vector<uint64_t> folded = FoldedIds(ids);
+  // LargeSet's two heavy-hitter thresholds at m = 4096, α = 8: φ1 = α²/m
+  // (cntr_small_) and φ2 = 1/(2·log2 α) (cntr_large_).
+  for (double phi : {1.0 / 64, 1.0 / 6}) {
+    F2HeavyHitters per_update({.phi = phi, .seed = 21});
+    // Watch the candidate set between updates: growth is a quick-gate
+    // admission, shrinkage a PruneCandidates pass.
+    uint64_t admitted = 0;
+    uint64_t prunes = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint64_t before = per_update.ItemCount();
+      per_update.AddFolded(ids[i], folded[i]);
+      const uint64_t after = per_update.ItemCount();
+      admitted += after > before;
+      prunes += after < before;
+    }
+    EXPECT_GT(admitted, 0u) << "phi " << phi;
+    EXPECT_GT(prunes, 0u) << "phi " << phi;
+    for (size_t block : kBlockSizes) {
+      F2HeavyHitters batched({.phi = phi, .seed = 21});
+      FeedBlocks(batched, ids, folded, block);
+      EXPECT_EQ(Blob(per_update), Blob(batched))
+          << "phi " << phi << " block " << block;
+    }
+  }
+}
+
+TEST(BatchEquivalence, F2ContributingBlockPathBitIdentical) {
+  const std::vector<uint64_t> ids = SkewedIds(40000, 17, 6144);
+  const std::vector<uint64_t> folded = FoldedIds(ids);
+  // LargeSet's two contributing sketches at m = 4096, α = 8: Q = 6144
+  // supersets; class bound 3sα + 1 = 13 at φ1 = 1/64 (every level is full
+  // rate, deduplicated to one) and Q at φ2 = 1/6 (nine nested levels).
+  struct Case {
+    double gamma;
+    uint64_t class_bound;
+    uint32_t levels;
+  };
+  for (const Case& c : {Case{1.0 / 64, 13, 1}, Case{1.0 / 6, 6144, 9}}) {
+    F2Contributing::Config cfg;
+    cfg.gamma = c.gamma;
+    cfg.phi_factor = 1.0;
+    cfg.max_class_size = c.class_bound;
+    cfg.domain_size = 6144;
+    cfg.sample_factor = 4.0;
+    cfg.seed = 31;
+    F2Contributing per_update(cfg);
+    ASSERT_EQ(per_update.num_levels(), c.levels);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      per_update.AddFolded(ids[i], folded[i]);
+    }
+    for (size_t block : kBlockSizes) {
+      F2Contributing batched(cfg);
+      FeedBlocks(batched, ids, folded, block);
+      EXPECT_EQ(Blob(per_update), Blob(batched))
+          << "class bound " << c.class_bound << " block " << block;
+    }
+  }
+}
+
+TEST(BatchEquivalence, CountSketchPointQueryIsTheMedianOfRowVotes) {
+  // PointQuery collects its row votes in a stack array; it must return
+  // exactly Median() of the vote vector, at odd and even depth. A reference
+  // model rebuilds the votes from the documented construction: row r
+  // hashes with FourWise(r-th fork of Rng(seed)), sign from the low bit,
+  // bucket from the remaining 60 bits.
+  const std::vector<Edge> edges = SyntheticEdges(5000, 3, 512, 64);
+  for (uint32_t depth : {4u, 5u}) {
+    const CountSketch::Config cfg{.depth = depth, .width = 32, .seed = 41};
+    CountSketch sketch(cfg);
+    Rng rng(cfg.seed);
+    std::vector<KWiseHash> rows;
+    for (uint32_t r = 0; r < depth; ++r) {
+      rows.push_back(KWiseHash::FourWise(rng.Fork()));
+    }
+    auto sign_cell = [&](uint32_t r, uint64_t id) {
+      const uint64_t h = rows[r].Map(id);
+      const size_t bucket = static_cast<size_t>(
+          (static_cast<__uint128_t>(h >> 1) * cfg.width) >> 60);
+      return std::pair<int64_t, size_t>((h & 1) ? 1 : -1,
+                                        r * cfg.width + bucket);
+    };
+    std::vector<int64_t> counters(size_t{depth} * cfg.width, 0);
+    for (const Edge& e : edges) {
+      sketch.Add(e.set);
+      for (uint32_t r = 0; r < depth; ++r) {
+        auto [sign, cell] = sign_cell(r, e.set);
+        counters[cell] += sign;
+      }
+    }
+    for (uint64_t id = 0; id < 600; ++id) {  // seen ids and unseen ones
+      std::vector<double> votes;
+      for (uint32_t r = 0; r < depth; ++r) {
+        auto [sign, cell] = sign_cell(r, id);
+        votes.push_back(static_cast<double>(sign * counters[cell]));
+      }
+      EXPECT_EQ(sketch.PointQuery(id), Median(votes))
+          << "depth " << depth << " id " << id;
+    }
+  }
+}
+
+TEST(BatchEquivalence, LargeSetSaturatedGuessMatchesPerEdge) {
+  // universe_size ≤ t·s·α·η (64α in practical mode) makes ρ = 1: one
+  // repetition, no element gate, and every edge reaches both contributing
+  // sketches and the pool gate. m = 4096 gives the benchmark's Q = 6144.
+  auto inst = LargeSetFamily(4096, 256, 4, 7);
+  const std::vector<Edge> edges = InstanceEdges(inst, 4);
+  LargeSet::Config cfg;
+  cfg.params = Params::Practical(4096, 256, 16, 8);
+  cfg.universe_size = 256;
+  cfg.w = 8;
+  cfg.reporting = true;
+  cfg.seed = 5;
+  LargeSet per_edge(cfg);
+  ASSERT_EQ(per_edge.num_repetitions(), 1u);
+  for (const Edge& e : edges) per_edge.Process(e);
+  const EstimateOutcome want = per_edge.Finalize();
+  ASSERT_TRUE(want.feasible);
+  const std::vector<SetId> want_sets = per_edge.ExtractSolution(16);
+  ASSERT_FALSE(want_sets.empty());
+  for (size_t block : kBlockSizes) {
+    LargeSet batched(cfg);
+    FeedBatched(batched, edges, block == 0 ? edges.size() : block);
+    const EstimateOutcome got = batched.Finalize();
+    EXPECT_EQ(got.feasible, want.feasible) << "block " << block;
+    EXPECT_EQ(got.source, want.source) << "block " << block;
+    EXPECT_EQ(got.estimate, want.estimate) << "block " << block;
+    EXPECT_EQ(batched.ExtractSolution(16), want_sets) << "block " << block;
+    EXPECT_EQ(batched.MemoryBytes(), per_edge.MemoryBytes())
+        << "block " << block;
+  }
 }
 
 TEST(BatchEquivalence, CoverageSketchStateIdentical) {

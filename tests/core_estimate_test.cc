@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.h"
 
 namespace streamkc {
@@ -45,6 +47,10 @@ struct EstCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints a case by its family name, so the discovered test name is the same
+// in every build instead of carrying the struct's pointer bytes.
+void PrintTo(const EstCase& tc, std::ostream* os) { *os << tc.name; }
 
 GeneratedInstance EstPlanted(uint64_t seed) {
   return PlantedCover(2048, 4096, 32, 0.5, 6, seed);

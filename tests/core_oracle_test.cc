@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.h"
 
 namespace streamkc {
@@ -36,6 +38,10 @@ struct OracleCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints a case by its family name, so the discovered test name is the same
+// in every build instead of carrying the struct's pointer bytes.
+void PrintTo(const OracleCase& tc, std::ostream* os) { *os << tc.name; }
 
 GeneratedInstance MakeCommon(uint64_t seed) {
   return CommonElementFamily(1024, 2048, 8, 4.0, 1024, seed);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "test_util.h"
@@ -41,6 +42,10 @@ struct RepCase {
   GeneratedInstance (*make)(uint64_t seed);
   uint64_t k;
 };
+
+// Prints a case by its family name, so the discovered test name is the same
+// in every build instead of carrying the struct's pointer bytes.
+void PrintTo(const RepCase& tc, std::ostream* os) { *os << tc.name; }
 
 GeneratedInstance RepPlanted(uint64_t seed) {
   return PlantedCover(2048, 4096, 32, 0.5, 6, seed);

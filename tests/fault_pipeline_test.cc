@@ -279,6 +279,25 @@ TEST(FaultPipeline, BackoffSaturatesAtTheCapUnderALongFaultBurst) {
   EXPECT_EQ(pipe.producer_status()[0].retries_used, 100u);
 }
 
+TEST(FaultPipeline, NextBackoffDoublesThenSaturatesForAnyCap) {
+  // The one backoff helper every retry loop shares: exactly min(2b, cap),
+  // with no wrap even when 2b does not fit in 64 bits.
+  DegradationPolicy pol;
+  for (uint64_t cap : {uint64_t{0}, uint64_t{1}, uint64_t{5}, uint64_t{1024},
+                       (uint64_t{1} << 63) + 1, ~uint64_t{0}}) {
+    pol.max_backoff_ns = cap;
+    uint64_t backoff = 1;
+    for (int i = 0; i < 70; ++i) {
+      const __uint128_t doubled = static_cast<__uint128_t>(backoff) * 2;
+      const uint64_t want =
+          doubled < cap ? static_cast<uint64_t>(doubled) : cap;
+      backoff = NextBackoffNs(backoff, pol);
+      ASSERT_EQ(backoff, want) << "cap " << cap << " step " << i;
+    }
+    EXPECT_EQ(backoff, cap);
+  }
+}
+
 using FaultPipelineDeathTest = ::testing::Test;
 
 TEST(FaultPipelineDeathTest, StrictStreamFailureExitsCleanlyAfterJoin) {

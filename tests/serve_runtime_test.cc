@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,6 +186,68 @@ TEST(ServingRuntime, QuarantinePropagatesIntoStaleness) {
   EstimateAnswer ans = engine.Estimate();
   ASSERT_TRUE(ans.ok);
   EXPECT_GT(ans.staleness.quarantined_fraction, 0.0);
+}
+
+// Fails its first `failures` reads with a transient error, then serves
+// `edges`: a source that recovers after a long outage.
+class FlakyEdgeStream : public EdgeStream {
+ public:
+  FlakyEdgeStream(std::vector<Edge> edges, uint32_t failures)
+      : inner_(std::move(edges)), failures_left_(failures) {}
+
+  bool Next(Edge* edge) override {
+    return !FailThisRead() && inner_.Next(edge);
+  }
+  size_t NextBatch(std::vector<Edge>* out, size_t max_edges) override {
+    if (FailThisRead()) {
+      out->clear();
+      return 0;
+    }
+    return inner_.NextBatch(out, max_edges);
+  }
+  void Reset() override { inner_.Reset(); }
+  bool ok() const override { return !failing_; }
+  bool transient() const override { return failing_; }
+  std::string StatusMessage() const override {
+    return failing_ ? "flaky source: read failed" : std::string();
+  }
+
+ private:
+  bool FailThisRead() {
+    failing_ = failures_left_ > 0;
+    if (failing_) --failures_left_;
+    return failing_;
+  }
+
+  VectorEdgeStream inner_;
+  uint32_t failures_left_;
+  bool failing_ = false;
+};
+
+TEST(ServingRuntime, InlineRetryBackoffSaturatesAtTheCap) {
+  // 40 consecutive transient failures: the inline retry loop's backoff must
+  // saturate at max_backoff_ns (1000 + 39 × 2000 ns of sleep in all). Doubled
+  // without the cap, the 40 sleeps would add up to about 13 days.
+  const std::vector<Edge> edges = TestEdges();
+  MetricsRegistry registry;
+  SnapshotStore store("rt5", &registry);
+  ServingRuntimeOptions opts;
+  opts.snapshot_every_edges = 1024;
+  opts.registry = &registry;
+  opts.degradation.initial_backoff_ns = 1000;
+  opts.degradation.max_backoff_ns = 2000;
+  opts.degradation.max_stream_retries = 40;
+  ServingRuntime runtime(TestConfig(), opts, &store);
+  FlakyEdgeStream stream(edges, /*failures=*/40);
+  const auto start = std::chrono::steady_clock::now();
+  IngestSummary sum = runtime.Ingest(stream);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_TRUE(sum.stream_ok);
+  EXPECT_EQ(sum.edges, edges.size());
+  ASSERT_NE(store.Current(), nullptr);
+  EXPECT_EQ(store.Current()->meta().edges_ingested, edges.size());
 }
 
 TEST(ServingRuntime, IngestMetricsAreConsistent) {

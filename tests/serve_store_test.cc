@@ -186,5 +186,57 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
   EXPECT_EQ(store.Current()->meta().epoch, rounds);
 }
 
+// A reader that trusts epoch() must be able to read that epoch: once
+// epoch() returns E, Current() is non-null and at least epoch E. Readers
+// spin on epoch() while the writer publishes prebuilt snapshots back to
+// back, so every publish's install window is under observation.
+TEST(SnapshotStore, EpochIsAdvertisedOnlyAfterItsSnapshotIsReadable) {
+  const uint64_t kRounds = 256;
+  ServingState state(TestConfig());
+  std::vector<std::shared_ptr<const CoverageSnapshot>> snaps;
+  snaps.reserve(kRounds);
+  for (uint64_t e = 1; e <= kRounds; ++e) {
+    snaps.push_back(MakeSnapshot(&state, e));
+  }
+  MetricsRegistry registry;
+  SnapshotStore store("t7", &registry);
+  std::atomic<bool> stop{false};
+  std::atomic<unsigned> spinning{0};
+  std::atomic<uint64_t> checked{0};
+  std::atomic<uint64_t> unreadable{0};
+  std::atomic<uint64_t> behind{0};
+
+  const unsigned kReaders = 3;
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (unsigned r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      uint64_t local_checked = 0;
+      spinning.fetch_add(1);
+      while (!stop.load(std::memory_order_acquire)) {
+        uint64_t seen = store.epoch();
+        if (seen == 0) continue;
+        std::shared_ptr<const CoverageSnapshot> snap = store.Current();
+        ++local_checked;
+        if (snap == nullptr) {
+          unreadable.fetch_add(1);
+        } else if (snap->meta().epoch < seen) {
+          behind.fetch_add(1);
+        }
+      }
+      checked.fetch_add(local_checked);
+    });
+  }
+  while (spinning.load() < kReaders) std::this_thread::yield();
+  for (auto& snap : snaps) store.Publish(std::move(snap));
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(unreadable.load(), 0u) << "epoch() advertised before Current()";
+  EXPECT_EQ(behind.load(), 0u) << "Current() older than the epoch() seen";
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(store.epoch(), kRounds);
+}
+
 }  // namespace
 }  // namespace streamkc

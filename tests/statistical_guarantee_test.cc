@@ -21,9 +21,11 @@
 namespace streamkc {
 namespace {
 
-// One cell of the sweep grid: (family, alpha) at a fixed instance shape.
+// One cell of the sweep grid: (family, alpha) at a fixed instance shape. The
+// family is a std::string, not a const char*, so gtest prints its text
+// rather than its address and the discovered test name is stable.
 class StatisticalSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
   const std::string family = std::get<0>(GetParam());
@@ -72,8 +74,8 @@ INSTANTIATE_TEST_SUITE_P(
     Cells, StatisticalSweep,
     ::testing::Combine(::testing::Values("uniform", "zipf", "planted"),
                        ::testing::Values(4.0, 8.0)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, double>>& info) {
-      return std::string(std::get<0>(info.param)) + "_alpha" +
+    [](const ::testing::TestParamInfo<std::tuple<std::string, double>>& info) {
+      return std::get<0>(info.param) + "_alpha" +
              std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 
