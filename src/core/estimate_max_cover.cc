@@ -126,22 +126,40 @@ void EstimateMaxCover::Merge(const EstimateMaxCover& other) {
   }
 }
 
-std::optional<std::pair<size_t, double>> EstimateMaxCover::BestLevel() const {
+std::optional<EstimateMaxCover::Winner> EstimateMaxCover::BestLevel() const {
   const Params& p = config_.params;
   // est_z = max over the repetitions of guess z; then keep guesses passing
   // est_z ≥ z/(4α) and return the largest estimate.
-  std::optional<std::pair<size_t, double>> best;
+  std::optional<Winner> best;
   for (size_t i = 0; i < oracles_.size(); ++i) {
-    EstimateOutcome out = oracles_[i].oracle->Finalize();
+    Oracle::Finalized fin = oracles_[i].oracle->FinalizeForReport();
+    const EstimateOutcome& out = fin.outcome;
     if (!out.feasible) continue;
     double z = static_cast<double>(oracles_[i].z);
     if (out.estimate < z / (4.0 * p.alpha)) continue;
-    if (!best || out.estimate > best->second) best = {{i, out.estimate}};
+    if (!best || out.estimate > best->finalized.outcome.estimate) {
+      best = Winner{i, std::move(fin)};
+    }
   }
   return best;
 }
 
 EstimateOutcome EstimateMaxCover::Finalize() const {
+  return FinalizeWithSolution(0, nullptr);
+}
+
+std::vector<SetId> EstimateMaxCover::ExtractSolution(uint64_t max_sets) const {
+  std::vector<SetId> sets;
+  FinalizeWithSolution(max_sets, &sets);
+  return sets;
+}
+
+EstimateOutcome EstimateMaxCover::FinalizeWithSolution(
+    uint64_t max_sets, std::vector<SetId>* solution) const {
+  if (solution != nullptr) {
+    CHECK(config_.reporting);
+    solution->clear();
+  }
   EstimateOutcome out;
   out.feasible = true;
   if (trivial_mode_) {
@@ -157,17 +175,13 @@ EstimateOutcome EstimateMaxCover::Finalize() const {
     out.estimate = 0;
     return out;
   }
-  out.estimate = best->second;
-  out.source = oracles_[best->first].oracle->Finalize().source;
+  out.estimate = best->finalized.outcome.estimate;
+  out.source = best->finalized.outcome.source;
+  if (solution != nullptr) {
+    *solution = oracles_[best->index].oracle->ExtractSolution(best->finalized,
+                                                              max_sets);
+  }
   return out;
-}
-
-std::vector<SetId> EstimateMaxCover::ExtractSolution(uint64_t max_sets) const {
-  CHECK(config_.reporting);
-  if (trivial_mode_) return {};
-  auto best = BestLevel();
-  if (!best) return {};
-  return oracles_[best->first].oracle->ExtractSolution(max_sets);
 }
 
 size_t EstimateMaxCover::HeavyHitterComponentBytes() const {

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/oracle.h"
@@ -79,6 +80,12 @@ class EstimateMaxCover : public StreamingEstimator {
   // mode — the trivial branch's solution lives in ReportMaxCover).
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
 
+  // Finalize() and ExtractSolution(max_sets) from one pass: every (guess,
+  // repetition) oracle is finalized exactly once, and only the winner is
+  // asked for its witness, which replaces *solution. Reporting mode only.
+  EstimateOutcome FinalizeWithSolution(uint64_t max_sets,
+                                       std::vector<SetId>* solution) const;
+
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "estimate_max_cover"; }
   uint64_t ItemCount() const override { return oracles_.size(); }
@@ -103,9 +110,13 @@ class EstimateMaxCover : public StreamingEstimator {
     std::unique_ptr<Oracle> oracle;
   };
 
-  // Winner among threshold-passing levels, if any; pair of (index into
-  // oracles_, estimate).
-  std::optional<std::pair<size_t, double>> BestLevel() const;
+  // The winner among threshold-passing levels: its index into oracles_ and
+  // its finalized oracle.
+  struct Winner {
+    size_t index = 0;
+    Oracle::Finalized finalized;
+  };
+  std::optional<Winner> BestLevel() const;
 
   Config config_;
   bool trivial_mode_ = false;

@@ -334,31 +334,29 @@ void LargeSet::Merge(const LargeSet& other) {
   for (size_t i = 0; i < reps_.size(); ++i) reps_[i].Merge(other.reps_[i]);
 }
 
-std::optional<size_t> LargeSet::BestRep() const {
-  std::optional<size_t> best;
-  double best_est = 0;
+std::optional<std::pair<size_t, EstimateOutcome>> LargeSet::BestRep() const {
+  std::optional<std::pair<size_t, EstimateOutcome>> best;
   for (size_t i = 0; i < reps_.size(); ++i) {
     EstimateOutcome out = reps_[i].Finalize();
-    if (out.feasible && (!best || out.estimate > best_est)) {
-      best = i;
-      best_est = out.estimate;
+    if (out.feasible && (!best || out.estimate > best->second.estimate)) {
+      best = {{i, std::move(out)}};
     }
   }
   return best;
 }
 
 EstimateOutcome LargeSet::Finalize() const {
+  auto best = BestRep();
+  if (best) return std::move(best->second);
   EstimateOutcome out;
   out.source = "large-set";
-  auto best = BestRep();
-  if (!best) return out;
-  return reps_[*best].Finalize();
+  return out;
 }
 
 std::vector<SetId> LargeSet::ExtractSolution(uint64_t max_sets) const {
   auto best = BestRep();
   if (!best) return {};
-  return reps_[*best].ExtractSolution(max_sets);
+  return reps_[best->first].ExtractSolution(max_sets);
 }
 
 size_t LargeSet::MemoryBytes() const {

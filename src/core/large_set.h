@@ -157,8 +157,8 @@ class LargeSet : public StreamingEstimator {
   }
 
  private:
-  // Index of the best feasible repetition, if any.
-  std::optional<size_t> BestRep() const;
+  // The best feasible repetition, if any: its index and its outcome.
+  std::optional<std::pair<size_t, EstimateOutcome>> BestRep() const;
 
   Config config_;
   std::vector<LargeSetComplete> reps_;

@@ -58,22 +58,35 @@ void Oracle::Merge(const Oracle& other) {
   if (small_set_ != nullptr) small_set_->Merge(*other.small_set_);
 }
 
-EstimateOutcome Oracle::Finalize() const {
-  EstimateOutcome best;
-  best.source = "oracle-infeasible";
+EstimateOutcome Oracle::Finalize() const { return FinalizeForReport().outcome; }
+
+Oracle::Finalized Oracle::FinalizeForReport() const {
+  Finalized best;
+  best.outcome.source = "oracle-infeasible";
   auto consider = [&best](const EstimateOutcome& out) {
-    if (out.feasible && (!best.feasible || out.estimate > best.estimate)) {
-      best = out;
-    }
+    bool better = out.feasible && (!best.outcome.feasible ||
+                                   out.estimate > best.outcome.estimate);
+    if (better) best.outcome = out;
+    return better;
   };
   consider(large_common_->Finalize());
   consider(large_set_->Finalize());
-  if (small_set_ != nullptr) consider(small_set_->Finalize());
+  if (small_set_ != nullptr) {
+    std::vector<SetId> sets;
+    if (consider(small_set_->Finalize(&sets))) {
+      best.small_set_sets = std::move(sets);
+    }
+  }
   return best;
 }
 
 std::vector<SetId> Oracle::ExtractSolution(uint64_t max_sets) const {
-  EstimateOutcome best = Finalize();
+  return ExtractSolution(FinalizeForReport(), max_sets);
+}
+
+std::vector<SetId> Oracle::ExtractSolution(const Finalized& finalized,
+                                           uint64_t max_sets) const {
+  const EstimateOutcome& best = finalized.outcome;
   if (!best.feasible) return {};
   if (best.source == "large-common") {
     return large_common_->ExtractSolution(max_sets);
@@ -81,8 +94,9 @@ std::vector<SetId> Oracle::ExtractSolution(uint64_t max_sets) const {
   if (best.source == "large-set") {
     return large_set_->ExtractSolution(max_sets);
   }
-  if (small_set_ != nullptr) return small_set_->ExtractSolution(max_sets);
-  return {};
+  std::vector<SetId> sets = finalized.small_set_sets;
+  if (sets.size() > max_sets) sets.resize(max_sets);
+  return sets;
 }
 
 size_t Oracle::MemoryBytes() const {

@@ -47,11 +47,25 @@ class Oracle : public StreamingEstimator {
   // Max over feasible subroutines; outcome.source names the winner.
   EstimateOutcome Finalize() const;
 
+  // One finalize of the three subroutines, kept for witness extraction:
+  // Finalize()'s outcome, plus SmallSet's greedy picks when SmallSet wins
+  // (they fall out of the same evaluation, so they cost nothing to keep).
+  struct Finalized {
+    EstimateOutcome outcome;
+    std::vector<SetId> small_set_sets;
+  };
+  Finalized FinalizeForReport() const;
+
   // Merges another oracle built with the same Config, subroutine-wise.
   void Merge(const Oracle& other);
 
   // Reporting mode: delegates to the winning subroutine.
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
+  // The same witness for an oracle already finalized: the subroutine that
+  // finalized.outcome.source names supplies it, and the oracle is not
+  // finalized again.
+  std::vector<SetId> ExtractSolution(const Finalized& finalized,
+                                     uint64_t max_sets) const;
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "oracle"; }

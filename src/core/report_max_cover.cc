@@ -85,8 +85,9 @@ void ReportMaxCover::Merge(const ReportMaxCover& other) {
 }
 
 MaxCoverSolution ReportMaxCover::Finalize() const {
-  EstimateOutcome est = estimator_.Finalize();
   MaxCoverSolution sol;
+  EstimateOutcome est =
+      estimator_.FinalizeWithSolution(config_.params.k, &sol.sets);
   sol.estimate = est.estimate;
   sol.source = est.source;
   if (estimator_.trivial_mode()) {
@@ -94,9 +95,7 @@ MaxCoverSolution ReportMaxCover::Finalize() const {
     // as the bottom-k ids by hash value — has expected coverage ≥ OPT·k/m ≥
     // OPT/α.
     sol.sets = set_sample_.Ids();
-    return sol;
   }
-  sol.sets = estimator_.ExtractSolution(config_.params.k);
   return sol;
 }
 

@@ -5,6 +5,7 @@
 
 #include "offline/greedy.h"
 #include "util/check.h"
+#include "util/dense_index.h"
 #include "util/math_util.h"
 #include "util/random.h"
 
@@ -66,28 +67,14 @@ void SmallSet::Rescale(Instance& inst) {
   inst.element_rate_num = std::max<uint64_t>(1, inst.element_rate_num / 2);
   // Prune: membership is a range test, so halving the threshold keeps
   // exactly the uniform sample at the halved rate.
-  size_t entries = 0;
-  for (auto it = inst.edges.begin(); it != inst.edges.end();) {
-    auto& list = it->second;
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](ElementId e) {
-                                return !inst.ElementSampled(e);
-                              }),
-               list.end());
-    if (list.empty()) {
-      it = inst.edges.erase(it);
-    } else {
-      entries += list.size();
-      ++it;
-    }
-  }
-  inst.stored_bytes = entries * (sizeof(ElementId) + sizeof(SetId) / 4);
+  std::erase_if(inst.edges,
+                [&](const Edge& e) { return !inst.ElementSampled(e.element); });
+  inst.stored_bytes = inst.edges.size() * kEntryBytes;
 }
 
 void SmallSet::StoreEdge(Instance& inst, SetId set, ElementId element) {
-  auto& list = inst.edges[set];
-  list.push_back(element);
-  inst.stored_bytes += sizeof(ElementId) + sizeof(SetId) / 4;
+  inst.edges.push_back(Edge{set, element});
+  inst.stored_bytes += kEntryBytes;
   while (inst.stored_bytes > budget_bytes_ && inst.rescales < kMaxRescales) {
     // Over budget: halve the element rate and prune in place (Figure 5's
     // "terminate", made graceful).
@@ -146,17 +133,13 @@ void SmallSet::MergeInstance(Instance& mine, const Instance& theirs) {
          mine.rescales < kMaxRescales) {
     Rescale(mine);
   }
-  // Union in the other sample, filtering to the (now no larger) local rate.
+  // Append the other sample, filtering to the (now no larger) local rate.
   // Each stream token was routed to exactly one shard, so this multiset
   // union reproduces the single-threaded sample at this rate.
-  for (const auto& [set, elements] : theirs.edges) {
-    auto* list = &mine.edges[set];
-    for (ElementId e : elements) {
-      if (!mine.ElementSampled(e)) continue;
-      list->push_back(e);
-      mine.stored_bytes += sizeof(ElementId) + sizeof(SetId) / 4;
-    }
-    if (list->empty()) mine.edges.erase(set);
+  for (const Edge& e : theirs.edges) {
+    if (!mine.ElementSampled(e.element)) continue;
+    mine.edges.push_back(e);
+    mine.stored_bytes += kEntryBytes;
   }
   // The combined sample may overflow a budget neither shard hit alone:
   // cascade exactly as Process() would have.
@@ -180,24 +163,35 @@ void SmallSet::Merge(const SmallSet& other) {
 std::optional<SmallSet::Evaluation> SmallSet::Evaluate(
     const Instance& inst) const {
   if (inst.rescales >= kMaxRescales || inst.edges.empty()) return std::nullopt;
-  // Build positional lists for greedy, remembering the real set ids. Sets are
-  // visited in sorted id order: unordered_map iteration depends on insertion
-  // history, which differs between a single-pass build and a sharded merge,
-  // and greedy breaks coverage ties by position. Canonical order makes the
-  // evaluation a pure function of the stored sample.
+  const std::vector<Edge>& log = inst.edges;
+  // Group the log by set through a flat index: number the sets in
+  // first-seen order and count each one's incidences.
+  DenseIndex index(log.size());
+  std::vector<uint32_t> slot(log.size());
   std::vector<SetId> ids;
-  ids.reserve(inst.edges.size());
-  for (const auto& [set, elements] : inst.edges) ids.push_back(set);
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::vector<ElementId>> lists;
-  lists.reserve(ids.size());
-  for (SetId set : ids) {
-    std::vector<ElementId> dedup = inst.edges.at(set);
-    std::sort(dedup.begin(), dedup.end());
-    dedup.erase(std::unique(dedup.begin(), dedup.end()), dedup.end());
-    lists.push_back(std::move(dedup));
+  std::vector<size_t> count;
+  for (size_t i = 0; i < log.size(); ++i) {
+    slot[i] = index.Insert(log[i].set);
+    if (slot[i] == ids.size()) {
+      ids.push_back(log[i].set);
+      count.push_back(0);
+    }
+    ++count[slot[i]];
   }
-  CoverSolution sol = GreedyOnLists(lists, k_prime_);
+  // One CSR buffer: each set's elements contiguous, sets in first-seen
+  // order. The log's order differs between a single-pass build and a
+  // sharded merge; greedy breaks ties by set id, so the evaluation is still
+  // a pure function of the stored multiset.
+  std::vector<size_t> offsets(ids.size() + 1, 0);
+  for (size_t d = 0; d < ids.size(); ++d) {
+    offsets[d + 1] = offsets[d] + count[d];
+  }
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<ElementId> elements(log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    elements[cursor[slot[i]]++] = log[i].element;
+  }
+  CoverSolution sol = GreedyOnLists(offsets, ids, elements, k_prime_);
   // Feasibility: the paper's sol_γ = Ω̃(k/α) cut, with an absolute floor.
   // Below it, the sampled coverage is sampling noise and the scale-up would
   // overestimate wildly.
@@ -215,38 +209,31 @@ std::optional<SmallSet::Evaluation> SmallSet::Evaluate(
   eval.estimate = std::max(0.0, cov - std::sqrt(cov)) / inst.EffectiveRate();
   eval.estimate =
       std::min(eval.estimate, static_cast<double>(config_.universe_size));
-  eval.solution.reserve(sol.sets.size());
-  for (SetId pos : sol.sets) eval.solution.push_back(ids[pos]);
+  eval.solution = std::move(sol.sets);
   return eval;
 }
 
-std::optional<std::pair<size_t, SmallSet::Evaluation>> SmallSet::BestInstance()
-    const {
-  std::optional<std::pair<size_t, Evaluation>> best;
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    auto eval = Evaluate(instances_[i]);
-    if (!eval) continue;
-    if (!best || eval->estimate > best->second.estimate) {
-      best = {{i, std::move(*eval)}};
-    }
-  }
-  return best;
-}
-
-EstimateOutcome SmallSet::Finalize() const {
+EstimateOutcome SmallSet::Finalize(std::vector<SetId>* solution) const {
   EstimateOutcome out;
   out.source = "small-set";
-  auto best = BestInstance();
+  std::optional<Evaluation> best;
+  for (const Instance& inst : instances_) {
+    auto eval = Evaluate(inst);
+    if (eval && (!best || eval->estimate > best->estimate)) {
+      best = std::move(eval);
+    }
+  }
+  if (solution != nullptr) solution->clear();
   if (!best) return out;
   out.feasible = true;
-  out.estimate = best->second.estimate;
+  out.estimate = best->estimate;
+  if (solution != nullptr) *solution = std::move(best->solution);
   return out;
 }
 
 std::vector<SetId> SmallSet::ExtractSolution(uint64_t max_sets) const {
-  auto best = BestInstance();
-  if (!best) return {};
-  std::vector<SetId> sets = std::move(best->second.solution);
+  std::vector<SetId> sets;
+  Finalize(&sets);
   if (sets.size() > max_sets) sets.resize(max_sets);
   return sets;
 }
@@ -262,12 +249,7 @@ size_t SmallSet::MemoryBytes() const {
 
 uint64_t SmallSet::ItemCount() const {
   uint64_t items = 0;
-  for (const Instance& inst : instances_) {
-    for (const auto& [set, elems] : inst.edges) {
-      (void)set;
-      items += elems.size();
-    }
-  }
+  for (const Instance& inst : instances_) items += inst.edges.size();
   return items;
 }
 

@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/params.h"
@@ -55,12 +54,15 @@ class SmallSet : public StreamingEstimator {
   // Process() loop.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
-  EstimateOutcome Finalize() const;
+  // Evaluates every instance once. With `solution` non-null it also
+  // receives the winning instance's greedy picks (ExtractSolution's answer
+  // before the cap), so a reporter needs no second evaluation.
+  EstimateOutcome Finalize(std::vector<SetId>* solution = nullptr) const;
 
   // Merges another instance built with the same Config. Per (guess, rep)
   // instance: both stored samples are pruned to the smaller element rate
   // (membership is a range test, so pruning IS the sample at that rate),
-  // unioned, and re-checked against the byte budget. Because an instance's
+  // appended, and re-checked against the byte budget. Because an instance's
   // final state is a pure function of (observed edge multiset, budget) —
   // the rescale cascade fires iff the full sample at a rate overflows,
   // regardless of arrival order — the merged state equals the
@@ -68,7 +70,8 @@ class SmallSet : public StreamingEstimator {
   void Merge(const SmallSet& other);
 
   // Reporting mode, after a feasible Finalize(): the actual set ids chosen
-  // by greedy on the winning sub-instance (at most k′ ≤ k of them).
+  // by greedy on the winning sub-instance (at most k′ ≤ k of them). Runs
+  // Finalize() again; callers that already finalized pass it `solution`.
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
 
   size_t MemoryBytes() const override;
@@ -89,6 +92,10 @@ class SmallSet : public StreamingEstimator {
   // An instance whose rate has been halved this many times stores (almost)
   // nothing and is effectively dead.
   static constexpr uint32_t kMaxRescales = 38;
+  // Budget charge per stored incidence: an element id plus a quarter of a
+  // set id. A fixed model rather than the log's footprint, so MemoryBytes()
+  // and the rescale points do not depend on how the sample is laid out.
+  static constexpr size_t kEntryBytes = sizeof(ElementId) + sizeof(SetId) / 4;
 
   struct Instance {
     double gamma = 0;       // coverage-fraction guess (OPT' ≈ |U|/γ)
@@ -97,8 +104,10 @@ class SmallSet : public StreamingEstimator {
     KWiseHash element_sampler;  // L membership at element_rate_num/kRateDen
     uint64_t element_rate_num = 0;  // halved on every budget overflow
     uint32_t rescales = 0;
-    // The stored sub-instance: surviving set -> its surviving elements.
-    std::unordered_map<SetId, std::vector<ElementId>> edges;
+    // The stored sub-instance: every surviving (set, element) incidence in
+    // arrival order, repeats included (they count against the budget, as
+    // they did in the stream). Evaluate() groups it by set.
+    std::vector<Edge> edges;
     size_t stored_bytes = 0;
 
     bool ElementSampled(ElementId e) const {
@@ -130,11 +139,10 @@ class SmallSet : public StreamingEstimator {
   // Folds the same-seeded instance `theirs` into `mine` (see Merge()).
   void MergeInstance(Instance& mine, const Instance& theirs);
 
-  // Greedy evaluation of one stored instance; nullopt if infeasible.
+  // Greedy evaluation of one stored instance; nullopt if infeasible. Greedy
+  // ties go to the smallest set id, so the result depends only on the
+  // stored multiset, not on the arrival or merge order of the log.
   std::optional<Evaluation> Evaluate(const Instance& inst) const;
-
-  // Best feasible instance by estimate.
-  std::optional<std::pair<size_t, Evaluation>> BestInstance() const;
 
   Config config_;
   uint64_t k_prime_ = 1;

@@ -1,9 +1,10 @@
 #include "offline/greedy.h"
 
+#include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "util/check.h"
+#include "util/dense_index.h"
 
 namespace streamkc {
 
@@ -49,21 +50,67 @@ CoverSolution GreedyCore(const std::vector<std::vector<ElementId>>& sets,
 }  // namespace
 
 CoverSolution GreedyMaxCover(const SetSystem& sys, uint64_t k) {
-  uint64_t max_e = 0;
-  for (const auto& s : sys.sets()) {
-    for (ElementId e : s) max_e = std::max<uint64_t>(max_e, e + 1);
-  }
-  (void)max_e;
   return GreedyCore(sys.sets(), sys.num_elements(), k);
 }
 
-CoverSolution GreedyOnLists(const std::vector<std::vector<ElementId>>& sets,
-                            uint64_t k) {
-  uint64_t num_elements = 0;
-  for (const auto& s : sets) {
-    for (ElementId e : s) num_elements = std::max<uint64_t>(num_elements, e + 1);
+CoverSolution GreedyOnLists(std::span<const size_t> offsets,
+                            std::span<const SetId> ids,
+                            std::span<const ElementId> elements, uint64_t k) {
+  CHECK_EQ(offsets.size(), ids.size() + 1);
+  CHECK_EQ(offsets.back(), elements.size());
+  const size_t num_sets = ids.size();
+  // Compact the element ids to [0, distinct) and drop repeats inside a set,
+  // so the covered marks are sized by the sample, not by the id range.
+  DenseIndex index(elements.size());
+  std::vector<uint32_t> dense;
+  dense.reserve(elements.size());
+  std::vector<size_t> begin(num_sets + 1);
+  std::vector<size_t> last_set;  // per compact id: the last set listing it
+  last_set.reserve(elements.size());
+  for (size_t i = 0; i < num_sets; ++i) {
+    begin[i] = dense.size();
+    for (size_t j = offsets[i]; j < offsets[i + 1]; ++j) {
+      uint32_t d = index.Insert(elements[j]);
+      if (d == last_set.size()) {
+        last_set.push_back(i);
+      } else if (last_set[d] == i) {
+        continue;
+      } else {
+        last_set[d] = i;
+      }
+      dense.push_back(d);
+    }
   }
-  return GreedyCore(sets, num_elements, k);
+  begin[num_sets] = dense.size();
+
+  std::vector<uint8_t> covered(index.size(), 0);
+  CoverSolution sol;
+  uint64_t rounds = std::min<uint64_t>(k, num_sets);
+  for (uint64_t round = 0; round < rounds; ++round) {
+    uint64_t best_gain = 0;
+    size_t best = num_sets;
+    auto beats_best = [&](uint64_t gain, size_t i) {
+      return gain > best_gain ||
+             (gain == best_gain && gain > 0 && ids[i] < ids[best]);
+    };
+    for (size_t i = 0; i < num_sets; ++i) {
+      // A set's gain is at most its size: skip sets that cannot win.
+      if (!beats_best(begin[i + 1] - begin[i], i)) continue;
+      uint64_t gain = 0;
+      for (size_t j = begin[i]; j < begin[i + 1]; ++j) gain += !covered[dense[j]];
+      if (beats_best(gain, i)) {
+        best_gain = gain;
+        best = i;
+      }
+    }
+    if (best == num_sets) break;  // nothing adds coverage
+    sol.sets.push_back(ids[best]);
+    sol.coverage += best_gain;
+    for (size_t j = begin[best]; j < begin[best + 1]; ++j) {
+      covered[dense[j]] = 1;
+    }
+  }
+  return sol;
 }
 
 CoverSolution LazyGreedyMaxCover(const SetSystem& sys, uint64_t k) {

@@ -11,6 +11,7 @@
 #define STREAMKC_OFFLINE_GREEDY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "setsys/set_system.h"
@@ -29,11 +30,18 @@ CoverSolution GreedyMaxCover(const SetSystem& sys, uint64_t k);
 // break ties differently), typically far faster via stale-bound skipping.
 CoverSolution LazyGreedyMaxCover(const SetSystem& sys, uint64_t k);
 
-// Greedy over an instance given as adjacency lists (used by SmallSet on its
-// stored sample, where sets are identified by arbitrary ids).
-// `sets` maps position -> element list; returns positions.
-CoverSolution GreedyOnLists(const std::vector<std::vector<ElementId>>& sets,
-                            uint64_t k);
+// Greedy over an instance in compressed-sparse-row form (used by SmallSet on
+// its stored sample): the set named ids[i] holds
+// elements[offsets[i], offsets[i+1]), so offsets has one entry more than ids
+// and ends at elements.size(). Each round picks the set with the strictly
+// largest marginal gain, ties going to the smallest id, so the picks do not
+// depend on the order the sets come in. Element ids are arbitrary and may
+// repeat inside a set (a repeat counts once): they are compacted through a
+// table sized by the number of entries, never by the largest id. Returns the
+// chosen ids.
+CoverSolution GreedyOnLists(std::span<const size_t> offsets,
+                            std::span<const SetId> ids,
+                            std::span<const ElementId> elements, uint64_t k);
 
 }  // namespace streamkc
 

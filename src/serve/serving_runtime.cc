@@ -34,6 +34,8 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   edges_ingested_ = reg->GetCounter("serve_ingest_edges_total");
   segments_total_ = reg->GetCounter("serve_ingest_segments_total");
   publish_ns_ = reg->GetHistogram("serve_publish_ns");
+  publish_finalize_ns_ = reg->GetHistogram("serve_publish_finalize_ns");
+  publish_build_ns_ = reg->GetHistogram("serve_publish_build_ns");
 }
 
 void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
@@ -45,10 +47,15 @@ void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
   meta.quarantined_fraction = summary->quarantined_fraction;
   meta.shards = options_.threads;
   meta.publish_steady_ns = t0;
+  const MaxCoverSolution solution = state_.FinalizeSolution();
+  const uint64_t t1 = NowSteadyNs();
   std::shared_ptr<const CoverageSnapshot> snap =
-      CoverageSnapshot::Build(state_, meta);
+      CoverageSnapshot::Build(state_, solution, meta);
+  const uint64_t t2 = NowSteadyNs();
   store_->Publish(snap);
   ++summary->snapshots_published;
+  publish_finalize_ns_->Observe(t1 - t0);
+  publish_build_ns_->Observe(t2 - t1);
   publish_ns_->Observe(NowSteadyNs() - t0);
   if (options_.on_publish) options_.on_publish(snap);
 }

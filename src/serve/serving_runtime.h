@@ -149,7 +149,11 @@ class ServingRuntime {
 
   Counter* edges_ingested_;
   Counter* segments_total_;
+  // Whole publish, and its two timed parts: finalize, then serialize +
+  // checksum + FromBlob round trip. The store swap is the remainder.
   Histogram* publish_ns_;
+  Histogram* publish_finalize_ns_;
+  Histogram* publish_build_ns_;
 };
 
 }  // namespace streamkc

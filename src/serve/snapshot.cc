@@ -42,8 +42,12 @@ uint64_t SnapshotChecksum(const std::string& bytes) {
 
 std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::Build(
     const ServingState& state, const SnapshotMeta& meta) {
-  MaxCoverSolution solution = state.FinalizeSolution();
+  return Build(state, state.FinalizeSolution(), meta);
+}
 
+std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::Build(
+    const ServingState& state, const MaxCoverSolution& solution,
+    const SnapshotMeta& meta) {
   // Payload first, so the checksum can cover every byte after the header.
   std::stringstream payload;
   WriteU64(payload, meta.epoch);

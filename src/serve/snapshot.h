@@ -52,6 +52,11 @@ class CoverageSnapshot {
   // from its own blob. Runs on the publishing thread only.
   static std::shared_ptr<const CoverageSnapshot> Build(
       const ServingState& state, const SnapshotMeta& meta);
+  // The same, with `solution` already finalized from `state` by the caller
+  // (ServingRuntime times finalize and serialization separately).
+  static std::shared_ptr<const CoverageSnapshot> Build(
+      const ServingState& state, const MaxCoverSolution& solution,
+      const SnapshotMeta& meta);
 
   // Restores a snapshot from serialized bytes. CHECK-fails on a bad magic,
   // version, checksum, or truncated payload — corruption is fatal, never

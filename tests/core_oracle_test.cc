@@ -140,5 +140,30 @@ TEST(Oracle, ReportingDelegatesToWinner) {
   EXPECT_GE(static_cast<double>(cov), out.estimate / 4.0);
 }
 
+TEST(Oracle, FinalizedWitnessComesFromTheNamedSubroutine) {
+  auto inst = MakeCommon(11);
+  Oracle oracle = MakeOracle(inst.system, 8, 8, 37, /*reporting=*/true);
+  FeedSystem(inst.system, ArrivalOrder::kRandom, 5, oracle);
+  const Oracle::Finalized fin = oracle.FinalizeForReport();
+  const EstimateOutcome out = oracle.Finalize();
+  ASSERT_TRUE(out.feasible);
+  EXPECT_EQ(fin.outcome.feasible, out.feasible);
+  EXPECT_EQ(fin.outcome.estimate, out.estimate);
+  EXPECT_EQ(fin.outcome.source, out.source);
+  EXPECT_EQ(oracle.ExtractSolution(fin, 8), oracle.ExtractSolution(8));
+  // The witness follows outcome.source, whichever subroutine it names.
+  Oracle::Finalized named = fin;
+  named.outcome.source = "large-common";
+  EXPECT_EQ(oracle.ExtractSolution(named, 8),
+            oracle.large_common().ExtractSolution(8));
+  named.outcome.source = "large-set";
+  EXPECT_EQ(oracle.ExtractSolution(named, 8),
+            oracle.large_set().ExtractSolution(8));
+  named.outcome.source = "small-set";
+  named.small_set_sets = {5, 3, 9};
+  EXPECT_EQ(oracle.ExtractSolution(named, 2), (std::vector<SetId>{5, 3}));
+  EXPECT_TRUE(oracle.ExtractSolution(Oracle::Finalized{}, 8).empty());
+}
+
 }  // namespace
 }  // namespace streamkc

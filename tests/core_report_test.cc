@@ -4,6 +4,7 @@
 
 #include <ostream>
 #include <set>
+#include <string>
 
 #include "test_util.h"
 
@@ -113,6 +114,113 @@ TEST(ReportMaxCover, MemoryIncludesEstimatorPlusSample) {
   FeedSystem(inst.system, ArrivalOrder::kRandom, 4, rep);
   EXPECT_GT(rep.MemoryBytes(), 0u);
 }
+
+// The one-pass contract: ReportMaxCover::Finalize() finalizes every oracle
+// once, and must answer exactly what the two-call composition
+// {EstimateMaxCover::Finalize(), ExtractSolution(k)} answers on its wrapped
+// estimator. The twin below is that estimator, built as ReportMaxCover
+// builds it (reporting on, seed SplitMix64(seed ^ 0xeeee)).
+struct OnePassCase {
+  const char* name;
+  GeneratedInstance (*make)(uint64_t seed);
+  uint64_t k;
+  uint32_t parts;  // > 1: the state is merged from this many parts
+  bool empty;      // feed no edges
+};
+
+void PrintTo(const OnePassCase& tc, std::ostream* os) { *os << tc.name; }
+
+GeneratedInstance OnePassCommon(uint64_t seed) {
+  return CommonElementFamily(2048, 4096, 16, 2.0, 64, seed);
+}
+GeneratedInstance OnePassGraph(uint64_t seed) {
+  return GraphNeighborhoods(2048, 12.0, seed);
+}
+GeneratedInstance OnePassTrivial(uint64_t seed) {
+  return RandomUniform(32, 256, 8, seed);  // kα = 64 ≥ m = 32
+}
+
+class ReportOnePass : public ::testing::TestWithParam<OnePassCase> {};
+
+TEST_P(ReportOnePass, FinalizeEqualsEstimateThenExtract) {
+  const OnePassCase& tc = GetParam();
+  const double alpha = 8;
+  const uint64_t seed = 4321;
+  auto inst = tc.make(55);
+  ReportMaxCover::Config rc;
+  rc.params = Params::Practical(inst.system.num_sets(),
+                                inst.system.num_elements(), tc.k, alpha);
+  rc.seed = seed;
+  EstimateMaxCover::Config ec;
+  ec.params = rc.params;
+  ec.reporting = true;
+  ec.seed = SplitMix64(seed ^ 0xeeee);
+
+  std::vector<Edge> edges;
+  if (!tc.empty) edges = InstanceEdges(inst, 7);
+  std::vector<ReportMaxCover> reps;
+  std::vector<EstimateMaxCover> twins;
+  for (uint32_t p = 0; p < tc.parts; ++p) {
+    reps.emplace_back(rc);
+    twins.emplace_back(ec);
+  }
+  std::vector<std::vector<Edge>> routed(tc.parts);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    routed[SplitMix64(edges[i].element) % tc.parts].push_back(edges[i]);
+  }
+  for (uint32_t p = 0; p < tc.parts; ++p) {
+    VectorEdgeStream a(routed[p]);
+    FeedStream(a, reps[p]);
+    VectorEdgeStream b(routed[p]);
+    FeedStream(b, twins[p]);
+  }
+  for (uint32_t p = 1; p < tc.parts; ++p) {
+    reps[0].Merge(reps[p]);
+    twins[0].Merge(twins[p]);
+  }
+
+  MaxCoverSolution sol = reps[0].Finalize();
+  EstimateOutcome est = twins[0].Finalize();
+  EXPECT_EQ(sol.estimate, est.estimate) << tc.name;
+  EXPECT_EQ(sol.source, est.source) << tc.name;
+  std::vector<SetId> one_pass;
+  EstimateOutcome both = twins[0].FinalizeWithSolution(tc.k, &one_pass);
+  EXPECT_EQ(both.estimate, est.estimate) << tc.name;
+  EXPECT_EQ(both.source, est.source) << tc.name;
+  EXPECT_EQ(one_pass, twins[0].ExtractSolution(tc.k)) << tc.name;
+  if (twins[0].trivial_mode()) {
+    // The trivial branch's sets are ReportMaxCover's own bottom-k sample.
+    EXPECT_EQ(sol.source, "trivial");
+    EXPECT_TRUE(one_pass.empty());
+    EXPECT_EQ(sol.sets.size(), tc.k);
+    return;
+  }
+  EXPECT_EQ(sol.sets, one_pass) << tc.name;
+  if (tc.empty) {
+    EXPECT_EQ(sol.source, "no-guess-passed");
+    EXPECT_EQ(sol.estimate, 0.0);
+    EXPECT_TRUE(sol.sets.empty());
+  } else {
+    EXPECT_FALSE(sol.sets.empty()) << tc.name << " won by " << sol.source;
+  }
+}
+
+// At k = 4 LargeSet wins "large" and "common"; SmallSet wins the others.
+INSTANTIATE_TEST_SUITE_P(
+    Families, ReportOnePass,
+    ::testing::Values(OnePassCase{"planted", RepPlanted, 32, 1, false},
+                      OnePassCase{"large", RepLarge, 4, 1, false},
+                      OnePassCase{"small", RepSmall, 64, 1, false},
+                      OnePassCase{"common", OnePassCommon, 4, 1, false},
+                      OnePassCase{"graph", OnePassGraph, 16, 1, false},
+                      OnePassCase{"trivial", OnePassTrivial, 8, 1, false},
+                      OnePassCase{"no_guess_passed", RepPlanted, 32, 1, true},
+                      OnePassCase{"small_merged3", RepSmall, 64, 3, false},
+                      OnePassCase{"planted_merged3", RepPlanted, 32, 3,
+                                  false}),
+    [](const ::testing::TestParamInfo<OnePassCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace streamkc

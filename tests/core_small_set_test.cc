@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "util/math_util.h"
 #include "test_util.h"
 
 namespace streamkc {
@@ -123,6 +130,330 @@ TEST(SmallSet, OrderInvariantModuloDuplicates) {
   };
   EXPECT_DOUBLE_EQ(run(ArrivalOrder::kRandom),
                    run(ArrivalOrder::kElementContiguous));
+}
+
+// The map-of-lists SmallSet that the flat edge log replaced, kept as the
+// reference model: the same samplers (same seeds, same fork order), each
+// surviving set's elements in an unordered_map, and evaluation by sorting
+// the set ids, sorting and deduplicating each list, and running plain
+// greedy. SmallSet must match it on every stream.
+class ReferenceSmallSet {
+ public:
+  explicit ReferenceSmallSet(const SmallSet::Config& config)
+      : config_(config) {
+    const Params& p = config.params;
+    Rng rng(config.seed);
+    double kp = (p.mode == Params::Mode::kTheory)
+                    ? 36.0 * static_cast<double>(p.k) / (p.s * p.alpha)
+                    : p.kprime_factor * static_cast<double>(p.k) / p.alpha;
+    k_prime_ = std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(kp)));
+    k_prime_ = std::min<uint64_t>(k_prime_, p.k);
+    budget_bytes_ = p.SmallSetBudgetBytes();
+    double set_rate = (p.mode == Params::Mode::kTheory)
+                          ? 18.0 / (p.s * p.alpha)
+                          : p.set_sample_factor / p.alpha;
+    set_rate = std::min(set_rate, 1.0);
+    double u = static_cast<double>(config.universe_size);
+    double log_n = Log2AtLeast1(u);
+    uint32_t num_guesses =
+        CeilLog2(static_cast<uint64_t>(std::max(2.0, 2.0 * p.alpha * p.eta))) +
+        1;
+    uint32_t step = std::max<uint32_t>(1, p.small_set_level_log_step);
+    for (uint32_t g = 0; g < num_guesses; g += step) {
+      double gamma = static_cast<double>(1ULL << g);
+      double target_l = p.element_sample_factor * gamma *
+                        static_cast<double>(k_prime_) * log_n;
+      double element_rate = std::min(1.0, target_l / u);
+      for (uint32_t rep = 0; rep < p.small_set_reps; ++rep) {
+        KWiseHash set_sampler(p.log_wise_degree, rng.Fork());
+        KWiseHash element_sampler(p.log_wise_degree, rng.Fork());
+        instances_.push_back(Instance{
+            std::move(set_sampler),
+            std::max<uint64_t>(1, static_cast<uint64_t>(
+                                      set_rate * static_cast<double>(kDen))),
+            std::move(element_sampler),
+            std::max<uint64_t>(1, static_cast<uint64_t>(
+                                      element_rate * static_cast<double>(kDen))),
+            0,
+            {},
+            0});
+      }
+    }
+  }
+
+  void Process(const Edge& edge) {
+    for (Instance& inst : instances_) {
+      if (inst.rescales >= kMaxRescales) continue;
+      if (inst.set_sampler.MapRange(edge.set, kDen) >= inst.set_rate_num) {
+        continue;
+      }
+      if (!inst.Sampled(edge.element)) continue;
+      inst.edges[edge.set].push_back(edge.element);
+      inst.entries += 1;
+      Cascade(inst);
+    }
+  }
+
+  void Merge(const ReferenceSmallSet& other) {
+    for (size_t i = 0; i < instances_.size(); ++i) {
+      Instance& mine = instances_[i];
+      const Instance& theirs = other.instances_[i];
+      if (mine.rescales >= kMaxRescales || theirs.rescales >= kMaxRescales) {
+        mine.rescales = kMaxRescales;
+        mine.edges.clear();
+        mine.entries = 0;
+        continue;
+      }
+      while (mine.element_rate_num > theirs.element_rate_num &&
+             mine.rescales < kMaxRescales) {
+        Rescale(mine);
+      }
+      for (const auto& [set, elements] : theirs.edges) {
+        for (ElementId e : elements) {
+          if (!mine.Sampled(e)) continue;
+          mine.edges[set].push_back(e);
+          mine.entries += 1;
+        }
+      }
+      Cascade(mine);
+      if (mine.rescales >= kMaxRescales && Bytes(mine) > budget_bytes_) {
+        mine.edges.clear();
+        mine.entries = 0;
+      }
+    }
+  }
+
+  // The best feasible instance's estimate and greedy picks, if any.
+  std::optional<std::pair<double, std::vector<SetId>>> Best() const {
+    std::optional<std::pair<double, std::vector<SetId>>> best;
+    for (const Instance& inst : instances_) {
+      if (inst.rescales >= kMaxRescales || inst.edges.empty()) continue;
+      std::vector<SetId> ids;
+      for (const auto& [set, elements] : inst.edges) ids.push_back(set);
+      std::sort(ids.begin(), ids.end());
+      std::vector<std::vector<ElementId>> lists;
+      for (SetId set : ids) {
+        std::vector<ElementId> list = inst.edges.at(set);
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+        lists.push_back(std::move(list));
+      }
+      // Plain greedy: the first position with the strictly largest gain.
+      std::unordered_set<ElementId> covered;
+      std::vector<SetId> picks;
+      uint64_t coverage = 0;
+      for (uint64_t round = 0; round < std::min<uint64_t>(k_prime_, ids.size());
+           ++round) {
+        uint64_t best_gain = 0;
+        size_t best_pos = lists.size();
+        for (size_t i = 0; i < lists.size(); ++i) {
+          uint64_t gain = 0;
+          for (ElementId e : lists[i]) gain += covered.count(e) == 0;
+          if (gain > best_gain) {
+            best_gain = gain;
+            best_pos = i;
+          }
+        }
+        if (best_pos == lists.size()) break;
+        covered.insert(lists[best_pos].begin(), lists[best_pos].end());
+        coverage += best_gain;
+        picks.push_back(ids[best_pos]);
+      }
+      double accept = std::max(
+          8.0, config_.params.accept_factor * static_cast<double>(k_prime_));
+      double cov = static_cast<double>(coverage);
+      if (cov < accept) continue;
+      double rate = static_cast<double>(inst.element_rate_num) /
+                    static_cast<double>(kDen);
+      double estimate = std::min(std::max(0.0, cov - std::sqrt(cov)) / rate,
+                                 static_cast<double>(config_.universe_size));
+      if (!best || estimate > best->first) best = {{estimate, picks}};
+    }
+    return best;
+  }
+
+  uint64_t ItemCount() const {
+    uint64_t items = 0;
+    for (const Instance& inst : instances_) items += inst.entries;
+    return items;
+  }
+
+  uint32_t num_rescaled() const {
+    uint32_t n = 0;
+    for (const Instance& inst : instances_) n += inst.rescales;
+    return n;
+  }
+
+ private:
+  static constexpr uint64_t kDen = 1ULL << 40;
+  static constexpr uint32_t kMaxRescales = 38;
+
+  struct Instance {
+    KWiseHash set_sampler;
+    uint64_t set_rate_num;
+    KWiseHash element_sampler;
+    uint64_t element_rate_num;
+    uint32_t rescales;
+    std::unordered_map<SetId, std::vector<ElementId>> edges;
+    size_t entries;
+    bool Sampled(ElementId e) const {
+      return element_sampler.MapRange(e, kDen) < element_rate_num;
+    }
+  };
+
+  static size_t Bytes(const Instance& inst) {
+    return inst.entries * (sizeof(ElementId) + sizeof(SetId) / 4);
+  }
+
+  void Rescale(Instance& inst) {
+    ++inst.rescales;
+    inst.element_rate_num = std::max<uint64_t>(1, inst.element_rate_num / 2);
+    inst.entries = 0;
+    for (auto it = inst.edges.begin(); it != inst.edges.end();) {
+      auto& list = it->second;
+      std::erase_if(list, [&](ElementId e) { return !inst.Sampled(e); });
+      inst.entries += list.size();
+      it = list.empty() ? inst.edges.erase(it) : std::next(it);
+    }
+  }
+
+  void Cascade(Instance& inst) {
+    while (Bytes(inst) > budget_bytes_ && inst.rescales < kMaxRescales) {
+      Rescale(inst);
+    }
+  }
+
+  SmallSet::Config config_;
+  uint64_t k_prime_ = 1;
+  size_t budget_bytes_ = 0;
+  std::vector<Instance> instances_;
+};
+
+SmallSet::Config DiffConfig(const SetSystem& sys, uint64_t k, double alpha,
+                            size_t budget_bytes, uint64_t seed) {
+  SmallSet::Config c;
+  c.params = Params::Practical(sys.num_sets(), sys.num_elements(), k, alpha);
+  c.params.small_set_budget_bytes = budget_bytes;
+  c.universe_size = sys.num_elements();
+  c.reporting = true;
+  c.seed = seed;
+  return c;
+}
+
+// The stream with a third of its incidences repeated later on.
+std::vector<Edge> WithRepeats(const SetSystem& sys, ArrivalOrder order,
+                              uint64_t seed) {
+  std::vector<Edge> edges = sys.MaterializeEdges();
+  ApplyArrivalOrder(edges, order, seed);
+  const size_t n = edges.size();
+  for (size_t i = 0; i < n; i += 3) edges.push_back(edges[(i * 7) % n]);
+  return edges;
+}
+
+void ExpectMatchesReference(const SmallSet& ss, const ReferenceSmallSet& ref,
+                            uint64_t k, const std::string& label) {
+  EXPECT_EQ(ss.ItemCount(), ref.ItemCount()) << label;
+  EXPECT_EQ(ss.num_rescaled(), ref.num_rescaled()) << label;
+  auto want = ref.Best();
+  EstimateOutcome out = ss.Finalize();
+  ASSERT_EQ(out.feasible, want.has_value()) << label;
+  std::vector<SetId> picks = ss.ExtractSolution(k);
+  if (!want) {
+    EXPECT_TRUE(picks.empty()) << label;
+    return;
+  }
+  EXPECT_EQ(out.estimate, want->first) << label;
+  EXPECT_EQ(picks, want->second) << label;
+  std::vector<SetId> kept;
+  EXPECT_EQ(ss.Finalize(&kept).estimate, want->first) << label;
+  EXPECT_EQ(kept, want->second) << label;
+}
+
+struct DiffCase {
+  const char* name;
+  size_t budget_bytes;  // 0 = derived; small values force rescales
+  uint32_t parts;       // 1 = single pass, else an N-way merge
+};
+
+void PrintTo(const DiffCase& tc, std::ostream* os) { *os << tc.name; }
+
+class SmallSetReference : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(SmallSetReference, MatchesMapOfListsEvaluation) {
+  const DiffCase& tc = GetParam();
+  const uint64_t k = 32;
+  auto inst = SmallSetFamily(512, 2048, k, 41);
+  bool any_feasible = false;
+  for (ArrivalOrder order :
+       {ArrivalOrder::kRandom, ArrivalOrder::kElementContiguous}) {
+    const std::vector<Edge> edges = WithRepeats(inst.system, order, 9);
+    const SmallSet::Config config =
+        DiffConfig(inst.system, k, 8, tc.budget_bytes, 77);
+    // Part p takes the incidences whose element hashes to p, the way the
+    // sharded pipeline partitions by element.
+    std::vector<SmallSet> parts;
+    std::vector<ReferenceSmallSet> ref_parts;
+    for (uint32_t p = 0; p < tc.parts; ++p) {
+      parts.emplace_back(config);
+      ref_parts.emplace_back(config);
+    }
+    std::vector<std::vector<Edge>> routed(tc.parts);
+    for (const Edge& e : edges) {
+      routed[SplitMix64(e.element) % tc.parts].push_back(e);
+    }
+    for (uint32_t p = 0; p < tc.parts; ++p) {
+      VectorEdgeStream stream(routed[p]);
+      FeedStream(stream, parts[p]);
+      for (const Edge& e : routed[p]) ref_parts[p].Process(e);
+    }
+    for (uint32_t p = 1; p < tc.parts; ++p) {
+      parts[0].Merge(parts[p]);
+      ref_parts[0].Merge(ref_parts[p]);
+    }
+    const std::string label =
+        std::string(tc.name) + " order=" + ArrivalOrderName(order);
+    ExpectMatchesReference(parts[0], ref_parts[0], k, label);
+    if (tc.budget_bytes != 0) {
+      EXPECT_GT(parts[0].num_rescaled(), 0u) << label;
+    }
+    any_feasible = any_feasible || parts[0].Finalize().feasible;
+  }
+  EXPECT_TRUE(any_feasible) << tc.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, SmallSetReference,
+    ::testing::Values(DiffCase{"repeats", 0, 1},
+                      DiffCase{"rescaled", 2000, 1},
+                      DiffCase{"merged2", 0, 2},
+                      DiffCase{"merged3_rescaled", 2000, 3},
+                      DiffCase{"merged4", 0, 4}),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      return info.param.name;
+    });
+
+TEST(SmallSet, EqualCoverageTiesGoToTheSmallerSetId) {
+  // Everything is sampled (set and element rates both 1) and k′ = 1, so the
+  // sample is the whole stream and greedy must choose between set 9 and
+  // set 4, which cover ten elements each.
+  SmallSet::Config c;
+  c.params = Params::Practical(16, 64, 1, 2);
+  c.params.set_sample_factor = 2 * c.params.alpha;
+  c.params.element_sample_factor = 1000;
+  c.universe_size = 64;
+  c.reporting = true;
+  c.seed = 5;
+  std::vector<Edge> nine_first;
+  for (ElementId e = 0; e < 10; ++e) nine_first.push_back(Edge{9, e});
+  for (ElementId e = 10; e < 20; ++e) nine_first.push_back(Edge{4, e});
+  std::vector<Edge> four_first(nine_first.rbegin(), nine_first.rend());
+  for (const auto& edges : {nine_first, four_first}) {
+    SmallSet ss(c);
+    VectorEdgeStream stream(edges);
+    FeedStream(stream, ss);
+    ASSERT_TRUE(ss.Finalize().feasible);
+    EXPECT_EQ(ss.ExtractSolution(1), (std::vector<SetId>{4}));
+  }
 }
 
 }  // namespace

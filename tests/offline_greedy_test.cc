@@ -90,18 +90,68 @@ TEST_P(LazyEquivalence, SameCoverageAsPlainGreedy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LazyEquivalence, ::testing::Range(1, 9));
 
+// GreedyOnLists' flat input: the set named ids[i] holds
+// elements[offsets[i], offsets[i+1]).
+struct FlatLists {
+  std::vector<size_t> offsets{0};
+  std::vector<SetId> ids;
+  std::vector<ElementId> elements;
+};
+
+// Flattens `lists`, naming list i by `ids[i]` (by i when ids is empty).
+FlatLists Flatten(const std::vector<std::vector<ElementId>>& lists,
+                  std::vector<SetId> ids = {}) {
+  FlatLists flat;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    flat.ids.push_back(ids.empty() ? i : ids[i]);
+    flat.elements.insert(flat.elements.end(), lists[i].begin(),
+                         lists[i].end());
+    flat.offsets.push_back(flat.elements.size());
+  }
+  return flat;
+}
+
+CoverSolution GreedyOnNested(const std::vector<std::vector<ElementId>>& lists,
+                             uint64_t k, std::vector<SetId> ids = {}) {
+  FlatLists flat = Flatten(lists, std::move(ids));
+  return GreedyOnLists(flat.offsets, flat.ids, flat.elements, k);
+}
+
 TEST(GreedyOnLists, MatchesSetSystemGreedy) {
   auto inst = RandomUniform(30, 100, 6, 9);
   CoverSolution a = GreedyMaxCover(inst.system, 5);
-  CoverSolution b = GreedyOnLists(inst.system.sets(), 5);
+  CoverSolution b = GreedyOnNested(inst.system.sets(), 5);
   EXPECT_EQ(a.coverage, b.coverage);
   EXPECT_EQ(a.sets, b.sets);
 }
 
 TEST(GreedyOnLists, HandlesRaggedIds) {
-  std::vector<std::vector<ElementId>> lists{{100, 200}, {200, 300, 400}, {}};
-  CoverSolution sol = GreedyOnLists(lists, 2);
+  CoverSolution sol = GreedyOnNested({{100, 200}, {200, 300, 400}, {}}, 2);
   EXPECT_EQ(sol.coverage, 4u);
+}
+
+TEST(GreedyOnLists, HugeElementIdsNeedNoIdSizedBitmap) {
+  // Regression: the covered marks were once a bitmap sized by the largest
+  // element id, so ids near 2^40 asked for a terabit and aborted.
+  const ElementId big = ElementId{1} << 40;
+  CoverSolution sol = GreedyOnNested({{big + 1, big + 2}, {5}}, 2);
+  EXPECT_EQ(sol.coverage, 3u);
+  EXPECT_EQ(sol.sets, (std::vector<SetId>{0, 1}));
+}
+
+TEST(GreedyOnLists, RepeatsInsideASetCountOnce) {
+  CoverSolution sol = GreedyOnNested({{1, 1, 1, 2}, {3, 4, 5}}, 1);
+  EXPECT_EQ(sol.coverage, 3u);
+  EXPECT_EQ(sol.sets, (std::vector<SetId>{1}));
+}
+
+TEST(GreedyOnLists, TiesGoToTheSmallestIdInAnyOrder) {
+  CoverSolution sol = GreedyOnNested({{1, 2}, {7, 8, 9}, {4, 5, 6}}, 2);
+  EXPECT_EQ(sol.sets, (std::vector<SetId>{1, 2}));
+  EXPECT_EQ(sol.coverage, 6u);
+  // The same sets named so that the later list has the smaller id.
+  sol = GreedyOnNested({{1, 2}, {7, 8, 9}, {4, 5, 6}}, 2, {30, 20, 10});
+  EXPECT_EQ(sol.sets, (std::vector<SetId>{10, 20}));
 }
 
 TEST(Greedy, MonotoneInK) {

@@ -271,8 +271,18 @@ TEST(ServingRuntime, IngestMetricsAreConsistent) {
                 ->Value(),
             sum.snapshots_published);
   EXPECT_EQ(store.epoch(), sum.snapshots_published);
-  EXPECT_EQ(registry.GetHistogram("serve_publish_ns")->Count(),
-            sum.snapshots_published);
+  const Histogram* publish = registry.GetHistogram("serve_publish_ns");
+  const Histogram* finalize =
+      registry.GetHistogram("serve_publish_finalize_ns");
+  const Histogram* build = registry.GetHistogram("serve_publish_build_ns");
+  EXPECT_EQ(publish->Count(), sum.snapshots_published);
+  // Finalize and snapshot build are timed once per publish, as disjoint
+  // parts of it.
+  EXPECT_EQ(finalize->Count(), sum.snapshots_published);
+  EXPECT_EQ(build->Count(), sum.snapshots_published);
+  EXPECT_GT(finalize->Sum(), 0u);
+  EXPECT_GT(build->Sum(), 0u);
+  EXPECT_LE(finalize->Sum() + build->Sum(), publish->Sum());
 }
 
 }  // namespace

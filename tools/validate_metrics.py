@@ -176,6 +176,25 @@ def check_invariants(dump, errors):
             errors.append(
                 f"$.registry.serve_publish_ns: count {publish['count']} != "
                 f"snapshots_published {serving['snapshots_published']}")
+        # Every publish is timed whole and in two disjoint parts (finalize,
+        # then snapshot build), so the counts agree and the parts fit inside.
+        if isinstance(publish, dict):
+            parts = {name: reg.get(name) for name in
+                     ("serve_publish_finalize_ns", "serve_publish_build_ns")}
+            for name, part in parts.items():
+                if not isinstance(part, dict):
+                    errors.append(f"$.registry.{name}: missing")
+                elif part["count"] != publish["count"]:
+                    errors.append(
+                        f"$.registry.{name}: count {part['count']} != "
+                        f"serve_publish_ns count {publish['count']}")
+            if all(isinstance(p, dict) for p in parts.values()):
+                part_sum = sum(p["sum"] for p in parts.values())
+                if part_sum > publish["sum"]:
+                    errors.append(
+                        f"$.registry: serve_publish_finalize_ns.sum + "
+                        f"serve_publish_build_ns.sum {part_sum} > "
+                        f"serve_publish_ns.sum {publish['sum']}")
         # Every served query is observed in exactly one per-type latency
         # histogram; every rejection is counted under exactly one reason.
         served = rejected = 0
