@@ -56,24 +56,46 @@ SmallSet::SmallSet(const Config& config) : config_(config) {
                                        static_cast<double>(kRateDen))),
           0,
           {},
+          {},
           0};
       instances_.push_back(std::move(inst));
     }
   }
 }
 
+uint8_t SmallSet::SurvivalLevel(const Instance& inst, uint64_t key) {
+  uint32_t level = inst.rescales;
+  uint64_t rate = inst.element_rate_num;
+  while (level < kMaxRescales) {
+    rate = std::max<uint64_t>(1, rate / 2);
+    if (key >= rate) break;
+    ++level;
+  }
+  return static_cast<uint8_t>(level);
+}
+
 void SmallSet::Rescale(Instance& inst) {
   ++inst.rescales;
   inst.element_rate_num = std::max<uint64_t>(1, inst.element_rate_num / 2);
   // Prune: membership is a range test, so halving the threshold keeps
-  // exactly the uniform sample at the halved rate.
-  std::erase_if(inst.edges,
-                [&](const Edge& e) { return !inst.ElementSampled(e.element); });
-  inst.stored_bytes = inst.edges.size() * kEntryBytes;
+  // exactly the uniform sample at the halved rate — the incidences whose
+  // level reaches the new rescale count.
+  size_t kept = 0;
+  for (size_t i = 0; i < inst.edges.size(); ++i) {
+    if (inst.levels[i] < inst.rescales) continue;
+    inst.edges[kept] = inst.edges[i];
+    inst.levels[kept] = inst.levels[i];
+    ++kept;
+  }
+  inst.edges.resize(kept);
+  inst.levels.resize(kept);
+  inst.stored_bytes = kept * kEntryBytes;
 }
 
-void SmallSet::StoreEdge(Instance& inst, SetId set, ElementId element) {
+void SmallSet::StoreEdge(Instance& inst, SetId set, ElementId element,
+                         uint64_t key) {
   inst.edges.push_back(Edge{set, element});
+  inst.levels.push_back(SurvivalLevel(inst, key));
   inst.stored_bytes += kEntryBytes;
   while (inst.stored_bytes > budget_bytes_ && inst.rescales < kMaxRescales) {
     // Over budget: halve the element rate and prune in place (Figure 5's
@@ -87,31 +109,40 @@ void SmallSet::Process(const Edge& edge) {
     if (inst.rescales >= kMaxRescales) continue;
     if (inst.set_sampler.MapRange(edge.set, kRateDen) >= inst.set_rate_num)
       continue;
-    if (!inst.ElementSampled(edge.element)) continue;
-    StoreEdge(inst, edge.set, edge.element);
+    uint64_t key = inst.element_sampler.MapRange(edge.element, kRateDen);
+    if (key >= inst.element_rate_num) continue;
+    StoreEdge(inst, edge.set, edge.element, key);
   }
 }
 
 void SmallSet::ProcessBatch(const PrefoldedEdges& batch) {
   constexpr size_t kTile = 128;
   uint64_t keys[kTile];
+  uint64_t survivors[kTile];  // element ids, then their sampler keys
+  size_t at[kTile];           // each survivor's position in the batch
   for (Instance& inst : instances_) {
-    bool dead = inst.rescales >= kMaxRescales;
-    for (size_t i = 0; i < batch.size && !dead; i += kTile) {
+    for (size_t i = 0; i < batch.size && inst.rescales < kMaxRescales;
+         i += kTile) {
       size_t m = std::min(kTile, batch.size - i);
       inst.set_sampler.MapRangeFoldedBatch(batch.set_folded + i, keys, m,
                                            kRateDen);
+      size_t live = 0;
       for (size_t j = 0; j < m; ++j) {
-        // Re-check liveness inside the block: a rescale cascade can exhaust
-        // the instance mid-batch, and the per-edge path would then skip the
-        // rest of its edges too.
-        if (inst.rescales >= kMaxRescales) {
-          dead = true;
-          break;
-        }
         if (keys[j] >= inst.set_rate_num) continue;
-        if (!inst.ElementSampledFolded(batch.element_folded[i + j])) continue;
-        StoreEdge(inst, batch.edges[i + j].set, batch.edges[i + j].element);
+        survivors[live] = batch.element_folded[i + j];
+        at[live++] = i + j;
+      }
+      if (live == 0) continue;
+      inst.element_sampler.MapRangeFoldedBatch(survivors, survivors, live,
+                                               kRateDen);
+      for (size_t j = 0; j < live; ++j) {
+        // Re-check liveness inside the tile: a rescale cascade can exhaust
+        // the instance mid-tile, and the per-edge path would then skip the
+        // rest of its edges too.
+        if (inst.rescales >= kMaxRescales) break;
+        if (survivors[j] >= inst.element_rate_num) continue;
+        const Edge& e = batch.edges[at[j]];
+        StoreEdge(inst, e.set, e.element, survivors[j]);
       }
     }
   }
@@ -124,6 +155,7 @@ void SmallSet::MergeInstance(Instance& mine, const Instance& theirs) {
   if (mine.rescales >= kMaxRescales || theirs.rescales >= kMaxRescales) {
     mine.rescales = kMaxRescales;
     mine.edges.clear();
+    mine.levels.clear();
     mine.stored_bytes = 0;
     return;
   }
@@ -136,9 +168,10 @@ void SmallSet::MergeInstance(Instance& mine, const Instance& theirs) {
   // Append the other sample, filtering to the (now no larger) local rate.
   // Each stream token was routed to exactly one shard, so this multiset
   // union reproduces the single-threaded sample at this rate.
-  for (const Edge& e : theirs.edges) {
-    if (!mine.ElementSampled(e.element)) continue;
-    mine.edges.push_back(e);
+  for (size_t i = 0; i < theirs.edges.size(); ++i) {
+    if (theirs.levels[i] < mine.rescales) continue;
+    mine.edges.push_back(theirs.edges[i]);
+    mine.levels.push_back(theirs.levels[i]);
     mine.stored_bytes += kEntryBytes;
   }
   // The combined sample may overflow a budget neither shard hit alone:
@@ -148,6 +181,7 @@ void SmallSet::MergeInstance(Instance& mine, const Instance& theirs) {
   }
   if (mine.rescales >= kMaxRescales && mine.stored_bytes > budget_bytes_) {
     mine.edges.clear();
+    mine.levels.clear();
     mine.stored_bytes = 0;
   }
 }

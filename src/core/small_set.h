@@ -15,6 +15,9 @@
 // membership is a range test on one hash, the pruned sample is exactly the
 // uniform sample at the halved rate, so Lemma 2.5 applies at the final
 // effective rate and dense instances degrade gracefully instead of dying.
+// The same property fixes, when an incidence is stored, how many rescales
+// its element survives; each incidence keeps that level, so rescale and
+// merge prune by comparing it and never hash an element again.
 //
 // The returned estimate is the greedy coverage on the sample scaled back by
 // the effective element rate; infeasible unless the greedy k′-cover covers
@@ -47,10 +50,11 @@ class SmallSet : public StreamingEstimator {
 
   void Process(const Edge& edge) override;
 
-  // Batched ingest: per instance, the Θ(log mn)-wise set-sampling gate runs
-  // batched over the block; the (rare) set survivors take the folded element
-  // test and the normal store/budget path, in edge order, so the stored
-  // sample — including any mid-batch rescale cascade — is bit-identical to a
+  // Batched ingest: per instance and tile, the Θ(log mn)-wise set-sampling
+  // gate runs batched over the tile, then the element sampler runs batched
+  // over the tile's set survivors; the element test and the normal
+  // store/budget path follow in edge order, so the stored sample —
+  // including any mid-tile rescale cascade — is bit-identical to a
   // Process() loop.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
@@ -62,7 +66,8 @@ class SmallSet : public StreamingEstimator {
   // Merges another instance built with the same Config. Per (guess, rep)
   // instance: both stored samples are pruned to the smaller element rate
   // (membership is a range test, so pruning IS the sample at that rate),
-  // appended, and re-checked against the byte budget. Because an instance's
+  // appended, and re-checked against the byte budget. Pruning compares the
+  // stored survival levels; no element is re-hashed. Because an instance's
   // final state is a pure function of (observed edge multiset, budget) —
   // the rescale cascade fires iff the full sample at a rate overflows,
   // regardless of arrival order — the merged state equals the
@@ -92,9 +97,11 @@ class SmallSet : public StreamingEstimator {
   // An instance whose rate has been halved this many times stores (almost)
   // nothing and is effectively dead.
   static constexpr uint32_t kMaxRescales = 38;
+  static_assert(kMaxRescales <= UINT8_MAX, "levels are stored in a byte");
   // Budget charge per stored incidence: an element id plus a quarter of a
-  // set id. A fixed model rather than the log's footprint, so MemoryBytes()
-  // and the rescale points do not depend on how the sample is laid out.
+  // set id. A fixed model rather than the log's footprint (which includes
+  // the survival level), so MemoryBytes() and the rescale points do not
+  // depend on how the sample is laid out.
   static constexpr size_t kEntryBytes = sizeof(ElementId) + sizeof(SetId) / 4;
 
   struct Instance {
@@ -108,15 +115,12 @@ class SmallSet : public StreamingEstimator {
     // arrival order, repeats included (they count against the budget, as
     // they did in the stream). Evaluate() groups it by set.
     std::vector<Edge> edges;
+    // levels[i]: how many rescales edges[i]'s element survives (see
+    // SurvivalLevel). An incidence is in the sample after r rescales iff
+    // levels[i] >= r.
+    std::vector<uint8_t> levels;
     size_t stored_bytes = 0;
 
-    bool ElementSampled(ElementId e) const {
-      return element_sampler.MapRange(e, kRateDen) < element_rate_num;
-    }
-    bool ElementSampledFolded(uint64_t folded) const {
-      return element_sampler.MapRangeFolded(folded, kRateDen) <
-             element_rate_num;
-    }
     double EffectiveRate() const {
       return static_cast<double>(element_rate_num) /
              static_cast<double>(kRateDen);
@@ -128,13 +132,18 @@ class SmallSet : public StreamingEstimator {
     std::vector<SetId> solution;  // greedy's picks (actual set ids)
   };
 
+  // The largest r <= kMaxRescales with key < R_r, where R_r is inst's
+  // element rate after r rescales (R_{r+1} = max(1, R_r / 2), Rescale's
+  // update). `key` must pass inst's current rate, so the walk starts there.
+  static uint8_t SurvivalLevel(const Instance& inst, uint64_t key);
+
   // Halves inst's element rate and prunes its stored sample accordingly.
   void Rescale(Instance& inst);
 
-  // Stores one surviving (set, element) incidence and runs the budget /
-  // rescale cascade — the post-gate tail of Process(), shared with the
-  // batched path.
-  void StoreEdge(Instance& inst, SetId set, ElementId element);
+  // Stores one surviving (set, element) incidence, whose element-sampler
+  // key is `key`, and runs the budget / rescale cascade — the post-gate
+  // tail of Process(), shared with the batched path.
+  void StoreEdge(Instance& inst, SetId set, ElementId element, uint64_t key);
 
   // Folds the same-seeded instance `theirs` into `mine` (see Merge()).
   void MergeInstance(Instance& mine, const Instance& theirs);

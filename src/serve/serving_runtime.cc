@@ -36,15 +36,16 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   publish_ns_ = reg->GetHistogram("serve_publish_ns");
   publish_finalize_ns_ = reg->GetHistogram("serve_publish_finalize_ns");
   publish_build_ns_ = reg->GetHistogram("serve_publish_build_ns");
+  publish_wait_ns_ = reg->GetHistogram("serve_publish_wait_ns");
 }
 
-void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
+void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
   uint64_t t0 = NowSteadyNs();
   SnapshotMeta meta;
   meta.epoch = ++epoch_;
-  meta.edges_ingested = summary->edges;
-  meta.batches_ingested = summary->segments;
-  meta.quarantined_fraction = summary->quarantined_fraction;
+  meta.edges_ingested = progress.edges;
+  meta.batches_ingested = progress.segments;
+  meta.quarantined_fraction = progress.quarantined_fraction;
   meta.shards = options_.threads;
   meta.publish_steady_ns = t0;
   const MaxCoverSolution solution = state_.FinalizeSolution();
@@ -53,7 +54,6 @@ void ServingRuntime::PublishSnapshot(IngestSummary* summary) {
       CoverageSnapshot::Build(state_, solution, meta);
   const uint64_t t2 = NowSteadyNs();
   store_->Publish(snap);
-  ++summary->snapshots_published;
   publish_finalize_ns_->Observe(t1 - t0);
   publish_build_ns_->Observe(t2 - t1);
   publish_ns_->Observe(NowSteadyNs() - t0);
@@ -97,7 +97,8 @@ IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
         segment_edges = 0;
         ++summary.segments;
         segments_total_->Increment();
-        PublishSnapshot(&summary);
+        ++summary.snapshots_published;
+        PublishSnapshot(summary);
       }
       continue;
     }
@@ -115,13 +116,19 @@ IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
   if (segment_edges > 0) {
     ++summary.segments;
     segments_total_->Increment();
-    PublishSnapshot(&summary);
+    ++summary.snapshots_published;
+    PublishSnapshot(summary);
   }
   return summary;
 }
 
 IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
   IngestSummary summary;
+  // Segment e's publish (its merge into the cumulative state, finalize and
+  // snapshot) runs on this thread while segment e+1 ingests. At most one is
+  // in flight: it is joined before the next hand-off, before returning, and
+  // before a pipeline exits the process.
+  std::jthread publisher;
   ShardedPipelineOptions popts;
   popts.num_shards = options_.threads;
   popts.batch_size = options_.batch_size;
@@ -129,6 +136,9 @@ IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
   popts.registry = options_.registry;
   popts.fault_injector = options_.fault_injector;
   popts.degradation = options_.degradation;
+  popts.before_exit = [&publisher] {
+    if (publisher.joinable()) publisher.join();
+  };
 
   const ServingState::Config config = state_config_;
   ShardedPipeline<ServingState>::Factory factory =
@@ -154,14 +164,22 @@ IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
     summary.quarantined_fraction =
         static_cast<double>(summary.shard_runs_quarantined) /
         static_cast<double>(shard_runs_total);
-    state_.Merge(segment);
     edges_ingested_->Increment(got);
     summary.edges += got;
     ++summary.segments;
     segments_total_->Increment();
-    PublishSnapshot(&summary);
+    const uint64_t wait_start = NowSteadyNs();
+    if (publisher.joinable()) publisher.join();
+    publish_wait_ns_->Observe(NowSteadyNs() - wait_start);
+    ++summary.snapshots_published;
+    publisher = std::jthread(
+        [this, segment = std::move(segment), progress = summary] {
+          state_.Merge(segment);
+          PublishSnapshot(progress);
+        });
     if (!stream.ok()) break;  // truncated segment: error already surfaced
   }
+  if (publisher.joinable()) publisher.join();
   return summary;
 }
 

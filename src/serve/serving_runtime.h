@@ -10,12 +10,13 @@
 //   * inline (threads == 0): the calling thread batches + prefolds edges
 //     straight into the cumulative ServingState — the single-core path;
 //   * sharded (threads >= 1): each segment is one ShardedPipeline run over
-//     a bounded view of the stream; the segment's merged state is folded
-//     into the cumulative state with Merge(). Replaying the pipeline per
-//     segment reuses its entire degradation machinery (retry/backoff,
-//     worker-death quarantine, fingerprint votes) unchanged, and the
-//     quarantined fraction accumulates into every later snapshot's
-//     staleness metadata.
+//     a bounded view of the stream; the segment's merged state is handed to
+//     a publisher thread, which folds it into the cumulative state with
+//     Merge() and publishes while the next segment's pipeline ingests.
+//     Replaying the pipeline per segment reuses its entire degradation
+//     machinery (retry/backoff, worker-death quarantine, fingerprint votes)
+//     unchanged, and the quarantined fraction accumulates into every later
+//     snapshot's staleness metadata.
 //
 // Both modes produce the same cumulative state as one uninterrupted pass on
 // the same seeds (segment merges are exact for every streamkc estimator),
@@ -25,6 +26,15 @@
 //
 // Threading contract: Ingest() blocks and must run on ONE thread; queries
 // go through SnapshotStore/QueryEngine from any other threads concurrently.
+// In sharded mode Ingest() also runs the publisher thread, with at most one
+// publish in flight: each hand-off joins the previous publish first (that
+// wait is serve_publish_wait_ns), and Ingest() joins the last one before it
+// returns. Merges therefore run in segment order, epochs count up with no
+// gaps, and publishes never overlap. The cost is memory for one more
+// segment state while its publish is in flight. A pipeline that exits the
+// process (strict mode, or every shard quarantined) first joins the
+// in-flight publish through ShardedPipelineOptions::before_exit, so process
+// teardown never races the publisher.
 
 #ifndef STREAMKC_SERVE_SERVING_RUNTIME_H_
 #define STREAMKC_SERVE_SERVING_RUNTIME_H_
@@ -104,7 +114,10 @@ struct ServingRuntimeOptions {
   // no pipeline to inject into, so drivers must pair this with threads >= 1.
   const FaultInjector* fault_injector = nullptr;
   DegradationPolicy degradation;
-  // Test/bench hook: called after every publish with the new snapshot.
+  // Test/bench hook: called after every publish with the new snapshot. It
+  // runs on the ingest thread inline and on the publisher thread sharded;
+  // either way calls are one at a time, in epoch order, and all have
+  // returned when Ingest() does.
   std::function<void(const std::shared_ptr<const CoverageSnapshot>&)>
       on_publish;
 };
@@ -137,7 +150,9 @@ class ServingRuntime {
   const ServingState& state() const { return state_; }
 
  private:
-  void PublishSnapshot(IngestSummary* summary);
+  // Publishes the cumulative state as the next epoch, stamped with
+  // `progress` (edges, segments and quarantine so far).
+  void PublishSnapshot(const IngestSummary& progress);
   IngestSummary IngestInline(EdgeStream& stream);
   IngestSummary IngestSharded(EdgeStream& stream);
 
@@ -154,6 +169,9 @@ class ServingRuntime {
   Histogram* publish_ns_;
   Histogram* publish_finalize_ns_;
   Histogram* publish_build_ns_;
+  // Sharded mode: how long each hand-off waited for the previous segment's
+  // publish to finish (0 when it already had).
+  Histogram* publish_wait_ns_;
 };
 
 }  // namespace streamkc

@@ -43,6 +43,9 @@ F2Contributing::F2Contributing(const Config& config)
     hh.seed = rng.Fork();
     levels_.push_back(Level{num, F2HeavyHitters(hh)});
   }
+  full_rate_only_ = std::all_of(
+      levels_.begin(), levels_.end(),
+      [](const Level& level) { return level.rate_num == kRateDen; });
 }
 
 void F2Contributing::Add(uint64_t id, int64_t delta) {
@@ -50,6 +53,10 @@ void F2Contributing::Add(uint64_t id, int64_t delta) {
 }
 
 void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
+  if (full_rate_only_) {
+    for (auto& level : levels_) level.hh.AddFolded(id, folded, delta);
+    return;
+  }
   // One shared hash evaluation; levels_ is sorted by decreasing rate, so the
   // first failing threshold ends the walk (samples are nested).
   uint64_t key = sampler_.MapRangeFolded(folded, kRateDen);
@@ -62,6 +69,10 @@ void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
 void F2Contributing::AddFoldedBatch(const uint64_t* ids,
                                     const uint64_t* folded, size_t n,
                                     int64_t delta) {
+  if (full_rate_only_) {
+    for (auto& level : levels_) level.hh.AddFoldedBatch(ids, folded, n, delta);
+    return;
+  }
   constexpr size_t kTile = 128;
   uint64_t keys[kTile];
   uint64_t live_ids[kTile];

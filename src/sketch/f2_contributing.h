@@ -64,9 +64,10 @@ class F2Contributing : public SpaceMetered {
 
   // Hash-once ingest path: `folded` must equal MersenneFold(id). One fold
   // serves the shared level sampler and every surviving level's
-  // heavy-hitter sketch, but each call still evaluates the sampler and the
-  // levels' CountSketch rows for this id alone; AddFoldedBatch below runs
-  // the same hashes tile-wide.
+  // heavy-hitter sketch, but each call still evaluates the sampler (unless
+  // every level is full rate, when no key can reject) and the levels'
+  // CountSketch rows for this id alone; AddFoldedBatch below runs the same
+  // hashes tile-wide.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
   // n AddFolded calls in one block, bit-identical state. The shared sampler
@@ -119,6 +120,9 @@ class F2Contributing : public SpaceMetered {
   // independence is never used.
   KWiseHash sampler_;
   std::vector<Level> levels_;  // sorted by decreasing rate
+  // Every level keeps every id (each rate_num is kRateDen), so no sampler
+  // key can reject one and the ingest paths skip the hash.
+  bool full_rate_only_ = false;
 };
 
 }  // namespace streamkc

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "hash/mersenne.h"
 #include "util/math_util.h"
 #include "test_util.h"
 
@@ -284,6 +285,46 @@ class ReferenceSmallSet {
     return n;
   }
 
+  // Instances whose rate was halved kMaxRescales times, which stop storing.
+  uint32_t num_dead() const {
+    uint32_t n = 0;
+    for (const Instance& inst : instances_) n += inst.rescales >= kMaxRescales;
+    return n;
+  }
+
+  size_t num_instances() const { return instances_.size(); }
+
+  // A set id below `m` that passes instance i's set gate.
+  SetId GatedSet(size_t i, uint64_t m) const {
+    const Instance& inst = instances_[i];
+    for (SetId s = 0; s < m; ++s) {
+      if (inst.set_sampler.MapRange(s, kDen) < inst.set_rate_num) return s;
+    }
+    ADD_FAILURE() << "no set passes instance " << i << "'s gate";
+    return 0;
+  }
+
+  // An element whose key under instance i's element sampler is 0, so it
+  // survives every rescale. The sampler must be linear (degree 2), h(x) =
+  // c0 + c1·x over GF(p): then x = -c0 / c1 solves h(x) = 0.
+  ElementId ImmortalElement(size_t i) const {
+    const KWiseHash& h = instances_[i].element_sampler;
+    EXPECT_EQ(h.degree(), 2u);
+    const uint64_t c0 = h.Map(0);
+    const uint64_t c1 = MersenneAdd(h.Map(1), kMersennePrime61 - c0);
+    // c1^(p-2) = 1/c1 (Fermat).
+    uint64_t inverse = 1;
+    uint64_t base = c1;
+    for (uint64_t e = kMersennePrime61 - 2; e > 0; e >>= 1) {
+      if (e & 1) inverse = MersenneMul(inverse, base);
+      base = MersenneMul(base, base);
+    }
+    const ElementId x =
+        MersenneMul((kMersennePrime61 - c0) % kMersennePrime61, inverse);
+    EXPECT_EQ(h.MapRange(x, kDen), 0u);
+    return x;
+  }
+
  private:
   static constexpr uint64_t kDen = 1ULL << 40;
   static constexpr uint32_t kMaxRescales = 38;
@@ -330,10 +371,12 @@ class ReferenceSmallSet {
 };
 
 SmallSet::Config DiffConfig(const SetSystem& sys, uint64_t k, double alpha,
-                            size_t budget_bytes, uint64_t seed) {
+                            size_t budget_bytes, uint64_t seed,
+                            uint32_t log_wise_degree = 0) {
   SmallSet::Config c;
   c.params = Params::Practical(sys.num_sets(), sys.num_elements(), k, alpha);
   c.params.small_set_budget_bytes = budget_bytes;
+  if (log_wise_degree != 0) c.params.log_wise_degree = log_wise_degree;
   c.universe_size = sys.num_elements();
   c.reporting = true;
   c.seed = seed;
@@ -373,9 +416,37 @@ struct DiffCase {
   const char* name;
   size_t budget_bytes;  // 0 = derived; small values force rescales
   uint32_t parts;       // 1 = single pass, else an N-way merge
+  // Plant, mid-tile, more copies of an immortal incidence (see
+  // ImmortalElement) than the budget holds, so some instances rescale
+  // kMaxRescales times and die with copies of it still to come in the same
+  // tile. Needs linear samplers to plant.
+  bool dying = false;
 };
 
 void PrintTo(const DiffCase& tc, std::ostream* os) { *os << tc.name; }
+
+// Inserts at `at`, for the first and the last instance, 32 more copies of
+// an immortal incidence than `budget_bytes` holds: the first copy past the
+// budget kills the instance, and a dead instance must skip the other 31
+// even though they pass its element test.
+void PlantImmortals(const ReferenceSmallSet& ref, uint64_t num_sets,
+                    size_t budget_bytes, size_t at, std::vector<Edge>* edges) {
+  const size_t copies =
+      budget_bytes / (sizeof(ElementId) + sizeof(SetId) / 4) + 32;
+  std::vector<Edge> planted;
+  for (size_t i : {size_t{0}, ref.num_instances() - 1}) {
+    const Edge immortal{ref.GatedSet(i, num_sets), ref.ImmortalElement(i)};
+    planted.insert(planted.end(), copies, immortal);
+  }
+  edges->insert(edges->begin() + static_cast<std::ptrdiff_t>(at),
+                planted.begin(), planted.end());
+}
+
+// Folds parts[1..] into parts[0] in order, the way the pipeline merges.
+template <typename Part>
+void MergeInto(std::vector<Part>& parts) {
+  for (size_t p = 1; p < parts.size(); ++p) parts[0].Merge(parts[p]);
+}
 
 class SmallSetReference : public ::testing::TestWithParam<DiffCase> {};
 
@@ -386,37 +457,51 @@ TEST_P(SmallSetReference, MatchesMapOfListsEvaluation) {
   bool any_feasible = false;
   for (ArrivalOrder order :
        {ArrivalOrder::kRandom, ArrivalOrder::kElementContiguous}) {
-    const std::vector<Edge> edges = WithRepeats(inst.system, order, 9);
-    const SmallSet::Config config =
-        DiffConfig(inst.system, k, 8, tc.budget_bytes, 77);
-    // Part p takes the incidences whose element hashes to p, the way the
-    // sharded pipeline partitions by element.
-    std::vector<SmallSet> parts;
-    std::vector<ReferenceSmallSet> ref_parts;
-    for (uint32_t p = 0; p < tc.parts; ++p) {
-      parts.emplace_back(config);
-      ref_parts.emplace_back(config);
+    std::vector<Edge> edges = WithRepeats(inst.system, order, 9);
+    const SmallSet::Config config = DiffConfig(
+        inst.system, k, 8, tc.budget_bytes, 77, tc.dying ? 2 : 0);
+    if (tc.dying) {
+      // The first instance dies at stream position 1100 + 200, 20 edges
+      // into a 128-edge tile of FeedStream's second block.
+      PlantImmortals(ReferenceSmallSet(config), inst.system.num_sets(),
+                     tc.budget_bytes, 1100, &edges);
     }
+    // Part p takes the incidences whose element hashes to p, the way the
+    // sharded pipeline partitions by element. Each part is fed three ways:
+    // batched (FeedStream), per edge (Process), and into the re-hashing
+    // reference.
+    std::vector<SmallSet> batched;
+    std::vector<SmallSet> per_edge;
+    std::vector<ReferenceSmallSet> ref_parts;
     std::vector<std::vector<Edge>> routed(tc.parts);
     for (const Edge& e : edges) {
       routed[SplitMix64(e.element) % tc.parts].push_back(e);
     }
     for (uint32_t p = 0; p < tc.parts; ++p) {
+      batched.emplace_back(config);
+      per_edge.emplace_back(config);
+      ref_parts.emplace_back(config);
       VectorEdgeStream stream(routed[p]);
-      FeedStream(stream, parts[p]);
-      for (const Edge& e : routed[p]) ref_parts[p].Process(e);
+      FeedStream(stream, batched[p]);
+      for (const Edge& e : routed[p]) {
+        per_edge[p].Process(e);
+        ref_parts[p].Process(e);
+      }
     }
-    for (uint32_t p = 1; p < tc.parts; ++p) {
-      parts[0].Merge(parts[p]);
-      ref_parts[0].Merge(ref_parts[p]);
-    }
+    MergeInto(batched);
+    MergeInto(per_edge);
+    MergeInto(ref_parts);
     const std::string label =
         std::string(tc.name) + " order=" + ArrivalOrderName(order);
-    ExpectMatchesReference(parts[0], ref_parts[0], k, label);
+    ExpectMatchesReference(batched[0], ref_parts[0], k, label + " batched");
+    ExpectMatchesReference(per_edge[0], ref_parts[0], k, label + " per-edge");
     if (tc.budget_bytes != 0) {
-      EXPECT_GT(parts[0].num_rescaled(), 0u) << label;
+      EXPECT_GT(batched[0].num_rescaled(), 0u) << label;
     }
-    any_feasible = any_feasible || parts[0].Finalize().feasible;
+    if (tc.dying) {
+      EXPECT_GT(ref_parts[0].num_dead(), 0u) << label;
+    }
+    any_feasible = any_feasible || batched[0].Finalize().feasible;
   }
   EXPECT_TRUE(any_feasible) << tc.name;
 }
@@ -427,7 +512,9 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"rescaled", 2000, 1},
                       DiffCase{"merged2", 0, 2},
                       DiffCase{"merged3_rescaled", 2000, 3},
-                      DiffCase{"merged4", 0, 4}),
+                      DiffCase{"merged4", 0, 4},
+                      DiffCase{"dying", 2000, 1, true},
+                      DiffCase{"merged3_dying", 2000, 3, true}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return info.param.name;
     });

@@ -1,16 +1,21 @@
 // ServingRuntime contract — including the subsystem's acceptance
 // criterion: querying a snapshot at epoch E returns exactly what a one-shot
 // inline pass over the first E ingest segments would have returned. Plus:
-// sharded segment ingest converges to the same answers as inline, a
-// trailing partial segment still publishes, and pipeline quarantine
-// propagates into every later snapshot's staleness metadata.
+// sharded segment ingest, whose publishes overlap the next segment's
+// ingest, matches inline at every epoch; a strict-mode exit with a publish
+// in flight exits cleanly; a trailing partial segment still publishes; and
+// pipeline quarantine propagates into every later snapshot's staleness
+// metadata.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/params.h"
@@ -95,14 +100,26 @@ TEST(ServingRuntime, SnapshotAtEpochEMatchesInlinePrefixPass) {
   }
 }
 
+// Every epoch of a sharded serve equals the inline serve's snapshot at the
+// same epoch: seed-coordinated shard replicas merge to the single-threaded
+// state, and overlapping a segment's publish with the next segment's
+// ingest changes nothing. The publisher hands snapshots over one at a
+// time, in epoch order, and each hand-off waits for the previous publish
+// exactly once.
 TEST(ServingRuntime, ShardedSegmentsMatchInlineIngest) {
   const std::vector<Edge> edges = TestEdges();
   const uint64_t kCadence = 512;
+  ASSERT_GE(edges.size(), 3 * kCadence);
   MetricsRegistry inline_registry;
   SnapshotStore inline_store("rt1a", &inline_registry);
   ServingRuntimeOptions inline_opts;
   inline_opts.snapshot_every_edges = kCadence;
   inline_opts.registry = &inline_registry;
+  std::vector<std::shared_ptr<const CoverageSnapshot>> inline_snaps;
+  inline_opts.on_publish =
+      [&](const std::shared_ptr<const CoverageSnapshot>& snap) {
+        inline_snaps.push_back(snap);
+      };
   ServingRuntime inline_runtime(TestConfig(), inline_opts, &inline_store);
   VectorEdgeStream inline_stream(edges);
   IngestSummary inline_sum = inline_runtime.Ingest(inline_stream);
@@ -111,30 +128,118 @@ TEST(ServingRuntime, ShardedSegmentsMatchInlineIngest) {
   SnapshotStore sharded_store("rt1b", &sharded_registry);
   ServingRuntimeOptions sharded_opts;
   sharded_opts.snapshot_every_edges = kCadence;
-  sharded_opts.threads = 4;
+  sharded_opts.threads = 3;
   sharded_opts.batch_size = 64;
   sharded_opts.registry = &sharded_registry;
+  std::atomic<bool> in_flight{false};
+  std::atomic<uint32_t> overlapping_calls{0};
+  std::vector<std::shared_ptr<const CoverageSnapshot>> sharded_snaps;
+  sharded_opts.on_publish =
+      [&](const std::shared_ptr<const CoverageSnapshot>& snap) {
+        if (in_flight.exchange(true)) overlapping_calls.fetch_add(1);
+        sharded_snaps.push_back(snap);
+        // Hold the publish open so the next segment ingests under it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        in_flight.store(false);
+      };
   ServingRuntime sharded_runtime(TestConfig(), sharded_opts, &sharded_store);
   VectorEdgeStream sharded_stream(edges);
   IngestSummary sharded_sum = sharded_runtime.Ingest(sharded_stream);
 
   EXPECT_EQ(sharded_sum.edges, inline_sum.edges);
   EXPECT_EQ(sharded_sum.segments, inline_sum.segments);
+  EXPECT_EQ(sharded_sum.snapshots_published, inline_sum.snapshots_published);
   EXPECT_DOUBLE_EQ(sharded_sum.quarantined_fraction, 0.0);
-
-  auto inline_snap = inline_store.Current();
-  auto sharded_snap = sharded_store.Current();
-  ASSERT_NE(inline_snap, nullptr);
-  ASSERT_NE(sharded_snap, nullptr);
-  // Seed-coordinated shard replicas merge to the same estimator state as
-  // the single-threaded pass, so the served answers agree exactly.
-  EXPECT_DOUBLE_EQ(sharded_snap->solution().estimate,
-                   inline_snap->solution().estimate);
-  EXPECT_EQ(sharded_snap->solution().sets, inline_snap->solution().sets);
-  for (SetId s = 0; s < 16; ++s) {
-    EXPECT_DOUBLE_EQ(sharded_snap->SetCoverage(s),
-                     inline_snap->SetCoverage(s));
+  EXPECT_EQ(overlapping_calls.load(), 0u);
+  ASSERT_EQ(sharded_snaps.size(), inline_snaps.size());
+  for (size_t i = 0; i < sharded_snaps.size(); ++i) {
+    const CoverageSnapshot& got = *sharded_snaps[i];
+    const CoverageSnapshot& want = *inline_snaps[i];
+    EXPECT_EQ(got.meta().epoch, i + 1);
+    EXPECT_EQ(got.meta().edges_ingested, want.meta().edges_ingested);
+    EXPECT_DOUBLE_EQ(got.solution().estimate, want.solution().estimate)
+        << "epoch " << i + 1;
+    EXPECT_EQ(got.solution().source, want.solution().source)
+        << "epoch " << i + 1;
+    EXPECT_EQ(got.solution().sets, want.solution().sets) << "epoch " << i + 1;
+    for (SetId s = 0; s < 16; ++s) {
+      EXPECT_DOUBLE_EQ(got.SetCoverage(s), want.SetCoverage(s))
+          << "epoch " << i + 1 << " set " << s;
+    }
   }
+  // One wait per sharded hand-off, none inline.
+  EXPECT_EQ(
+      sharded_registry.GetHistogram("serve_publish_wait_ns")->Count(),
+      sharded_sum.snapshots_published);
+  EXPECT_EQ(inline_registry.GetHistogram("serve_publish_wait_ns")->Count(),
+            0u);
+}
+
+// Serves its first `good` edges, then fails every read with a transient
+// error: a source that goes down for good mid-stream.
+class OutageEdgeStream : public EdgeStream {
+ public:
+  OutageEdgeStream(std::vector<Edge> edges, size_t good)
+      : edges_(std::move(edges)), good_(good) {}
+
+  bool Next(Edge* edge) override {
+    failing_ = pos_ >= good_;
+    if (failing_) return false;
+    *edge = edges_[pos_++];
+    return true;
+  }
+  size_t NextBatch(std::vector<Edge>* out, size_t max_edges) override {
+    out->clear();
+    Edge edge;
+    while (out->size() < max_edges && Next(&edge)) out->push_back(edge);
+    if (!out->empty()) failing_ = false;
+    return out->size();
+  }
+  void Reset() override { pos_ = 0; }
+  bool ok() const override { return !failing_; }
+  bool transient() const override { return failing_; }
+  std::string StatusMessage() const override {
+    return failing_ ? "outage: read failed" : std::string();
+  }
+
+ private:
+  std::vector<Edge> edges_;
+  size_t good_;
+  size_t pos_ = 0;
+  bool failing_ = false;
+};
+
+// Strict mode exits from inside segment 2's pipeline run while segment 1's
+// publish is still in flight on the publisher thread (its on_publish
+// sleeps). The process must exit with status 1, not hang or crash, and the
+// exit must first let that publish finish: its line follows the strict one.
+TEST(ServingRuntimeDeathTest, StrictFaultDuringInFlightPublishExits) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Edge> edges = TestEdges();
+  const uint64_t kCadence = 512;
+  ASSERT_GT(edges.size(), 2 * kCadence);
+  auto serve = [&] {
+    MetricsRegistry registry;
+    SnapshotStore store("rt7", &registry);
+    ServingRuntimeOptions opts;
+    opts.snapshot_every_edges = kCadence;
+    opts.threads = 3;
+    opts.batch_size = 64;
+    opts.registry = &registry;
+    opts.degradation.strict = true;
+    opts.degradation.max_stream_retries = 1;
+    opts.degradation.initial_backoff_ns = 1000;
+    opts.on_publish = [](const std::shared_ptr<const CoverageSnapshot>& s) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      std::fprintf(stderr, "epoch %llu published\n",
+                   static_cast<unsigned long long>(s->meta().epoch));
+    };
+    ServingRuntime runtime(TestConfig(), opts, &store);
+    OutageEdgeStream stream(edges, kCadence + kCadence / 2);
+    runtime.Ingest(stream);
+  };
+  EXPECT_EXIT(serve(), ::testing::ExitedWithCode(1),
+              "strict: stream error persisted.*epoch 1 published");
 }
 
 TEST(ServingRuntime, TrailingPartialSegmentStillPublishes) {
