@@ -81,7 +81,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -89,7 +88,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dist/checkpoint.h"
@@ -99,8 +97,8 @@
 #include "dist/transport.h"
 #include "dist/worker_counters.h"
 #include "fault/fault_injector.h"
+#include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
-#include "runtime/sharded_pipeline.h"
 #include "stream/edge_stream.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -216,37 +214,23 @@ class ProcessReductionTree {
     // pipeline's corruption detection, applied across process boundaries).
     // corrupt-merge faults flip the reported value before the vote, so the
     // vote — not a cross-check against the payload — must catch them.
-    std::vector<uint32_t> voters;
-    for (uint32_t w = 0; w < options_.num_workers; ++w) {
-      if (slots[w].state == Slot::kDone) voters.push_back(w);
+    std::vector<uint64_t> votes;
+    for (const Slot& slot : slots) {
+      if (slot.state == Slot::kDone) votes.push_back(slot.frame.fingerprint);
     }
-    if (!voters.empty()) {
-      uint64_t majority = 0;
-      size_t best = 0;
-      for (uint32_t v : voters) {
-        size_t count = 0;
-        for (uint32_t u : voters) {
-          if (slots[u].frame.fingerprint == slots[v].frame.fingerprint) {
-            ++count;
-          }
-        }
-        if (count > best) {
-          best = count;
-          majority = slots[v].frame.fingerprint;
-        }
+    const uint64_t majority = MajorityFingerprint(votes);
+    for (uint32_t w = 0; w < options_.num_workers; ++w) {
+      if (slots[w].state != Slot::kDone ||
+          slots[w].frame.fingerprint == majority) {
+        continue;
       }
-      for (uint32_t v : voters) {
-        if (slots[v].frame.fingerprint != majority) {
-          std::fprintf(stderr,
-                       "dist: worker %u merge fingerprint %016llx "
-                       "disagrees with majority %016llx; quarantined\n",
-                       v,
-                       (unsigned long long)slots[v].frame.fingerprint,
-                       (unsigned long long)majority);
-          metrics_.workers[v].fingerprint_corrupted = true;
-          Quarantine(v, &slots[v]);
-        }
-      }
+      std::fprintf(stderr,
+                   "dist: worker %u merge fingerprint %016llx "
+                   "disagrees with majority %016llx; quarantined\n",
+                   w, (unsigned long long)slots[w].frame.fingerprint,
+                   (unsigned long long)majority);
+      metrics_.workers[w].fingerprint_corrupted = true;
+      Quarantine(w, &slots[w]);
     }
 
     // Deserialize survivors: counters block first, then the state blob.
@@ -689,64 +673,42 @@ class ProcessReductionTree {
     ::_exit(shipped ? kWorkerOkExit : kWorkerPermanentErrorExit);
   }
 
-  // Batched ingest of one segment with bounded retry on transient errors.
-  // Returns false on a non-transient stream error (parse failure).
+  // Batched ingest of one segment, retrying transient errors through the
+  // shared BatchReader. Returns false on a non-transient stream error
+  // (parse failure).
   bool IngestSegment(uint32_t w, EdgeStream* stream, State* state,
                      WorkerCounters* counters, EdgeBatch* batch,
                      bool killable, uint64_t* batches_seen) {
     const FaultInjector* inj = options_.fault_injector;
-    const DegradationPolicy& pol = options_.degradation;
-    uint32_t retries = 0;
-    uint64_t backoff = pol.initial_backoff_ns;
-    for (;;) {
-      batch->Clear();
-      Edge e;
-      bool at_end = false;
-      while (batch->size() < options_.batch_size) {
-        if (stream->Next(&e)) {
-          batch->edges.push_back(e);
-          retries = 0;
-          backoff = pol.initial_backoff_ns;
-          continue;
-        }
-        if (stream->ok()) {
-          at_end = true;
-          break;
-        }
-        if (!stream->transient()) {
-          std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
-                       stream->StatusMessage().c_str());
-          return false;
-        }
-        if (retries >= pol.max_stream_retries) {
-          // Retry budget exhausted: truncate the segment (the in-flight
-          // batch still commits) — the pipeline's degradation semantics.
-          counters->truncated_segments += 1;
-          at_end = true;
-          break;
-        }
-        ++retries;
-        counters->stream_retries += 1;
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-        backoff = NextBackoffNs(backoff, pol);
+    BatchReader reader(*stream, options_.degradation);
+    // A batch cut short by a parse error never commits: the worker exits.
+    while (reader.Next(&batch->edges, options_.batch_size) > 0 &&
+           (stream->ok() || stream->transient())) {
+      if (killable && inj->WorkerDiesAt(w, *batches_seen)) {
+        std::fprintf(stderr,
+                     "dist: worker %u killed by fault plan at batch "
+                     "%llu\n",
+                     w, (unsigned long long)*batches_seen);
+        ::_exit(kWorkerKilledExit);
       }
-      if (!batch->empty()) {
-        if (killable && inj->WorkerDiesAt(w, *batches_seen)) {
-          std::fprintf(stderr,
-                       "dist: worker %u killed by fault plan at batch "
-                       "%llu\n",
-                       w, (unsigned long long)*batches_seen);
-          ::_exit(kWorkerKilledExit);
-        }
-        ++*batches_seen;
-        batch->Prefold();
-        state->ProcessBatch(batch->View());
-        counters->edges_ingested += batch->size();
-        counters->edges_processed += batch->size();
-        counters->batches += 1;
-      }
-      if (at_end) return true;
+      ++*batches_seen;
+      batch->Prefold();
+      state->ProcessBatch(batch->View());
+      counters->edges_ingested += batch->size();
+      counters->edges_processed += batch->size();
+      counters->batches += 1;
     }
+    counters->stream_retries += reader.retries();
+    if (stream->ok()) return true;
+    if (!stream->transient()) {
+      std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
+                   stream->StatusMessage().c_str());
+      return false;
+    }
+    // Retry budget exhausted: the segment is truncated, and what it read
+    // still commits — the pipeline's degradation semantics.
+    counters->truncated_segments += 1;
+    return true;
   }
 
   DistOptions options_;

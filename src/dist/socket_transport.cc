@@ -11,10 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 
 #include "dist/transport.h"
@@ -278,8 +276,7 @@ class TcpTransport : public Transport {
                           make_frame) override {
     (void)ch;
     IgnoreSigPipe();
-    uint32_t retries = 0;
-    uint64_t backoff = policy.initial_backoff_ns;
+    Backoff backoff(policy);
     for (;;) {
       int fd = DialAndHello(worker, generation);
       if (fd >= 0) {
@@ -294,11 +291,8 @@ class TcpTransport : public Transport {
         ::close(fd);
         if (ok) return true;
       }
-      if (retries >= policy.max_stream_retries) return false;
-      ++retries;
+      if (!backoff.Wait()) return false;
       ++counters->connect_retries;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-      backoff = NextBackoffNs(backoff, policy);
     }
   }
 

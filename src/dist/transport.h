@@ -54,7 +54,7 @@
 
 #include "dist/frame.h"
 #include "dist/worker_counters.h"
-#include "runtime/sharded_pipeline.h"
+#include "runtime/degradation.h"
 
 namespace streamkc {
 

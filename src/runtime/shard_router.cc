@@ -14,9 +14,8 @@ std::string PartitionPolicyName(PartitionPolicy policy) {
   return "unknown";
 }
 
-ShardRouter::ShardRouter(uint32_t num_shards, PartitionPolicy policy,
-                         uint64_t salt)
-    : num_shards_(num_shards), policy_(policy), salt_(salt) {
+ShardRouter::ShardRouter(uint32_t num_shards, PartitionPolicy policy)
+    : num_shards_(num_shards), policy_(policy) {
   CHECK_GE(num_shards, 1u);
 }
 

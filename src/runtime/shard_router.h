@@ -21,7 +21,7 @@
 //     built entirely on one shard instead of being assembled at merge time.
 //
 // Routing is a stateless SplitMix64 mix of the chosen key — deterministic
-// in (policy, salt, num_shards), independent of arrival order and thread
+// in (policy, num_shards), independent of arrival order and thread
 // timing, which is what makes deterministic-mode replays possible.
 
 #ifndef STREAMKC_RUNTIME_SHARD_ROUTER_H_
@@ -44,7 +44,7 @@ std::string PartitionPolicyName(PartitionPolicy policy);
 
 class ShardRouter {
  public:
-  ShardRouter(uint32_t num_shards, PartitionPolicy policy, uint64_t salt = 0);
+  ShardRouter(uint32_t num_shards, PartitionPolicy policy);
 
   uint32_t ShardOf(const Edge& edge) const {
     uint64_t key =
@@ -52,8 +52,7 @@ class ShardRouter {
     // Fixed-point map of the mixed key onto [0, num_shards): unbiased for
     // num_shards ≪ 2^64 and cheaper than modulo.
     return static_cast<uint32_t>(
-        (static_cast<__uint128_t>(SplitMix64(key ^ salt_)) * num_shards_) >>
-        64);
+        (static_cast<__uint128_t>(SplitMix64(key)) * num_shards_) >> 64);
   }
 
   uint32_t num_shards() const { return num_shards_; }
@@ -62,7 +61,6 @@ class ShardRouter {
  private:
   uint32_t num_shards_;
   PartitionPolicy policy_;
-  uint64_t salt_;
 };
 
 }  // namespace streamkc

@@ -51,12 +51,13 @@
 // EdgeBatch, so the steady-state flush path performs zero allocations
 // (metrics.batches_recycled tracks the recycle hit rate).
 //
-// Degradation policy: a production pipeline must degrade predictably, not
-// assume a clean world. Three failure classes are handled (and injectable
-// via src/fault for testing):
-//   * transient stream errors — retried per producer with bounded,
-//     SATURATING exponential backoff (DegradationPolicy::max_stream_retries
-//     / max_backoff_ns, retries_total metric);
+// Degradation policy (runtime/degradation.h): a production pipeline must
+// degrade predictably, not assume a clean world. Three failure classes are
+// handled (and injectable via src/fault for testing):
+//   * transient stream errors — each producer reads through a BatchReader,
+//     which retries with bounded, SATURATING exponential backoff
+//     (DegradationPolicy::max_stream_retries / max_backoff_ns,
+//     retries_total metric);
 //   * worker death mid-stream — the dead shard's lanes keep draining (so
 //     backpressure cannot deadlock) but its edges are discarded and the
 //     shard is QUARANTINED out of the merge;
@@ -88,6 +89,7 @@
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/space_accountant.h"
+#include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
 #include "runtime/runtime_metrics.h"
 #include "runtime/shard_router.h"
@@ -96,35 +98,6 @@
 #include "util/check.h"
 
 namespace streamkc {
-
-// How the pipeline responds to faults (injected or real).
-struct DegradationPolicy {
-  // Consecutive transient-read retries before a producer gives up and
-  // truncates its pass (the stream's error then surfaces through ok()).
-  // The budget resets after every successful read.
-  uint32_t max_stream_retries = 5;
-  // First retry backoff; doubles per consecutive retry.
-  uint64_t initial_backoff_ns = 100'000;  // 100 µs
-  // Backoff ceiling: the doubling SATURATES here instead of growing
-  // unboundedly (an uncapped uint64 doubling wraps after ~47 consecutive
-  // failures and turns the next sleep into a near-eternal one).
-  uint64_t max_backoff_ns = 100'000'000;  // 100 ms
-  // Hard-fail mode: abort the process on any degradation (exhausted
-  // retries, worker death, merge corruption) instead of quarantining —
-  // for runs where a partial answer is worse than no answer. Strict exits
-  // always run after rings are closed and workers joined.
-  bool strict = false;
-};
-
-// The backoff after one that slept `current_ns`: double it, saturating at
-// policy.max_backoff_ns. Exact for any cap — the doubling is skipped, not
-// wrapped, once it would pass the cap. Every retry loop (pipeline producers,
-// inline serving, dist workers, TCP redial) advances its backoff with this.
-inline uint64_t NextBackoffNs(uint64_t current_ns,
-                              const DegradationPolicy& policy) {
-  return current_ns > policy.max_backoff_ns / 2 ? policy.max_backoff_ns
-                                               : current_ns * 2;
-}
 
 struct ShardedPipelineOptions {
   uint32_t num_shards = 1;
@@ -138,8 +111,6 @@ struct ShardedPipelineOptions {
   // bounded queues are the backpressure mechanism.
   size_t queue_capacity = 16;
   PartitionPolicy policy = PartitionPolicy::kByElement;
-  // Extra salt for the routing hash (vary to re-shuffle shard assignment).
-  uint64_t route_salt = 0;
   // Registry receiving the run's counters and histograms (batch busy-time,
   // batch sizes); nullptr = the process-wide registry.
   MetricsRegistry* registry = nullptr;
@@ -295,55 +266,31 @@ class ShardedPipeline {
       lat.ring(p, s).Push(std::move(accum[s]));
       accum[s] = std::move(next);
     };
-    const DegradationPolicy& deg = options_.degradation;
-    // Bounded retry with saturating exponential backoff for TRANSIENT
-    // stream errors. The budget is per-consecutive-failure: any successful
-    // read resets it.
-    uint32_t retries_used = 0;
-    uint64_t backoff_ns =
-        std::min(deg.initial_backoff_ns, deg.max_backoff_ns);
+    BatchReader reader(stream, options_.degradation, retry_backoff_hist);
     std::vector<Edge> read_buf;
-    ProducerStatus status;
-    for (;;) {
-      size_t got = stream.NextBatch(&read_buf, options_.batch_size);
-      if (got > 0) {
-        retries_used = 0;
-        backoff_ns = std::min(deg.initial_backoff_ns, deg.max_backoff_ns);
-        metrics_.edges_ingested.fetch_add(got, std::memory_order_relaxed);
-        pm.edges.fetch_add(got, std::memory_order_relaxed);
-        for (const Edge& e : read_buf) {
-          uint32_t s = router.ShardOf(e);
-          accum[s].edges.push_back(e);
-          if (accum[s].edges.size() >= options_.batch_size) flush(s);
-        }
+    while (const size_t got = reader.Next(&read_buf, options_.batch_size)) {
+      metrics_.edges_ingested.fetch_add(got, std::memory_order_relaxed);
+      pm.edges.fetch_add(got, std::memory_order_relaxed);
+      for (const Edge& e : read_buf) {
+        uint32_t s = router.ShardOf(e);
+        accum[s].edges.push_back(e);
+        if (accum[s].edges.size() >= options_.batch_size) flush(s);
       }
-      if (stream.ok()) {
-        if (got == 0) break;  // end of stream
-        continue;
-      }
-      if (stream.transient() && retries_used < deg.max_stream_retries) {
-        // Retry: the next NextBatch() call clears the error and resumes.
-        ++retries_used;
-        metrics_.stream_retries.fetch_add(1, std::memory_order_relaxed);
-        pm.stream_retries.fetch_add(1, std::memory_order_relaxed);
-        retry_backoff_hist->Observe(backoff_ns);
-        std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-        backoff_ns = NextBackoffNs(backoff_ns, deg);
-        continue;
-      }
-      // Unrecoverable (parse error, or transient budget exhausted): this
-      // producer's pass is truncated and the error surfaces to the driver
-      // through the stream / producer_status(). Strict handling happens on
-      // the coordinator AFTER rings close and workers join.
-      break;
     }
+    // A truncated pass (parse error, or a spent retry budget) surfaces to
+    // the driver through the stream and producer_status(). Strict handling
+    // happens on the coordinator AFTER rings close and workers join.
+    metrics_.stream_retries.fetch_add(reader.retries(),
+                                      std::memory_order_relaxed);
+    pm.stream_retries.fetch_add(reader.retries(), std::memory_order_relaxed);
     for (uint32_t s = 0; s < n; ++s) {
       if (!accum[s].empty()) flush(s);
     }
     for (uint32_t s = 0; s < n; ++s) lat.ring(p, s).Close();
+    ProducerStatus status;
     status.ok = stream.ok();
     status.transient = stream.transient();
-    status.retries_used = retries_used;
+    status.retries_used = reader.consecutive_retries();
     status.message = stream.StatusMessage();
     return status;
   }
@@ -495,7 +442,7 @@ class ShardedPipeline {
 
     // Producers: one thread per segment, each with its own accumulators,
     // retry budget and row of lanes. The router is shared and const.
-    ShardRouter router(n, options_.policy, options_.route_salt);
+    ShardRouter router(n, options_.policy);
     std::vector<std::thread> producers;
     producers.reserve(P);
     for (uint32_t p = 0; p < P; ++p) {
@@ -568,35 +515,23 @@ class ShardedPipeline {
         metrics_.worker_deaths.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    // (2) Merge corruption, when State exposes a fingerprint: compare the
-    // replicas' merge preconditions and quarantine the minority view.
-    // Majority vote (instead of trusting shard 0) handles a corrupt root.
+    // (2) Merge corruption, when State exposes a fingerprint: the healthy
+    // replicas vote, and the minority view is quarantined.
     if constexpr (requires(const State& st) {
                     { st.MergeFingerprint() } -> std::convertible_to<uint64_t>;
                   }) {
-      std::vector<uint64_t> fps(n);
+      std::vector<uint64_t> fps(n), votes;
       for (uint32_t s = 0; s < n; ++s) {
         fps[s] = states[s].MergeFingerprint();
         if (injector != nullptr && injector->CorruptsMergeFingerprint(s)) {
           fps[s] ^= 0xD1E7C0DEDEADBEEFull;  // injected corruption
           injector->Count(FaultInjector::kFaultMergeCorruption);
         }
+        if (!quarantined[s]) votes.push_back(fps[s]);
       }
-      uint64_t canonical = 0;
-      uint32_t best_votes = 0;
+      const uint64_t majority = MajorityFingerprint(votes);
       for (uint32_t s = 0; s < n; ++s) {
-        if (quarantined[s]) continue;
-        uint32_t votes = 0;
-        for (uint32_t t = 0; t < n; ++t) {
-          if (!quarantined[t] && fps[t] == fps[s]) ++votes;
-        }
-        if (votes > best_votes) {
-          best_votes = votes;
-          canonical = fps[s];
-        }
-      }
-      for (uint32_t s = 0; s < n; ++s) {
-        if (quarantined[s] || best_votes == 0 || fps[s] == canonical) continue;
+        if (quarantined[s] || fps[s] == majority) continue;
         quarantined[s] = 1;
         metrics_.merge_corruptions_detected.fetch_add(
             1, std::memory_order_relaxed);

@@ -1,9 +1,13 @@
 #include "serve/serving_runtime.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
+#include "runtime/edge_batch.h"
+#include "runtime/runtime_metrics.h"
+#include "runtime/sharded_pipeline.h"
 #include "util/check.h"
 
 namespace streamkc {
@@ -37,6 +41,7 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   publish_finalize_ns_ = reg->GetHistogram("serve_publish_finalize_ns");
   publish_build_ns_ = reg->GetHistogram("serve_publish_build_ns");
   publish_wait_ns_ = reg->GetHistogram("serve_publish_wait_ns");
+  retry_backoff_ns_ = reg->GetHistogram("runtime_retry_backoff_ns");
 }
 
 void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
@@ -61,73 +66,12 @@ void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
 }
 
 IngestSummary ServingRuntime::Ingest(EdgeStream& stream) {
-  uint64_t t0 = NowSteadyNs();
-  IngestSummary summary = options_.threads == 0 ? IngestInline(stream)
-                                                : IngestSharded(stream);
-  summary.ingest_ns = NowSteadyNs() - t0;
-  summary.stream_ok = stream.ok();
-  if (!summary.stream_ok) summary.stream_error = stream.StatusMessage();
-  return summary;
-}
-
-IngestSummary ServingRuntime::IngestInline(EdgeStream& stream) {
+  const uint64_t t0 = NowSteadyNs();
   IngestSummary summary;
-  const DegradationPolicy& deg = options_.degradation;
-  uint32_t retries_used = 0;
-  uint64_t backoff_ns = deg.initial_backoff_ns;
-  uint64_t segment_edges = 0;
-  EdgeBatch batch(options_.batch_size);
-  for (;;) {
-    // Cap the read so a segment boundary always falls exactly on the
-    // snapshot cadence — the epoch-E differential guarantee depends on it.
-    uint64_t room = options_.snapshot_every_edges - segment_edges;
-    size_t want = options_.batch_size < room
-                      ? options_.batch_size
-                      : static_cast<size_t>(room);
-    size_t got = stream.NextBatch(&batch.edges, want);
-    if (got > 0) {
-      retries_used = 0;
-      backoff_ns = deg.initial_backoff_ns;
-      batch.Prefold();
-      state_.ProcessBatch(batch.View());
-      edges_ingested_->Increment(got);
-      summary.edges += got;
-      segment_edges += got;
-      if (segment_edges >= options_.snapshot_every_edges) {
-        segment_edges = 0;
-        ++summary.segments;
-        segments_total_->Increment();
-        ++summary.snapshots_published;
-        PublishSnapshot(summary);
-      }
-      continue;
-    }
-    if (!stream.ok() && stream.transient() &&
-        retries_used < deg.max_stream_retries) {
-      ++retries_used;
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
-      backoff_ns = NextBackoffNs(backoff_ns, deg);
-      continue;
-    }
-    break;  // clean end of stream, or an unrecoverable error
-  }
-  // A trailing partial segment still publishes, so the final snapshot
-  // always covers the entire stream.
-  if (segment_edges > 0) {
-    ++summary.segments;
-    segments_total_->Increment();
-    ++summary.snapshots_published;
-    PublishSnapshot(summary);
-  }
-  return summary;
-}
-
-IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
-  IngestSummary summary;
-  // Segment e's publish (its merge into the cumulative state, finalize and
-  // snapshot) runs on this thread while segment e+1 ingests. At most one is
-  // in flight: it is joined before the next hand-off, before returning, and
-  // before a pipeline exits the process.
+  // Sharded only: segment e's publish (its merge into the cumulative state,
+  // finalize and snapshot) runs on this thread while segment e+1 ingests.
+  // At most one is in flight: it is joined before the next hand-off, before
+  // returning, and before a pipeline exits the process.
   std::jthread publisher;
   ShardedPipelineOptions popts;
   popts.num_shards = options_.threads;
@@ -139,47 +83,71 @@ IngestSummary ServingRuntime::IngestSharded(EdgeStream& stream) {
   popts.before_exit = [&publisher] {
     if (publisher.joinable()) publisher.join();
   };
-
   const ServingState::Config config = state_config_;
   ShardedPipeline<ServingState>::Factory factory =
       [config](uint32_t) { return ServingState(config); };
 
+  // One segment per snapshot: the bounded view ends every segment exactly
+  // on the cadence, which the epoch-E differential guarantee depends on.
   BoundedEdgeStream bounded(&stream, options_.snapshot_every_edges);
+  EdgeBatch batch(options_.batch_size);
   uint32_t shard_runs_total = 0;
   for (;;) {
     bounded.Rearm();
-    // One segment = one full pipeline run over the bounded view: the
-    // degradation machinery (retries, quarantine, fingerprint votes) is
-    // reused unchanged at every snapshot boundary.
-    ShardedPipeline<ServingState> pipeline(popts, factory);
-    ServingState segment = pipeline.Run(bounded);
-    const RuntimeMetrics& rm = pipeline.metrics();
-    uint64_t got = rm.edges_ingested.load(std::memory_order_relaxed);
-    if (got == 0) break;  // end of stream or unrecoverable error
-    // Only segments that saw edges count toward the quarantine fraction —
-    // an empty trailing run has no substreams to lose.
-    shard_runs_total += options_.threads;
-    summary.shard_runs_quarantined += static_cast<uint32_t>(
-        rm.shards_quarantined.load(std::memory_order_relaxed));
-    summary.quarantined_fraction =
-        static_cast<double>(summary.shard_runs_quarantined) /
-        static_cast<double>(shard_runs_total);
+    uint64_t got = 0;
+    // Inline, the segment's batches go straight into the cumulative state;
+    // sharded, one pipeline run (with its own readers, quarantine and
+    // fingerprint vote) folds the segment into its own state.
+    std::optional<ServingState> segment;
+    if (options_.threads == 0) {
+      BatchReader reader(bounded, options_.degradation, retry_backoff_ns_);
+      while (const size_t n = reader.Next(&batch.edges, options_.batch_size)) {
+        batch.Prefold();
+        state_.ProcessBatch(batch.View());
+        got += n;
+      }
+    } else {
+      ShardedPipeline<ServingState> pipeline(popts, factory);
+      segment.emplace(pipeline.Run(bounded));
+      const RuntimeMetrics& rm = pipeline.metrics();
+      got = rm.edges_ingested.load(std::memory_order_relaxed);
+      // Only segments that saw edges count toward the quarantine fraction —
+      // an empty trailing run has no substreams to lose.
+      if (got > 0) {
+        shard_runs_total += options_.threads;
+        summary.shard_runs_quarantined += static_cast<uint32_t>(
+            rm.shards_quarantined.load(std::memory_order_relaxed));
+        summary.quarantined_fraction =
+            static_cast<double>(summary.shard_runs_quarantined) /
+            static_cast<double>(shard_runs_total);
+      }
+    }
+    if (got == 0) break;  // end of stream, or an unrecoverable error
     edges_ingested_->Increment(got);
     summary.edges += got;
     ++summary.segments;
     segments_total_->Increment();
-    const uint64_t wait_start = NowSteadyNs();
-    if (publisher.joinable()) publisher.join();
-    publish_wait_ns_->Observe(NowSteadyNs() - wait_start);
     ++summary.snapshots_published;
-    publisher = std::jthread(
-        [this, segment = std::move(segment), progress = summary] {
-          state_.Merge(segment);
-          PublishSnapshot(progress);
-        });
-    if (!stream.ok()) break;  // truncated segment: error already surfaced
+    if (!segment) {
+      PublishSnapshot(summary);
+    } else {
+      const uint64_t wait_start = NowSteadyNs();
+      if (publisher.joinable()) publisher.join();
+      publish_wait_ns_->Observe(NowSteadyNs() - wait_start);
+      publisher = std::jthread(
+          [this, segment = std::move(*segment), progress = summary] {
+            state_.Merge(segment);
+            PublishSnapshot(progress);
+          });
+    }
+    // A truncated segment still published, so the last snapshot covers
+    // every edge read; the error surfaces through the summary.
+    if (!stream.ok()) break;
   }
   if (publisher.joinable()) publisher.join();
+  summary.ingest_ns = NowSteadyNs() - t0;
+  summary.stream_ok = stream.ok();
+  if (!summary.stream_ok) summary.stream_error = stream.StatusMessage();
   return summary;
 }
 

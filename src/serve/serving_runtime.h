@@ -5,18 +5,27 @@
 // SEGMENTS of `snapshot_every_edges` edges and publishes an immutable
 // CoverageSnapshot into a SnapshotStore at every segment boundary, so
 // reader threads can answer queries the whole time the stream is still
-// arriving. Two ingest modes share that loop:
+// arriving. One segment loop serves both ingest modes: each pass reads a
+// bounded view of the stream (BoundedEdgeStream) that ends exactly on the
+// cadence, and forks only on how that segment is ingested and where it is
+// published:
 //
-//   * inline (threads == 0): the calling thread batches + prefolds edges
-//     straight into the cumulative ServingState — the single-core path;
-//   * sharded (threads >= 1): each segment is one ShardedPipeline run over
-//     a bounded view of the stream; the segment's merged state is handed to
-//     a publisher thread, which folds it into the cumulative state with
-//     Merge() and publishes while the next segment's pipeline ingests.
-//     Replaying the pipeline per segment reuses its entire degradation
-//     machinery (retry/backoff, worker-death quarantine, fingerprint votes)
-//     unchanged, and the quarantined fraction accumulates into every later
-//     snapshot's staleness metadata.
+//   * inline (threads == 0): the calling thread reads the segment through a
+//     BatchReader (runtime/degradation.h), prefolds and batches it straight
+//     into the cumulative ServingState, and publishes in place — the
+//     single-core path;
+//   * sharded (threads >= 1): the segment is one ShardedPipeline run over
+//     the view; its merged state is handed to a publisher thread, which
+//     folds it into the cumulative state with Merge() and publishes while
+//     the next segment's pipeline ingests. Replaying the pipeline per
+//     segment reuses its entire degradation machinery (retry/backoff,
+//     worker-death quarantine, fingerprint votes) unchanged, and the
+//     quarantined fraction accumulates into every later snapshot's
+//     staleness metadata.
+//
+// Segment, edge and epoch accounting happen once, after the fork. Either
+// way transient read errors are retried under options.degradation, and
+// every backoff sleep is recorded in runtime_retry_backoff_ns.
 //
 // Both modes produce the same cumulative state as one uninterrupted pass on
 // the same seeds (segment merges are exact for every streamkc estimator),
@@ -46,8 +55,8 @@
 
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
+#include "runtime/degradation.h"
 #include "runtime/shard_router.h"
-#include "runtime/sharded_pipeline.h"
 #include "serve/serving_state.h"
 #include "serve/snapshot_store.h"
 #include "stream/edge_stream.h"
@@ -153,8 +162,6 @@ class ServingRuntime {
   // Publishes the cumulative state as the next epoch, stamped with
   // `progress` (edges, segments and quarantine so far).
   void PublishSnapshot(const IngestSummary& progress);
-  IngestSummary IngestInline(EdgeStream& stream);
-  IngestSummary IngestSharded(EdgeStream& stream);
 
   ServingState::Config state_config_;
   ServingRuntimeOptions options_;
@@ -172,6 +179,9 @@ class ServingRuntime {
   // Sharded mode: how long each hand-off waited for the previous segment's
   // publish to finish (0 when it already had).
   Histogram* publish_wait_ns_;
+  // Inline mode's retry sleeps; the pipeline records sharded mode's into
+  // the same histogram.
+  Histogram* retry_backoff_ns_;
 };
 
 }  // namespace streamkc

@@ -190,6 +190,62 @@ TEST_F(DistDifferential, StreamFaultsInsideWorkersStayDeterministic) {
             second.metrics.TotalEdgesProcessed());
 }
 
+TEST_F(DistDifferential,
+       TransientReadErrorsInsideWorkersAreRetriedWithoutLoss) {
+  // Transient read errors inside the workers are retried where they happen,
+  // so the workers fold exactly the clean tokens: the merged bytes are the
+  // clean inline pass's. A kill on top of the same plan converges to them
+  // too.
+  ScopedWorkerHarness harness = MakeHarness(/*seed=*/9);
+  const std::string want = harness.RunInline().state_blob;
+  struct Case {
+    const char* spec;
+    uint32_t respawns;
+  };
+  for (const Case& c : {Case{"seed=7,read-error=0.01", 0},
+                        Case{"seed=7,read-error=0.01,kill-shard=1@2", 1}}) {
+    const std::string spec = c.spec;
+    FaultInjector injector(FaultPlan::ParseOrDie(spec));
+    DistOptions opt;
+    opt.num_workers = 4;
+    opt.fault_injector = &injector;
+    ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+    EXPECT_EQ(dist.state_blob, want) << spec;
+    EXPECT_GT(dist.metrics.TotalStreamRetries(), 0u) << spec;
+    EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges) << spec;
+    EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u) << spec;
+    EXPECT_EQ(dist.metrics.TotalRespawns(), c.respawns) << spec;
+    for (const DistWorkerRow& w : dist.metrics.workers) {
+      EXPECT_EQ(w.counters.truncated_segments, 0u)
+          << spec << " worker " << w.worker;
+    }
+  }
+}
+
+TEST_F(DistDifferential, ExhaustedRetryBudgetTruncatesEverySegment) {
+  // read-error=1 fails every read, so every segment spends its whole retry
+  // budget and is truncated. That is degradation, not a crash: no worker is
+  // respawned or quarantined, and the run completes.
+  ScopedWorkerHarness harness = MakeHarness(/*seed=*/10);
+  FaultInjector injector(FaultPlan::ParseOrDie("seed=7,read-error=1"));
+  DistOptions opt;
+  opt.num_workers = 4;
+  opt.degradation.max_stream_retries = 2;
+  opt.degradation.initial_backoff_ns = 1000;
+  opt.fault_injector = &injector;
+  ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+  EXPECT_EQ(dist.metrics.frames_received, 4u);
+  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+  EXPECT_EQ(dist.metrics.TotalRespawns(), 0u);
+  EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), 0u);
+  for (const DistWorkerRow& w : dist.metrics.workers) {
+    EXPECT_EQ(w.counters.truncated_segments, w.segments_assigned)
+        << "worker " << w.worker;
+    EXPECT_EQ(w.counters.stream_retries, 2u * w.segments_assigned)
+        << "worker " << w.worker;
+  }
+}
+
 // Seed-replayable sweep over kill points and corruption targets; the
 // default 4 trials keep tier-1 fast, the stress entry turns the same code
 // up to 40 (STREAMKC_DIST_TRIALS).

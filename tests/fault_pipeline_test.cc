@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "fault/fault_plan.h"
 #include "fault/faulty_stream.h"
 #include "obs/metrics.h"
+#include "runtime/degradation.h"
 #include "runtime/shard_router.h"
 #include "runtime/sharded_pipeline.h"
 #include "runtime/sketch_states.h"
@@ -138,7 +140,7 @@ TEST(FaultPipeline, KilledShardIsQuarantinedAndSurvivorsStayExact) {
   // The degraded answer equals an in-line pass over exactly the healthy
   // shards' substreams — the router is a pure function of the edge, so the
   // quarantined substream is identifiable after the fact.
-  ShardRouter router(4, PartitionPolicy::kByElement, 0);
+  ShardRouter router(4, PartitionPolicy::kByElement);
   CoverageSketchState::Config cfg;
   cfg.seed = 19;
   CoverageSketchState expect(cfg);
@@ -160,7 +162,7 @@ TEST(FaultPipeline, CorruptedMergeFingerprintIsDetectedAndQuarantined) {
   EXPECT_EQ(metrics.shards_quarantined.load(), 1u);
   EXPECT_EQ(metrics.shard(2).quarantined.load(), 1u);
 
-  ShardRouter router(4, PartitionPolicy::kByElement, 0);
+  ShardRouter router(4, PartitionPolicy::kByElement);
   CoverageSketchState::Config cfg;
   cfg.seed = 19;
   CoverageSketchState expect(cfg);
@@ -296,6 +298,78 @@ TEST(FaultPipeline, NextBackoffDoublesThenSaturatesForAnyCap) {
     }
     EXPECT_EQ(backoff, cap);
   }
+}
+
+TEST(Backoff, FirstSleepHonorsTheCapAndResetRestoresTheBudget) {
+  // An initial backoff above the cap is clamped: the first sleep is
+  // min(initial, max), not an uncapped initial_backoff_ns.
+  MetricsRegistry registry;
+  Histogram* capped_hist = registry.GetHistogram("capped_backoff_ns");
+  DegradationPolicy capped;
+  capped.initial_backoff_ns = 5000;
+  capped.max_backoff_ns = 1000;
+  Backoff first(capped, capped_hist);
+  ASSERT_TRUE(first.Wait());
+  EXPECT_EQ(capped_hist->Sum(), 1000u);
+
+  // Exactly max_stream_retries consecutive waits, each recorded; the next
+  // one is refused without sleeping. Reset() restores the budget and the
+  // first sleep.
+  Histogram* hist = registry.GetHistogram("backoff_ns");
+  DegradationPolicy pol;
+  pol.max_stream_retries = 3;
+  pol.initial_backoff_ns = 250;
+  pol.max_backoff_ns = 1000;
+  Backoff backoff(pol, hist);
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t i = 0; i < pol.max_stream_retries; ++i) {
+      EXPECT_TRUE(backoff.Wait()) << "round " << round << " wait " << i;
+    }
+    EXPECT_EQ(backoff.used(), 3u);
+    EXPECT_FALSE(backoff.Wait());
+    EXPECT_EQ(hist->Count(), 3u * (round + 1));
+    EXPECT_EQ(hist->Sum(), (250u + 500u + 1000u) * (round + 1));
+    backoff.Reset();
+    EXPECT_EQ(backoff.used(), 0u);
+  }
+}
+
+TEST(BatchReader, FillsAcrossTransientErrorsAndStopsForGood) {
+  const std::vector<Edge> edges = SyntheticEdges(10, 3);
+  DegradationPolicy pol;
+  pol.max_stream_retries = 2;
+  pol.initial_backoff_ns = 1;
+
+  // Calls 3 and 4 fail: the first batch still holds the first 8 edges in
+  // order, as a clean read would.
+  ScriptedFaultStream flaky(edges, {3, 4});
+  BatchReader reader(flaky, pol);
+  std::vector<Edge> batch;
+  ASSERT_EQ(reader.Next(&batch, 8), 8u);
+  EXPECT_TRUE(std::equal(batch.begin(), batch.end(), edges.begin()));
+  EXPECT_EQ(reader.retries(), 2u);
+  ASSERT_EQ(reader.Next(&batch, 8), 2u);
+  EXPECT_TRUE(std::equal(batch.begin(), batch.end(), edges.begin() + 8));
+  EXPECT_EQ(reader.Next(&batch, 8), 0u);
+  EXPECT_TRUE(flaky.ok());
+  const uint64_t calls_at_end = flaky.calls();
+  EXPECT_EQ(reader.Next(&batch, 8), 0u);
+  EXPECT_EQ(flaky.calls(), calls_at_end);
+
+  // Calls 3, 4 and 5 fail: the budget of 2 is spent mid-batch. The partial
+  // batch comes back, and after that the reader never calls the stream
+  // again, which would clear the error and read past the spent budget.
+  ScriptedFaultStream down(edges, {3, 4, 5});
+  BatchReader spent(down, pol);
+  ASSERT_EQ(spent.Next(&batch, 8), 3u);
+  EXPECT_EQ(spent.retries(), 2u);
+  EXPECT_EQ(spent.consecutive_retries(), 2u);
+  EXPECT_FALSE(down.ok());
+  EXPECT_TRUE(down.transient());
+  const uint64_t calls_at_stop = down.calls();
+  EXPECT_EQ(spent.Next(&batch, 8), 0u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(down.calls(), calls_at_stop);
 }
 
 using FaultPipelineDeathTest = ::testing::Test;

@@ -151,7 +151,7 @@ TEST(ParallelPipeline, KilledShardQuarantineStaysExactUnderManyProducers) {
   // degraded answer equals an inline pass over the healthy substreams.
   LatticeRun run = RunLatticed(edges, 4, 4, "seed=1,kill-shard=1@0");
   EXPECT_EQ(run.shards_quarantined, 1u);
-  ShardRouter router(4, PartitionPolicy::kByElement, 0);
+  ShardRouter router(4, PartitionPolicy::kByElement);
   CoverageSketchState::Config cfg;
   cfg.seed = 17;
   CoverageSketchState expect(cfg);

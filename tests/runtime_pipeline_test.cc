@@ -33,8 +33,8 @@ std::string SaveBytes(const Sketch& s) {
 }
 
 TEST(ShardRouter, RoutesInRangeAndDeterministically) {
-  ShardRouter router(8, PartitionPolicy::kByElement, 42);
-  ShardRouter twin(8, PartitionPolicy::kByElement, 42);
+  ShardRouter router(8, PartitionPolicy::kByElement);
+  ShardRouter twin(8, PartitionPolicy::kByElement);
   for (const Edge& e : SyntheticEdges(2000, 7)) {
     uint32_t s = router.ShardOf(e);
     EXPECT_LT(s, 8u);

@@ -28,6 +28,7 @@
 #include "serve/snapshot_store.h"
 #include "setsys/generators.h"
 #include "stream/edge_stream.h"
+#include "test_util.h"
 
 namespace streamkc {
 namespace {
@@ -353,6 +354,86 @@ TEST(ServingRuntime, InlineRetryBackoffSaturatesAtTheCap) {
   EXPECT_EQ(sum.edges, edges.size());
   ASSERT_NE(store.Current(), nullptr);
   EXPECT_EQ(store.Current()->meta().edges_ingested, edges.size());
+  // Inline retries are recorded like the pipeline's, sleep by sleep.
+  const Histogram* backoff = registry.GetHistogram("runtime_retry_backoff_ns");
+  EXPECT_EQ(backoff->Count(), 40u);
+  EXPECT_EQ(backoff->Sum(), 1000u + 39u * 2000u);
+}
+
+TEST(ServingRuntime, InlineFirstBackoffHonorsTheCap) {
+  // initial_backoff_ns above the cap: the first sleep is clamped to
+  // max_backoff_ns like every later one. Unclamped, it alone takes 2 s.
+  const std::vector<Edge> edges = TestEdges();
+  MetricsRegistry registry;
+  SnapshotStore store("rt6", &registry);
+  ServingRuntimeOptions opts;
+  opts.snapshot_every_edges = 1024;
+  opts.registry = &registry;
+  opts.degradation.initial_backoff_ns = 2'000'000'000;
+  opts.degradation.max_backoff_ns = 2000;
+  ServingRuntime runtime(TestConfig(), opts, &store);
+  FlakyEdgeStream stream(edges, /*failures=*/3);
+  const auto start = std::chrono::steady_clock::now();
+  IngestSummary sum = runtime.Ingest(stream);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_TRUE(sum.stream_ok);
+  EXPECT_EQ(sum.edges, edges.size());
+  const Histogram* backoff = registry.GetHistogram("runtime_retry_backoff_ns");
+  EXPECT_EQ(backoff->Count(), 3u);
+  EXPECT_EQ(backoff->Sum(), 3u * 2000u);
+}
+
+TEST(ServingRuntime, TransientOutageInsideASegmentChangesNoEpoch) {
+  // Three consecutive reads fail at edge 1500, inside the second segment.
+  // Retried, the outage moves no segment boundary: inline and sharded, every
+  // snapshot equals the clean inline run's.
+  const std::vector<Edge> edges = TestEdges();
+  const uint64_t kCadence = 1024, kAt = 1500;
+  ASSERT_GT(edges.size(), kAt);
+  auto serve = [&](uint32_t threads, EdgeStream& stream) {
+    MetricsRegistry registry;
+    SnapshotStore store("rt8", &registry);
+    ServingRuntimeOptions opts;
+    opts.snapshot_every_edges = kCadence;
+    opts.threads = threads;
+    opts.registry = &registry;
+    opts.degradation.initial_backoff_ns = 1000;
+    std::vector<std::shared_ptr<const CoverageSnapshot>> snaps;
+    opts.on_publish = [&](const std::shared_ptr<const CoverageSnapshot>& s) {
+      snaps.push_back(s);
+    };
+    ServingRuntime runtime(TestConfig(), opts, &store);
+    IngestSummary sum = runtime.Ingest(stream);
+    EXPECT_TRUE(sum.stream_ok) << "threads " << threads;
+    EXPECT_EQ(sum.edges, edges.size()) << "threads " << threads;
+    return snaps;
+  };
+  VectorEdgeStream clean(edges);
+  const auto want = serve(0, clean);
+  for (uint32_t threads : {0u, 3u}) {
+    ScriptedFaultStream flaky(edges, {kAt, kAt + 1, kAt + 2});
+    const auto got = serve(threads, flaky);
+    ASSERT_EQ(got.size(), want.size()) << "threads " << threads;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const CoverageSnapshot& g = *got[i];
+      const CoverageSnapshot& w = *want[i];
+      EXPECT_EQ(g.meta().epoch, w.meta().epoch) << "threads " << threads;
+      EXPECT_EQ(g.meta().edges_ingested, w.meta().edges_ingested)
+          << "threads " << threads << " epoch " << i + 1;
+      EXPECT_DOUBLE_EQ(g.solution().estimate, w.solution().estimate)
+          << "threads " << threads << " epoch " << i + 1;
+      EXPECT_EQ(g.solution().source, w.solution().source)
+          << "threads " << threads << " epoch " << i + 1;
+      EXPECT_EQ(g.solution().sets, w.solution().sets)
+          << "threads " << threads << " epoch " << i + 1;
+      for (SetId s = 0; s < 16; ++s) {
+        EXPECT_DOUBLE_EQ(g.SetCoverage(s), w.SetCoverage(s))
+            << "threads " << threads << " epoch " << i + 1 << " set " << s;
+      }
+    }
+  }
 }
 
 TEST(ServingRuntime, IngestMetricsAreConsistent) {

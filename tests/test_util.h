@@ -6,6 +6,7 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/streaming_interface.h"
@@ -61,6 +63,45 @@ inline std::vector<Edge> SyntheticEdges(size_t count, uint64_t seed,
   }
   return edges;
 }
+
+// Serves `edges` one Next() at a time, failing the calls whose index is in
+// `fail_calls` with a transient error that the next call clears (the retry
+// contract of FaultInjectingStream). Until the first failure, call i reads
+// edge i, so {i, i+1, i+2} fails three consecutive reads at edge i.
+class ScriptedFaultStream : public EdgeStream {
+ public:
+  ScriptedFaultStream(std::vector<Edge> edges,
+                      std::vector<uint64_t> fail_calls)
+      : edges_(std::move(edges)), fail_calls_(std::move(fail_calls)) {}
+
+  bool Next(Edge* edge) override {
+    const uint64_t call = calls_++;
+    failing_ = std::find(fail_calls_.begin(), fail_calls_.end(), call) !=
+               fail_calls_.end();
+    if (failing_ || pos_ >= edges_.size()) return false;
+    *edge = edges_[pos_++];
+    return true;
+  }
+  void Reset() override {
+    pos_ = 0;
+    calls_ = 0;
+    failing_ = false;
+  }
+  bool ok() const override { return !failing_; }
+  bool transient() const override { return failing_; }
+  std::string StatusMessage() const override {
+    return failing_ ? "scripted transient read error" : std::string();
+  }
+  // Next() calls so far, failed ones included.
+  uint64_t calls() const { return calls_; }
+
+ private:
+  std::vector<Edge> edges_;
+  std::vector<uint64_t> fail_calls_;
+  size_t pos_ = 0;
+  uint64_t calls_ = 0;
+  bool failing_ = false;
+};
 
 // Builds one of the named instance families at a common shape — the cell
 // axis shared by the statistical-guarantee and differential sweeps.
