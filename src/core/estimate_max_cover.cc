@@ -4,10 +4,12 @@
 #include <cstring>
 #include <optional>
 
+#include "core/set_index.h"
 #include "hash/mersenne.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace streamkc {
 
@@ -72,24 +74,29 @@ void EstimateMaxCover::ProcessBatch(const PrefoldedEdges& batch) {
     covered_elements_->AddFoldedBatch(batch.element_folded, batch.size);
     return;
   }
-  constexpr size_t kTile = 128;
-  Edge mapped[kTile];
-  uint64_t mapped_folded[kTile];
+  // One set index for every oracle: universe reduction remaps elements
+  // only, so each level's view keeps the batch's sets and their index.
+  const IndexedBatch indexed(batch);
+  struct Scratch {
+    std::vector<Edge> edges;
+    std::vector<uint64_t> folded;
+  };
+  thread_local Scratch s;
+  PrefoldedEdges mapped = indexed.view();
+  Edge* edges = GrowTo(s.edges, batch.size);
+  uint64_t* folded = GrowTo(s.folded, batch.size);
+  mapped.edges = edges;
+  mapped.element_folded = folded;
   for (Level& level : oracles_) {
-    for (size_t i = 0; i < batch.size; i += kTile) {
-      size_t m = std::min(kTile, batch.size - i);
-      // Batched universe reduction; the mapped pseudo-element ids then get
-      // their own fold (they are fresh hash inputs downstream — a guess
-      // z > 2^61 - 1 would otherwise leak out-of-field values).
-      level.reduction.MapFoldedBatch(batch.element_folded + i, mapped_folded,
-                                     m);
-      for (size_t j = 0; j < m; ++j) {
-        mapped[j] = Edge{batch.edges[i + j].set, mapped_folded[j]};
-        mapped_folded[j] = MersenneFold(mapped_folded[j]);
-      }
-      level.oracle->ProcessBatch(PrefoldedEdges{
-          mapped, batch.set_folded + i, mapped_folded, m});
+    // Batched universe reduction; the mapped pseudo-element ids then get
+    // their own fold (they are fresh hash inputs downstream — a guess
+    // z > 2^61 - 1 would otherwise leak out-of-field values).
+    level.reduction.MapFoldedBatch(batch.element_folded, folded, batch.size);
+    for (size_t i = 0; i < batch.size; ++i) {
+      edges[i] = Edge{batch.edges[i].set, folded[i]};
+      folded[i] = MersenneFold(folded[i]);
     }
+    level.oracle->ProcessBatch(mapped);
   }
 }
 

@@ -50,10 +50,11 @@ class EstimateMaxCover : public StreamingEstimator {
   void Process(const Edge& edge) override;
 
   // Batched ingest. Trivial mode feeds the whole block to the L0's batch
-  // entry point; oracle mode maps the block through each level's universe
-  // reduction (batched) and forwards a remapped prefolded view to the
-  // oracle. Bit-identical to a Process() loop (levels are independent;
-  // per-level edge order is preserved).
+  // entry point; oracle mode indexes the block's sets once
+  // (core/set_index.h), maps it through each level's universe reduction
+  // (batched) and forwards the whole remapped prefolded view, index
+  // included, to the oracle. Bit-identical to a Process() loop (levels are
+  // independent; per-level edge order is preserved).
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // The final coverage estimate. Always feasible: the trivial branch and the

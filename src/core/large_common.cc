@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/set_index.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace streamkc {
 
@@ -53,20 +55,31 @@ void LargeCommon::Process(const Edge& edge) {
 }
 
 void LargeCommon::ProcessBatch(const PrefoldedEdges& batch) {
-  constexpr size_t kTile = 128;
-  uint64_t keys[kTile];
-  for (size_t i = 0; i < batch.size; i += kTile) {
-    size_t m = std::min(kTile, batch.size - i);
-    for (Level& level : levels_) {
-      level.sampler.SampleKeysFoldedBatch(batch.set_folded + i, keys, m);
-      for (size_t j = 0; j < m; ++j) {
-        if (keys[j] != 0) continue;
-        level.coverage.AddFolded(batch.element_folded[i + j]);
-        if (level.group_hash.has_value()) {
-          uint64_t g = level.group_hash->MapRangeFolded(
-              batch.set_folded[i + j], level.group_coverage.size());
-          level.group_coverage[g].AddFolded(batch.element_folded[i + j]);
-        }
+  const IndexedBatch indexed(batch);
+  const PrefoldedEdges& b = indexed.view();
+  const size_t sets = b.num_distinct_sets;
+  struct Scratch {
+    std::vector<uint64_t> keys, groups;
+  };
+  thread_local Scratch s;
+  uint64_t* keys = GrowTo(s.keys, sets);
+  uint64_t* groups = GrowTo(s.groups, sets);
+  for (Level& level : levels_) {
+    // Per distinct set: its sample key and, when sampled, its group.
+    level.sampler.SampleKeysFoldedBatch(b.distinct_set_folded, keys, sets);
+    if (level.group_hash.has_value()) {
+      for (size_t d = 0; d < sets; ++d) {
+        if (keys[d] != 0) continue;
+        groups[d] = level.group_hash->MapRangeFolded(
+            b.distinct_set_folded[d], level.group_coverage.size());
+      }
+    }
+    for (size_t i = 0; i < b.size; ++i) {
+      const uint32_t d = b.set_slot[i];
+      if (keys[d] != 0) continue;
+      level.coverage.AddFolded(b.element_folded[i]);
+      if (level.group_hash.has_value()) {
+        level.group_coverage[groups[d]].AddFolded(b.element_folded[i]);
       }
     }
   }

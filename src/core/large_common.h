@@ -43,10 +43,12 @@ class LargeCommon : public StreamingEstimator {
 
   void Process(const Edge& edge) override;
 
-  // Batched ingest: per level, one batched sampler evaluation over the block
-  // replaces a dependent Horner chain per edge; survivors update the L0s
-  // from the pre-folded element ids. State is bit-identical to a Process()
-  // loop (levels are independent; per-level edge order is preserved).
+  // Batched ingest over the batch's set index (core/set_index.h): per
+  // level, one batched sampler evaluation over the distinct sets (and the
+  // group hash of each sampled one) replaces a Horner chain per edge;
+  // sampled edges update the L0s from the pre-folded element ids. State is
+  // bit-identical to a Process() loop (levels are independent; per-level
+  // edge order is preserved).
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   EstimateOutcome Finalize() const;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/set_index.h"
 #include "hash/mersenne.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace streamkc {
 
@@ -150,51 +152,75 @@ void LargeSetComplete::Process(const Edge& edge) {
 }
 
 void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
-  constexpr size_t kTile = 128;
-  uint64_t keys[kTile];
-  uint64_t set_f[kTile];
-  uint64_t elem_f[kTile];
-  uint64_t supersets[kTile];
-  uint64_t superset_f[kTile];
-  const bool gate = config_.element_rate < 1.0;
+  const IndexedBatch indexed(batch);
+  const PrefoldedEdges& b = indexed.view();
+  struct Scratch {
+    std::vector<uint64_t> keys;     // element keys per edge, then pool keys
+    std::vector<uint32_t> slot;     // each survivor's set among `set_f`
+    std::vector<uint64_t> elem_f;   // each survivor's element fold
+    std::vector<uint64_t> set_f;    // the survivors' distinct sets' folds
+    std::vector<uint32_t> members;  // their numbers in the batch index
+    std::vector<uint32_t> renumber;  // batch number -> survivor set number
+    std::vector<uint64_t> supersets, superset_f;
+  };
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  thread_local Scratch s;
+  uint64_t* keys = GrowTo(s.keys, b.size);
+  // The superset path's input: every edge at ρ = 1; otherwise the element
+  // gate's survivors, indexed over just the sets they reference — at small
+  // ρ a batch's few survivors reference far fewer sets than it holds.
+  size_t updates = b.size;
+  size_t sets = b.num_distinct_sets;
+  const uint32_t* slot = b.set_slot;
+  const uint64_t* elem_f = b.element_folded;
+  const uint64_t* set_f = b.distinct_set_folded;
+  if (config_.element_rate < 1.0) {
+    element_sampler_.SampleKeysFoldedBatch(b.element_folded, keys, b.size);
+    const uint64_t thr = element_sampler_.rate_num();
+    uint32_t* sv_slot = GrowTo(s.slot, b.size);
+    uint64_t* sv_elem_f = GrowTo(s.elem_f, b.size);
+    uint64_t* sv_set_f = GrowTo(s.set_f, b.num_distinct_sets);
+    uint32_t* members = GrowTo(s.members, b.num_distinct_sets);
+    // All kUnseen between batches: entries are restored after use.
+    uint32_t* renumber = GrowTo(s.renumber, b.num_distinct_sets, kUnseen);
+    updates = 0;
+    sets = 0;
+    for (size_t i = 0; i < b.size; ++i) {
+      if (keys[i] >= thr) continue;
+      const uint32_t d = b.set_slot[i];
+      if (renumber[d] == kUnseen) {
+        renumber[d] = static_cast<uint32_t>(sets);
+        members[sets] = d;
+        sv_set_f[sets++] = b.distinct_set_folded[d];
+      }
+      sv_slot[updates] = renumber[d];
+      sv_elem_f[updates++] = b.element_folded[i];
+    }
+    for (size_t t = 0; t < sets; ++t) renumber[members[t]] = kUnseen;
+    slot = sv_slot;
+    elem_f = sv_elem_f;
+    set_f = sv_set_f;
+  }
+  // Hash each set once, mutate per edge in order: the superset ids, their
+  // folds and the pool gate per distinct set; then each consumer takes the
+  // updates as one indexed block. The two contributing sketches and the
+  // pool hold disjoint state, so feeding them one after the other leaves
+  // each with exactly AdmitSuperset's update sequence. Sets sharing a
+  // superset are separate index entries, which the blocks allow.
+  uint64_t* supersets = GrowTo(s.supersets, sets);
+  uint64_t* superset_f = GrowTo(s.superset_f, sets);
+  superset_hash_.MapRangeFoldedBatch(set_f, supersets, sets, num_supersets_);
+  for (size_t d = 0; d < sets; ++d) superset_f[d] = MersenneFold(supersets[d]);
+  cntr_small_.AddIndexedBatch(supersets, superset_f, sets, slot, updates);
+  cntr_large_.AddIndexedBatch(supersets, superset_f, sets, slot, updates);
   const bool pool_all = pool_rate_num_ >= pool_rate_den_;
-  for (size_t i = 0; i < batch.size; i += kTile) {
-    size_t m = std::min(kTile, batch.size - i);
-    // Apply the element gate first and compact the survivors, so the
-    // superset hash (the deepest chain) only runs on edges that matter.
-    size_t cnt = 0;
-    if (gate) {
-      element_sampler_.SampleKeysFoldedBatch(batch.element_folded + i, keys,
-                                             m);
-      const uint64_t thr = element_sampler_.rate_num();
-      for (size_t j = 0; j < m; ++j) {
-        if (keys[j] >= thr) continue;
-        set_f[cnt] = batch.set_folded[i + j];
-        elem_f[cnt] = batch.element_folded[i + j];
-        ++cnt;
-      }
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        set_f[j] = batch.set_folded[i + j];
-        elem_f[j] = batch.element_folded[i + j];
-      }
-      cnt = m;
-    }
-    superset_hash_.MapRangeFoldedBatch(set_f, supersets, cnt, num_supersets_);
-    // Hash the tile, mutate in order: fold the superset ids once, then each
-    // consumer takes them as one block. The two contributing sketches and
-    // the pool hold disjoint state, so feeding them one after the other
-    // leaves each with exactly AdmitSuperset's update sequence.
-    for (size_t t = 0; t < cnt; ++t) superset_f[t] = MersenneFold(supersets[t]);
-    cntr_small_.AddFoldedBatch(supersets, superset_f, cnt);
-    cntr_large_.AddFoldedBatch(supersets, superset_f, cnt);
-    if (!pool_all) {
-      pool_hash_.MapRangeFoldedBatch(superset_f, keys, cnt, pool_rate_den_);
-    }
-    for (size_t t = 0; t < cnt; ++t) {
-      if (pool_all || keys[t] < pool_rate_num_) {
-        AddToPool(supersets[t], elem_f[t]);
-      }
+  if (!pool_all) {
+    pool_hash_.MapRangeFoldedBatch(superset_f, keys, sets, pool_rate_den_);
+  }
+  for (size_t t = 0; t < updates; ++t) {
+    const uint32_t d = slot[t];
+    if (pool_all || keys[d] < pool_rate_num_) {
+      AddToPool(supersets[d], elem_f[t]);
     }
   }
 }
@@ -221,9 +247,13 @@ std::optional<LargeSetComplete::Candidate> LargeSetComplete::BestCandidate()
     const {
   const Params& p = config_.params;
   std::optional<Candidate> best;
+  // Ties go to the smallest superset id, so the winner (and the witness
+  // ExtractSolution derives from it) does not depend on the hash-map
+  // iteration order below, which differs between a single pass and a merge.
   auto consider = [&best](uint64_t superset, double cov) {
     if (cov <= 0) return;
-    if (!best || cov > best->sample_scale_estimate) {
+    if (!best || cov > best->sample_scale_estimate ||
+        (cov == best->sample_scale_estimate && superset < best->superset)) {
       best = Candidate{superset, cov};
     }
   };
@@ -325,7 +355,8 @@ void LargeSet::Process(const Edge& edge) {
 }
 
 void LargeSet::ProcessBatch(const PrefoldedEdges& batch) {
-  for (auto& rep : reps_) rep.ProcessBatch(batch);
+  const IndexedBatch indexed(batch);
+  for (auto& rep : reps_) rep.ProcessBatch(indexed.view());
 }
 
 void LargeSet::Merge(const LargeSet& other) {

@@ -59,13 +59,13 @@ class LargeSetComplete : public StreamingEstimator {
 
   void Process(const Edge& edge) override;
 
-  // Batched ingest: the two Θ(log mn)-wise front gates (element sample and
-  // superset hash — the deepest Horner chains in the oracle stack) run
-  // batched; the tile's survivors fold their superset ids once and feed
-  // both contributing sketches as AddFoldedBatch blocks, and the pool gate
-  // is hashed over the tile before the pool updates run in order.
-  // Bit-identical to a Process() loop over the same edges, which stays the
-  // per-edge reference.
+  // Batched ingest: the element gate runs batched over the edges; the
+  // superset hash (the deepest Horner chain in the oracle stack), its fold
+  // and the pool gate run once per distinct set among the survivors
+  // (core/set_index.h), and both contributing sketches take the survivors
+  // as AddIndexedBatch blocks over those sets before the pool updates run
+  // in order. Bit-identical to a Process() loop over the same edges, which
+  // stays the per-edge reference.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // Estimate is at universe scale (already divided by the element rate).

@@ -1,5 +1,6 @@
 #include "core/oracle.h"
 
+#include "core/set_index.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -45,9 +46,10 @@ void Oracle::Process(const Edge& edge) {
 }
 
 void Oracle::ProcessBatch(const PrefoldedEdges& batch) {
-  large_common_->ProcessBatch(batch);
-  large_set_->ProcessBatch(batch);
-  if (small_set_ != nullptr) small_set_->ProcessBatch(batch);
+  const IndexedBatch indexed(batch);
+  large_common_->ProcessBatch(indexed.view());
+  large_set_->ProcessBatch(indexed.view());
+  if (small_set_ != nullptr) small_set_->ProcessBatch(indexed.view());
 }
 
 void Oracle::Merge(const Oracle& other) {

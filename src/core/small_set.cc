@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/set_index.h"
 #include "offline/greedy.h"
 #include "util/check.h"
 #include "util/dense_index.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace streamkc {
 
@@ -116,34 +118,37 @@ void SmallSet::Process(const Edge& edge) {
 }
 
 void SmallSet::ProcessBatch(const PrefoldedEdges& batch) {
-  constexpr size_t kTile = 128;
-  uint64_t keys[kTile];
-  uint64_t survivors[kTile];  // element ids, then their sampler keys
-  size_t at[kTile];           // each survivor's position in the batch
+  const IndexedBatch indexed(batch);
+  const PrefoldedEdges& b = indexed.view();
+  struct Scratch {
+    std::vector<uint64_t> set_keys;
+    std::vector<uint64_t> survivors;  // element ids, then their sampler keys
+    std::vector<size_t> at;           // each survivor's position in the batch
+  };
+  thread_local Scratch s;
+  uint64_t* set_keys = GrowTo(s.set_keys, b.num_distinct_sets);
+  uint64_t* survivors = GrowTo(s.survivors, b.size);
+  size_t* at = GrowTo(s.at, b.size);
   for (Instance& inst : instances_) {
-    for (size_t i = 0; i < batch.size && inst.rescales < kMaxRescales;
-         i += kTile) {
-      size_t m = std::min(kTile, batch.size - i);
-      inst.set_sampler.MapRangeFoldedBatch(batch.set_folded + i, keys, m,
-                                           kRateDen);
-      size_t live = 0;
-      for (size_t j = 0; j < m; ++j) {
-        if (keys[j] >= inst.set_rate_num) continue;
-        survivors[live] = batch.element_folded[i + j];
-        at[live++] = i + j;
-      }
-      if (live == 0) continue;
-      inst.element_sampler.MapRangeFoldedBatch(survivors, survivors, live,
-                                               kRateDen);
-      for (size_t j = 0; j < live; ++j) {
-        // Re-check liveness inside the tile: a rescale cascade can exhaust
-        // the instance mid-tile, and the per-edge path would then skip the
-        // rest of its edges too.
-        if (inst.rescales >= kMaxRescales) break;
-        if (survivors[j] >= inst.element_rate_num) continue;
-        const Edge& e = batch.edges[at[j]];
-        StoreEdge(inst, e.set, e.element, survivors[j]);
-      }
+    if (inst.rescales >= kMaxRescales) continue;
+    inst.set_sampler.MapRangeFoldedBatch(b.distinct_set_folded, set_keys,
+                                         b.num_distinct_sets, kRateDen);
+    size_t live = 0;
+    for (size_t i = 0; i < b.size; ++i) {
+      if (set_keys[b.set_slot[i]] >= inst.set_rate_num) continue;
+      survivors[live] = b.element_folded[i];
+      at[live++] = i;
+    }
+    if (live == 0) continue;
+    inst.element_sampler.MapRangeFoldedBatch(survivors, survivors, live,
+                                             kRateDen);
+    for (size_t j = 0; j < live; ++j) {
+      // A rescale cascade can exhaust the instance mid-batch, and the
+      // per-edge path would then skip the rest of its edges too.
+      if (inst.rescales >= kMaxRescales) break;
+      if (survivors[j] >= inst.element_rate_num) continue;
+      const Edge& e = b.edges[at[j]];
+      StoreEdge(inst, e.set, e.element, survivors[j]);
     }
   }
 }

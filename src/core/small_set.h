@@ -50,12 +50,12 @@ class SmallSet : public StreamingEstimator {
 
   void Process(const Edge& edge) override;
 
-  // Batched ingest: per instance and tile, the Θ(log mn)-wise set-sampling
-  // gate runs batched over the tile, then the element sampler runs batched
-  // over the tile's set survivors; the element test and the normal
-  // store/budget path follow in edge order, so the stored sample —
-  // including any mid-tile rescale cascade — is bit-identical to a
-  // Process() loop.
+  // Batched ingest: per instance, the Θ(log mn)-wise set-sampling gate runs
+  // batched over the batch's distinct sets (core/set_index.h), then the
+  // element sampler runs batched over the edges of the sampled sets; the
+  // element test and the normal store/budget path follow in edge order, so
+  // the stored sample — including any mid-batch rescale cascade — is
+  // bit-identical to a Process() loop.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // Evaluates every instance once. With `solution` non-null it also

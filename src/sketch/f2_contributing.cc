@@ -66,35 +66,58 @@ void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
   }
 }
 
-void F2Contributing::AddFoldedBatch(const uint64_t* ids,
-                                    const uint64_t* folded, size_t n,
-                                    int64_t delta) {
+void F2Contributing::AddIndexedBatch(const uint64_t* ids,
+                                     const uint64_t* folded, size_t num_ids,
+                                     const uint32_t* slot, size_t n,
+                                     int64_t delta) {
   if (full_rate_only_) {
-    for (auto& level : levels_) level.hh.AddFoldedBatch(ids, folded, n, delta);
+    for (auto& level : levels_) {
+      level.hh.AddIndexedBatch(ids, folded, num_ids, slot, n, delta);
+    }
     return;
   }
-  constexpr size_t kTile = 128;
-  uint64_t keys[kTile];
-  uint64_t live_ids[kTile];
-  uint64_t live_folded[kTile];
-  for (size_t i = 0; i < n; i += kTile) {
-    size_t live = std::min(kTile, n - i);
-    sampler_.MapRangeFoldedBatch(folded + i, keys, live, kRateDen);
-    std::copy(ids + i, ids + i + live, live_ids);
-    std::copy(folded + i, folded + i + live, live_folded);
-    for (auto& level : levels_) {
-      size_t kept = 0;
-      for (size_t j = 0; j < live; ++j) {
-        if (keys[j] >= level.rate_num) continue;
-        keys[kept] = keys[j];
-        live_ids[kept] = live_ids[j];
-        live_folded[kept] = live_folded[j];
-        ++kept;
+  // The live entries (id, fold, key) and the live updates' entry numbers,
+  // compacted in place as the levels narrow.
+  struct Scratch {
+    std::vector<uint64_t> keys, ids, folded;
+    std::vector<uint32_t> renumber, slot;
+  };
+  thread_local Scratch s;
+  uint64_t* keys = GrowTo(s.keys, num_ids);
+  uint64_t* live_ids = GrowTo(s.ids, num_ids);
+  uint64_t* live_folded = GrowTo(s.folded, num_ids);
+  uint32_t* renumber = GrowTo(s.renumber, num_ids);
+  uint32_t* live_slot = GrowTo(s.slot, n);
+  sampler_.MapRangeFoldedBatch(folded, keys, num_ids, kRateDen);
+  std::copy(ids, ids + num_ids, live_ids);
+  std::copy(folded, folded + num_ids, live_folded);
+  std::copy(slot, slot + n, live_slot);
+  constexpr uint32_t kDropped = UINT32_MAX;
+  size_t live = num_ids;
+  size_t updates = n;
+  for (auto& level : levels_) {
+    size_t kept = 0;
+    for (size_t d = 0; d < live; ++d) {
+      if (keys[d] >= level.rate_num) {
+        renumber[d] = kDropped;
+        continue;
       }
-      live = kept;
-      if (live == 0) break;
-      level.hh.AddFoldedBatch(live_ids, live_folded, live, delta);
+      renumber[d] = static_cast<uint32_t>(kept);
+      keys[kept] = keys[d];
+      live_ids[kept] = live_ids[d];
+      live_folded[kept] = live_folded[d];
+      ++kept;
     }
+    live = kept;
+    kept = 0;
+    for (size_t j = 0; j < updates; ++j) {
+      const uint32_t d = renumber[live_slot[j]];
+      if (d != kDropped) live_slot[kept++] = d;
+    }
+    updates = kept;
+    if (updates == 0) break;
+    level.hh.AddIndexedBatch(live_ids, live_folded, live, live_slot, updates,
+                             delta);
   }
 }
 

@@ -28,6 +28,7 @@
 #include "hash/kwise_hash.h"
 #include "obs/space_accountant.h"
 #include "sketch/f2_heavy_hitters.h"
+#include "util/scratch.h"
 #include "util/space.h"
 
 namespace streamkc {
@@ -66,19 +67,28 @@ class F2Contributing : public SpaceMetered {
   // serves the shared level sampler and every surviving level's
   // heavy-hitter sketch, but each call still evaluates the sampler (unless
   // every level is full rate, when no key can reject) and the levels'
-  // CountSketch rows for this id alone; AddFoldedBatch below runs the same
-  // hashes tile-wide.
+  // CountSketch rows for this id alone; AddIndexedBatch below runs the same
+  // hashes once per distinct id of a block.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
-  // n AddFolded calls in one block, bit-identical state. The shared sampler
-  // key is hashed over each tile at once; then each level, in order, takes
-  // the tile's survivors (nested, so every level filters the previous
-  // level's) as one F2HeavyHitters::AddFoldedBatch block. Levels hold
-  // disjoint state and each still sees its updates in stream order. This is
-  // the path LargeSetComplete::ProcessBatch uses; AddFolded is the per-edge
-  // reference.
+  // n AddFolded calls in one block over an id index, bit-identical state:
+  // update j is AddFolded(ids[slot[j]], folded[slot[j]], delta). The shared
+  // sampler key is hashed once per index entry; then each level, in order,
+  // keeps the entries whose key passes its threshold (nested, so every
+  // level filters the previous level's) and takes its updates as one
+  // F2HeavyHitters::AddIndexedBatch block over just those entries. Levels
+  // hold disjoint state and each still sees its updates in stream order.
+  // This is the path LargeSetComplete::ProcessBatch uses, with its
+  // supersets as the ids; AddFolded is the per-edge reference.
+  void AddIndexedBatch(const uint64_t* ids, const uint64_t* folded,
+                       size_t num_ids, const uint32_t* slot, size_t n,
+                       int64_t delta = 1);
+
+  // The block without repetition: update j is AddFolded(ids[j], folded[j]).
   void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
-                      int64_t delta = 1);
+                      int64_t delta = 1) {
+    AddIndexedBatch(ids, folded, n, IdentitySlots(n), n, delta);
+  }
 
   // One representative (at least) from each γ-contributing class of size
   // ≤ max_class_size, deduplicated by id (max estimate wins), sorted by

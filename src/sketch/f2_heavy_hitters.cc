@@ -46,15 +46,17 @@ void F2HeavyHitters::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
   AddHashed(id, hashes, 1, delta);
 }
 
-void F2HeavyHitters::AddFoldedBatch(const uint64_t* ids,
-                                    const uint64_t* folded, size_t n,
-                                    int64_t delta) {
-  constexpr size_t kTile = 128;
-  uint64_t hashes[CountSketch::kMaxDepth * kTile];
-  for (size_t i = 0; i < n; i += kTile) {
-    size_t m = std::min(kTile, n - i);
-    count_sketch_.HashFoldedBatch(folded + i, m, hashes);
-    for (size_t j = 0; j < m; ++j) AddHashed(ids[i + j], hashes + j, m, delta);
+void F2HeavyHitters::AddIndexedBatch(const uint64_t* ids,
+                                     const uint64_t* folded, size_t num_ids,
+                                     const uint32_t* slot, size_t n,
+                                     int64_t delta) {
+  // Row-major: entry d's row-r hash at hashes[r·num_ids + d].
+  thread_local std::vector<uint64_t> scratch;
+  uint64_t* hashes = GrowTo(scratch, size_t{config_.depth} * num_ids);
+  count_sketch_.HashFoldedBatch(folded, num_ids, hashes);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t d = slot[j];
+    AddHashed(ids[d], hashes + d, num_ids, delta);
   }
 }
 
@@ -110,8 +112,13 @@ void F2HeavyHitters::Save(std::ostream& os) const {
   WriteU32(os, config_.max_width);
   WriteU64(os, config_.seed);
   count_sketch_.Save(os);
-  WriteU64(os, candidates_.size());
-  for (const auto& [id, score] : candidates_) {
+  // Candidates in id order, so the blob is a function of the state and not
+  // of the map's insertion history: Save(Load(blob)) == blob.
+  std::vector<std::pair<uint64_t, double>> sorted(candidates_.begin(),
+                                                  candidates_.end());
+  std::sort(sorted.begin(), sorted.end());
+  WriteU64(os, sorted.size());
+  for (const auto& [id, score] : sorted) {
     WriteU64(os, id);
     WriteDouble(os, score);
   }

@@ -28,6 +28,7 @@
 
 #include "obs/space_accountant.h"
 #include "sketch/count_sketch.h"
+#include "util/scratch.h"
 #include "util/space.h"
 
 namespace streamkc {
@@ -68,13 +69,23 @@ class F2HeavyHitters : public SpaceMetered {
   // is still needed as the candidate-set key.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
-  // n AddFolded calls in one block, bit-identical state. The CountSketch
-  // row hashes depend only on the id, so each tile is hashed up front (one
-  // MapFoldedBatch per row); the counter updates, the admission gate (which
-  // reads the evolving QuickF2) and pruning then run update by update in
-  // stream order, the gate and point query reading the precomputed hashes.
+  // n AddFolded calls in one block over an id index, bit-identical state:
+  // update j is AddFolded(ids[slot[j]], folded[slot[j]], delta). The
+  // CountSketch row hashes depend only on the id, so they run once per
+  // index entry (one MapFoldedBatch per row over all num_ids entries); the
+  // counter updates, the admission gate (which reads the evolving QuickF2)
+  // and pruning then run update by update in stream order, the gate and
+  // point query reading the entry's precomputed hashes. Entries need not be
+  // distinct; the index saves hashing exactly where ids repeat.
+  void AddIndexedBatch(const uint64_t* ids, const uint64_t* folded,
+                       size_t num_ids, const uint32_t* slot, size_t n,
+                       int64_t delta = 1);
+
+  // The block without repetition: update j is AddFolded(ids[j], folded[j]).
   void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
-                      int64_t delta = 1);
+                      int64_t delta = 1) {
+    AddIndexedBatch(ids, folded, n, IdentitySlots(n), n, delta);
+  }
 
   // All coordinates whose estimated frequency passes the φ test against the
   // estimated F2, most-frequent first. Call after the stream ends (may be
@@ -86,7 +97,8 @@ class F2HeavyHitters : public SpaceMetered {
   // merged instance answers for the concatenation of both streams.
   void Merge(const F2HeavyHitters& other);
 
-  // Binary checkpointing: CountSketch counters + candidate set.
+  // Binary checkpointing: CountSketch counters + candidate set, written in
+  // id order so that Save∘Load∘Save is byte-stable.
   void Save(std::ostream& os) const;
   static F2HeavyHitters Load(std::istream& is);
 

@@ -39,11 +39,22 @@ struct EdgeHash {
 // hash entry points and skip the redundant per-sketch fold. The arrays are
 // parallel: set_folded[i] == MersenneFold(edges[i].set) and likewise for
 // element_folded. Produced by EdgeBatch::Prefold()/View().
+//
+// The view may also carry a set index (core/set_index.h): entries
+// d < num_distinct_sets, each the fold of a set id, and set_slot[i] < that
+// count, the entry of edges[i].set, so that
+// distinct_set_folded[set_slot[i]] == set_folded[i]. Set-keyed hashes then
+// run once per entry instead of once per edge. The stack numbers distinct
+// sets in first-seen order, but any numbering is valid. A view without an
+// index has set_slot == nullptr.
 struct PrefoldedEdges {
   const Edge* edges = nullptr;
   const uint64_t* set_folded = nullptr;
   const uint64_t* element_folded = nullptr;
   size_t size = 0;
+  const uint32_t* set_slot = nullptr;
+  const uint64_t* distinct_set_folded = nullptr;
+  size_t num_distinct_sets = 0;
 };
 
 }  // namespace streamkc

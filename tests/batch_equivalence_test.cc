@@ -18,12 +18,17 @@
 #include <vector>
 
 #include "core/estimate_max_cover.h"
+#include "core/large_common.h"
 #include "core/large_set.h"
 #include "core/report_max_cover.h"
+#include "core/small_set.h"
 #include "hash/kwise_hash.h"
 #include "hash/mersenne.h"
+#include "obs/space_accountant.h"
 #include "runtime/edge_batch.h"
 #include "runtime/sketch_states.h"
+#include "serve/serving_state.h"
+#include "setsys/generators.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
 #include "sketch/f2_contributing.h"
@@ -31,6 +36,7 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
 #include "test_util.h"
+#include "util/dense_index.h"
 #include "util/math_util.h"
 #include "util/random.h"
 
@@ -136,10 +142,10 @@ TEST(BatchEquivalence, F2ContributingFoldedIdentical) {
   EXPECT_EQ(Blob(per_edge), Blob(folded_path));
 }
 
-// Block sizes for the AddFoldedBatch differentials: single updates, both
-// sides of the 128-id tile, and (0 = the whole stream) one call spanning
-// many tiles.
-constexpr size_t kBlockSizes[] = {1, 127, 128, 129, 0};
+// Block sizes for the block-update differentials: single updates, both
+// sides of the old 128-id tile, the serving path's 4096-edge batch, and
+// (0 = the whole stream) one call for everything.
+constexpr size_t kBlockSizes[] = {1, 127, 128, 129, 4096, 0};
 
 // Skewed id stream over [0, domain): id = h mod (1 + h' mod domain) puts a
 // harmonic-like weight on small ids. A few ids end up heavy while many light
@@ -174,6 +180,83 @@ void FeedBlocks(Sketch& sketch, const std::vector<uint64_t>& ids,
   }
 }
 
+// The same blocks through AddIndexedBatch, each block's distinct ids
+// numbered in first-seen order.
+template <typename Sketch>
+void FeedIndexedBlocks(Sketch& sketch, const std::vector<uint64_t>& ids,
+                       const std::vector<uint64_t>& folded, size_t block) {
+  if (block == 0) block = ids.size();
+  DenseIndex index;
+  std::vector<uint32_t> slot;
+  std::vector<uint64_t> distinct_ids;
+  std::vector<uint64_t> distinct_folded;
+  for (size_t i = 0; i < ids.size(); i += block) {
+    const size_t n = std::min(block, ids.size() - i);
+    index.Reset(n);
+    slot.resize(n);
+    distinct_ids.clear();
+    distinct_folded.clear();
+    for (size_t j = 0; j < n; ++j) {
+      slot[j] = index.Insert(ids[i + j]);
+      if (slot[j] == distinct_ids.size()) {
+        distinct_ids.push_back(ids[i + j]);
+        distinct_folded.push_back(folded[i + j]);
+      }
+    }
+    sketch.AddIndexedBatch(distinct_ids.data(), distinct_folded.data(),
+                           distinct_ids.size(), slot.data(), n);
+  }
+}
+
+// The two set-repetition regimes a batch meets. Set-skewed: PlantedCover's
+// 16 planted sets hold half the universe, so they carry most edges and each
+// repeats hundreds of times in a 4096-edge batch. Set-uniform:
+// ZipfFrequency's sets all hold 12 elements.
+struct IndexStream {
+  const char* name;
+  std::vector<Edge> edges;
+};
+
+constexpr uint64_t kIndexM = 1024;
+constexpr uint64_t kIndexN = 1 << 14;
+
+const std::vector<IndexStream>& IndexStreams() {
+  static const std::vector<IndexStream> streams = {
+      {"planted",
+       InstanceEdges(PlantedCover(kIndexM, kIndexN, 16, 0.5, 6, 41), 3)},
+      {"zipf", InstanceEdges(ZipfFrequency(kIndexM, kIndexN, 12, 1.1, 43), 4)},
+  };
+  return streams;
+}
+
+// The stream's set ids in arrival order, with the stream's repetition.
+std::vector<uint64_t> SetIds(const IndexStream& stream) {
+  std::vector<uint64_t> ids;
+  for (const Edge& e : stream.edges) ids.push_back(e.set);
+  return ids;
+}
+
+// `make()`'s sketch fed `ids` through AddFoldedBatch and AddIndexedBatch
+// blocks of every size must serialize exactly like the per-update loop.
+template <typename Make>
+void ExpectBlocksMatchPerUpdate(Make make, const std::vector<uint64_t>& ids,
+                                const std::string& label) {
+  const std::vector<uint64_t> folded = FoldedIds(ids);
+  auto per_update = make();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    per_update.AddFolded(ids[i], folded[i]);
+  }
+  const std::string want = Blob(per_update);
+  for (size_t block : kBlockSizes) {
+    auto batched = make();
+    FeedBlocks(batched, ids, folded, block);
+    EXPECT_EQ(Blob(batched), want) << label << " block " << block;
+    auto indexed = make();
+    FeedIndexedBlocks(indexed, ids, folded, block);
+    EXPECT_EQ(Blob(indexed), want) << label << " indexed block " << block;
+  }
+}
+
 TEST(BatchEquivalence, F2HeavyHittersBlockPathBitIdentical) {
   const std::vector<uint64_t> ids = SkewedIds(40000, 13, 6144);
   const std::vector<uint64_t> folded = FoldedIds(ids);
@@ -194,18 +277,18 @@ TEST(BatchEquivalence, F2HeavyHittersBlockPathBitIdentical) {
     }
     EXPECT_GT(admitted, 0u) << "phi " << phi;
     EXPECT_GT(prunes, 0u) << "phi " << phi;
-    for (size_t block : kBlockSizes) {
-      F2HeavyHitters batched({.phi = phi, .seed = 21});
-      FeedBlocks(batched, ids, folded, block);
-      EXPECT_EQ(Blob(per_update), Blob(batched))
-          << "phi " << phi << " block " << block;
+    auto make = [phi] { return F2HeavyHitters({.phi = phi, .seed = 21}); };
+    const std::string label = "phi " + std::to_string(phi);
+    ExpectBlocksMatchPerUpdate(make, ids, label + " skewed ids");
+    for (const IndexStream& stream : IndexStreams()) {
+      ExpectBlocksMatchPerUpdate(make, SetIds(stream),
+                                 label + " " + stream.name + " set ids");
     }
   }
 }
 
 TEST(BatchEquivalence, F2ContributingBlockPathBitIdentical) {
   const std::vector<uint64_t> ids = SkewedIds(40000, 17, 6144);
-  const std::vector<uint64_t> folded = FoldedIds(ids);
   // LargeSet's two contributing sketches at m = 4096, α = 8: Q = 6144
   // supersets; class bound 3sα + 1 = 13 at φ1 = 1/64 (every level is full
   // rate, deduplicated to one) and Q at φ2 = 1/6 (nine nested levels).
@@ -222,16 +305,13 @@ TEST(BatchEquivalence, F2ContributingBlockPathBitIdentical) {
     cfg.domain_size = 6144;
     cfg.sample_factor = 4.0;
     cfg.seed = 31;
-    F2Contributing per_update(cfg);
-    ASSERT_EQ(per_update.num_levels(), c.levels);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      per_update.AddFolded(ids[i], folded[i]);
-    }
-    for (size_t block : kBlockSizes) {
-      F2Contributing batched(cfg);
-      FeedBlocks(batched, ids, folded, block);
-      EXPECT_EQ(Blob(per_update), Blob(batched))
-          << "class bound " << c.class_bound << " block " << block;
+    ASSERT_EQ(F2Contributing(cfg).num_levels(), c.levels);
+    auto make = [&cfg] { return F2Contributing(cfg); };
+    const std::string label = "class bound " + std::to_string(c.class_bound);
+    ExpectBlocksMatchPerUpdate(make, ids, label + " skewed ids");
+    for (const IndexStream& stream : IndexStreams()) {
+      ExpectBlocksMatchPerUpdate(make, SetIds(stream),
+                                 label + " " + stream.name + " set ids");
     }
   }
 }
@@ -370,6 +450,218 @@ TEST(BatchEquivalence, ReportMaxCoverSolutionsIdentical) {
   EXPECT_DOUBLE_EQ(a.estimate, b.estimate);
   EXPECT_EQ(a.source, b.source);
   EXPECT_EQ(a.sets, b.sets);
+}
+
+// ---- The batch set index (core/set_index.h) --------------------------------
+
+// Where a batch's set index comes from. kComponent hands over plain views,
+// so the component indexes each batch itself; the others supply the index
+// from the caller: first-seen numbering (what EstimateMaxCover builds), one
+// entry per edge (no repetition at all), and distinct sets numbered in id
+// order. An index is only an indirection, so all of them must leave the
+// state a Process() loop leaves.
+enum class IndexSource { kComponent, kFirstSeen, kPerEdge, kSortedIds };
+
+void BuildCallerIndex(const PrefoldedEdges& view, IndexSource source,
+                      std::vector<uint32_t>* slot,
+                      std::vector<uint64_t>* distinct_folded) {
+  slot->assign(view.size, 0);
+  distinct_folded->clear();
+  if (source == IndexSource::kPerEdge) {
+    for (size_t i = 0; i < view.size; ++i) {
+      (*slot)[i] = static_cast<uint32_t>(i);
+      distinct_folded->push_back(view.set_folded[i]);
+    }
+  } else if (source == IndexSource::kFirstSeen) {
+    DenseIndex index(view.size);
+    for (size_t i = 0; i < view.size; ++i) {
+      (*slot)[i] = index.Insert(view.edges[i].set);
+      if ((*slot)[i] == distinct_folded->size()) {
+        distinct_folded->push_back(view.set_folded[i]);
+      }
+    }
+  } else {
+    std::vector<SetId> ids;
+    for (size_t i = 0; i < view.size; ++i) ids.push_back(view.edges[i].set);
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (size_t i = 0; i < view.size; ++i) {
+      (*slot)[i] = static_cast<uint32_t>(
+          std::lower_bound(ids.begin(), ids.end(), view.edges[i].set) -
+          ids.begin());
+    }
+    for (SetId id : ids) distinct_folded->push_back(MersenneFold(id));
+  }
+}
+
+// Streams `edges` through ProcessBatch in batches of `batch_size` (0 = the
+// whole stream in one call), with the set index taken from `source`.
+template <typename Alg>
+void FeedIndexed(Alg& alg, const std::vector<Edge>& edges, size_t batch_size,
+                 IndexSource source) {
+  if (batch_size == 0) batch_size = edges.size();
+  EdgeBatch batch;
+  std::vector<uint32_t> slot;
+  std::vector<uint64_t> distinct_folded;
+  for (size_t i = 0; i < edges.size(); i += batch_size) {
+    const size_t m = std::min(batch_size, edges.size() - i);
+    batch.Clear();
+    batch.edges.assign(edges.begin() + i, edges.begin() + i + m);
+    batch.Prefold();
+    PrefoldedEdges view = batch.View();
+    if (source != IndexSource::kComponent) {
+      BuildCallerIndex(view, source, &slot, &distinct_folded);
+      view.set_slot = slot.data();
+      view.distinct_set_folded = distinct_folded.data();
+      view.num_distinct_sets = distinct_folded.size();
+    }
+    alg.ProcessBatch(view);
+  }
+}
+
+std::string Describe(const EstimateOutcome& out) {
+  std::ostringstream os;
+  os.precision(17);
+  os << out.feasible << ' ' << out.estimate << ' ' << out.source;
+  return os.str();
+}
+
+std::string Describe(const std::vector<SetId>& sets) {
+  std::string out = "sets";
+  for (SetId s : sets) out += ' ' + std::to_string(s);
+  return out;
+}
+
+// Bytes and item count (candidates, pool entries, stored edges, ...) of
+// every component in the tree, summed per component name.
+std::string SpaceRows(const SpaceMetered& root) {
+  SpaceAccountant acct;
+  acct.Sample(root);
+  return acct.ToJson();
+}
+
+// The set-index differential for one component: `make()` builds a fresh
+// instance, `observe` renders what it exposes of its state. The per-edge
+// Process() loop is the reference. Every batch size with a
+// component-built index, and every caller-supplied index at 4096-edge
+// batches, must reproduce it exactly on both streams.
+template <typename Make, typename Observe>
+void ExpectIndexedBatchesMatchPerEdge(Make make, Observe observe) {
+  for (const IndexStream& stream : IndexStreams()) {
+    auto per_edge = make();
+    for (const Edge& e : stream.edges) per_edge.Process(e);
+    const std::string want = observe(per_edge);
+    for (size_t size : kBlockSizes) {
+      auto batched = make();
+      FeedIndexed(batched, stream.edges, size, IndexSource::kComponent);
+      EXPECT_EQ(observe(batched), want) << stream.name << " batch " << size;
+    }
+    for (IndexSource source : {IndexSource::kFirstSeen, IndexSource::kPerEdge,
+                               IndexSource::kSortedIds}) {
+      auto batched = make();
+      FeedIndexed(batched, stream.edges, 4096, source);
+      EXPECT_EQ(observe(batched), want)
+          << stream.name << " caller index " << static_cast<int>(source);
+    }
+  }
+}
+
+Params IndexParams() { return Params::Practical(kIndexM, kIndexN, 16, 8); }
+
+TEST(BatchEquivalence, SetIndexLargeCommon) {
+  ExpectIndexedBatchesMatchPerEdge(
+      [] {
+        return LargeCommon({.params = IndexParams(),
+                            .universe_size = kIndexN,
+                            .reporting = true,
+                            .seed = 51});
+      },
+      [](const LargeCommon& lc) {
+        return Describe(lc.Finalize()) + Describe(lc.ExtractSolution(16)) +
+               SpaceRows(lc);
+      });
+}
+
+TEST(BatchEquivalence, SetIndexSmallSet) {
+  // A budget this small makes every instance rescale, mid-batch included.
+  Params p = IndexParams();
+  p.small_set_budget_bytes = 2048;
+  SmallSet probe({.params = p, .universe_size = kIndexN, .seed = 53});
+  for (const Edge& e : IndexStreams()[0].edges) probe.Process(e);
+  ASSERT_GT(probe.num_rescaled(), 0u);
+  ExpectIndexedBatchesMatchPerEdge(
+      [&p] {
+        return SmallSet({.params = p,
+                         .universe_size = kIndexN,
+                         .reporting = true,
+                         .seed = 53});
+      },
+      [](const SmallSet& ss) {
+        std::vector<SetId> sets;
+        const EstimateOutcome out = ss.Finalize(&sets);
+        return Describe(out) + Describe(sets) + " rescaled " +
+               std::to_string(ss.num_rescaled()) + SpaceRows(ss);
+      });
+}
+
+// LargeSetComplete at the element rate ρ of its repetition: 1 (no element
+// gate; every edge reaches the superset path) or 1/8 (the survivor rule:
+// only the sets the gate's survivors reference are hashed).
+void ExpectLargeSetCompleteMatches(double element_rate) {
+  LargeSetComplete::Config cfg;
+  cfg.params = IndexParams();
+  cfg.universe_size = kIndexN;
+  cfg.w = 8;
+  cfg.element_rate = element_rate;
+  cfg.reporting = true;
+  cfg.seed = 55;
+  ExpectIndexedBatchesMatchPerEdge(
+      [&cfg] { return LargeSetComplete(cfg); },
+      [](const LargeSetComplete& ls) {
+        return Describe(ls.Finalize()) + Describe(ls.ExtractSolution(16)) +
+               " pool " + std::to_string(ls.ItemCount()) + SpaceRows(ls);
+      });
+}
+
+TEST(BatchEquivalence, SetIndexLargeSetCompleteFullRate) {
+  ExpectLargeSetCompleteMatches(1.0);
+}
+
+TEST(BatchEquivalence, SetIndexLargeSetCompleteSampled) {
+  ExpectLargeSetCompleteMatches(1.0 / 8);
+}
+
+TEST(BatchEquivalence, SetIndexEstimateMaxCover) {
+  ExpectIndexedBatchesMatchPerEdge(
+      [] {
+        return EstimateMaxCover(
+            {.params = IndexParams(), .reporting = true, .seed = 57});
+      },
+      [](const EstimateMaxCover& est) {
+        return Describe(est.Finalize()) + Describe(est.ExtractSolution(16)) +
+               SpaceRows(est);
+      });
+}
+
+TEST(BatchEquivalence, SetIndexReportMaxCover) {
+  ExpectIndexedBatchesMatchPerEdge(
+      [] { return ReportMaxCover({.params = IndexParams(), .seed = 59}); },
+      [](const ReportMaxCover& rep) {
+        const MaxCoverSolution sol = rep.Finalize();
+        return Describe(EstimateOutcome{true, sol.estimate, sol.source}) +
+               Describe(sol.sets) + SpaceRows(rep);
+      });
+}
+
+TEST(BatchEquivalence, SetIndexServingState) {
+  ExpectIndexedBatchesMatchPerEdge(
+      [] { return ServingState({.params = IndexParams(), .seed = 61}); },
+      [](const ServingState& state) {
+        const MaxCoverSolution sol = state.FinalizeSolution();
+        return Describe(EstimateOutcome{true, sol.estimate, sol.source}) +
+               Describe(sol.sets) + Blob(state.set_coverage()) +
+               SpaceRows(state);
+      });
 }
 
 // Cross-validation of the two Theorem 2.12 realizations: KMV and HLL see

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
@@ -14,6 +15,7 @@
 #include "sketch/f2_heavy_hitters.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
+#include "util/random.h"
 
 namespace streamkc {
 namespace {
@@ -263,6 +265,48 @@ TEST(F2ContributingSerialize, RoundTripPreservesExtraction) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_DOUBLE_EQ(a[i].estimate, b[i].estimate);
+  }
+}
+
+template <typename Sketch>
+std::string Blob(const Sketch& sketch) {
+  std::stringstream ss;
+  sketch.Save(ss);
+  return ss.str();
+}
+
+// Skewed id stream: a few heavy ids among many light ones, so the candidate
+// set fills, prunes and holds many entries when saved.
+uint64_t SkewedId(uint64_t seed, uint64_t i) {
+  const uint64_t h = SplitMix64(seed * 1000003 + i);
+  return h % (1 + SplitMix64(h) % 4096);
+}
+
+TEST(F2HhSerialize, SaveLoadSaveIsByteStable) {
+  // A blob must be a function of the sketch's state, not of its candidate
+  // map's insertion history: a loaded sketch re-saves to the same bytes.
+  for (double phi : {1.0 / 64, 1.0 / 6, 0.01}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      F2HeavyHitters hh({.phi = phi, .seed = seed});
+      for (uint64_t i = 0; i < 5000; ++i) hh.Add(SkewedId(seed, i));
+      ASSERT_GT(hh.ItemCount(), 1u);
+      const std::string blob = Blob(hh);
+      std::stringstream in(blob);
+      EXPECT_EQ(Blob(F2HeavyHitters::Load(in)), blob)
+          << "phi " << phi << " seed " << seed;
+    }
+  }
+}
+
+TEST(F2ContributingSerialize, SaveLoadSaveIsByteStable) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    F2Contributing fc({.gamma = 1.0 / 6, .max_class_size = 6144,
+                       .domain_size = 6144, .phi_factor = 1.0,
+                       .sample_factor = 4.0, .seed = seed});
+    for (uint64_t i = 0; i < 20000; ++i) fc.Add(SkewedId(seed, i));
+    const std::string blob = Blob(fc);
+    std::stringstream in(blob);
+    EXPECT_EQ(Blob(F2Contributing::Load(in)), blob) << "seed " << seed;
   }
 }
 
