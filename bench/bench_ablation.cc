@@ -19,6 +19,7 @@
 #include "core/estimate_max_cover.h"
 #include "core/oracle.h"
 #include "offline/greedy.h"
+#include "runtime/feed_stream.h"
 #include "setsys/generators.h"
 #include "sketch/f2_heavy_hitters.h"
 #include "util/random.h"

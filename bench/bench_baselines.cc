@@ -19,6 +19,7 @@
 #include "offline/greedy.h"
 #include "offline/set_arrival_streaming.h"
 #include "offline/sketch_greedy.h"
+#include "runtime/feed_stream.h"
 #include "setsys/generators.h"
 #include "util/stopwatch.h"
 

@@ -18,6 +18,7 @@
 #include "bench_util.h"
 #include "core/oracle.h"
 #include "offline/greedy.h"
+#include "runtime/feed_stream.h"
 #include "setsys/generators.h"
 
 namespace streamkc {

@@ -11,6 +11,7 @@
 #include "bench_util.h"
 #include "core/report_max_cover.h"
 #include "offline/greedy.h"
+#include "runtime/feed_stream.h"
 #include "setsys/generators.h"
 #include "util/stopwatch.h"
 

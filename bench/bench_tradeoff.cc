@@ -17,6 +17,7 @@
 #include "core/estimate_max_cover.h"
 #include "obs/space_accountant.h"
 #include "offline/greedy.h"
+#include "runtime/feed_stream.h"
 #include "setsys/generators.h"
 #include "util/stopwatch.h"
 

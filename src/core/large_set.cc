@@ -21,6 +21,23 @@ uint64_t NumSupersets(const Params& p, double w) {
   return std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(q)));
 }
 
+// Case-2 class bound r2 (Fig. 7): theory r2 = Q·γ with
+// γ = 1944/(t²s²·log α) (Eq. 8); practical r2 = Q. Classes larger than r2
+// are handled by the sampled-superset pool.
+uint64_t LargeClassBound(const Params& p, uint64_t q) {
+  if (p.mode == Params::Mode::kTheory) {
+    double gamma_r2 =
+        1944.0 / (p.t * p.t * p.s * p.s * Log2AtLeast1(p.alpha));
+    return std::max<uint64_t>(
+        1, static_cast<uint64_t>(static_cast<double>(q) *
+                                 std::min(gamma_r2, 1.0)));
+  }
+  // Practical mode searches every class size with the contributing sketch
+  // (r2 = Q), so the sampled-superset pool only needs |M| = 12·log m
+  // members as a safety net for the extreme class sizes.
+  return q;
+}
+
 F2Contributing::Config MakeContributingConfig(const Params& p, double phi,
                                               uint64_t class_bound,
                                               uint64_t domain, uint64_t seed) {
@@ -53,14 +70,12 @@ LargeSetComplete::LargeSetComplete(const Config& config)
           static_cast<uint64_t>(
               std::ceil(3.0 * config.params.s * config.params.alpha)) +
               1,
-          NumSupersets(config.params, config.w),
-          SplitMix64(config.seed ^ 0x3333))),
+          num_supersets_, SplitMix64(config.seed ^ 0x3333))),
       cntr_large_(MakeContributingConfig(
           config.params,
           std::min(1.0, config.params.phi2_factor /
                             Log2AtLeast1(config.params.alpha)),
-          /*class_bound=*/0,  // patched below once r2 is known
-          NumSupersets(config.params, config.w),
+          LargeClassBound(config.params, num_supersets_), num_supersets_,
           SplitMix64(config.seed ^ 0x4444))),
       pool_hash_(config.params.log_wise_degree,
                  SplitMix64(config.seed ^ 0x5555)) {
@@ -79,27 +94,8 @@ LargeSetComplete::LargeSetComplete(const Config& config)
   thr1_ = expected_l / (c1 * p.eta * p.s * p.alpha);
   thr2_ = expected_l / (c2 * p.eta * p.alpha);
 
-  // Case-2 class bound r2 (Fig. 7): theory r2 = Q·γ with
-  // γ = 1944/(t²s²·log α) (Eq. 8); practical r2 = Q/8. Classes larger than
-  // r2 are handled by the sampled-superset pool.
-  uint64_t q = num_supersets_;
-  uint64_t r2;
-  if (p.mode == Params::Mode::kTheory) {
-    double gamma_r2 =
-        1944.0 / (p.t * p.t * p.s * p.s * Log2AtLeast1(p.alpha));
-    r2 = std::max<uint64_t>(
-        1, static_cast<uint64_t>(static_cast<double>(q) *
-                                 std::min(gamma_r2, 1.0)));
-  } else {
-    // Practical mode searches every class size with the contributing sketch
-    // (r2 = Q), so the sampled-superset pool only needs |M| = 12·log m
-    // members as a safety net for the extreme class sizes.
-    r2 = q;
-  }
-  // Rebuild cntr_large_ with the final class bound.
-  cntr_large_ = F2Contributing(MakeContributingConfig(
-      p, std::min(1.0, p.phi2_factor / Log2AtLeast1(p.alpha)), r2, q,
-      SplitMix64(config.seed ^ 0x4444)));
+  const uint64_t q = num_supersets_;
+  const uint64_t r2 = LargeClassBound(p, q);
 
   // Superset pool: expected 12·Q·log2(m)/r2 members (Fig. 6's M), capped.
   double pool_expected = 12.0 * static_cast<double>(q) *

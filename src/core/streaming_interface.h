@@ -5,12 +5,9 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
-#include "hash/mersenne.h"
 #include "obs/space_accountant.h"
 #include "stream/edge.h"
-#include "stream/edge_stream.h"
 #include "util/space.h"
 
 namespace streamkc {
@@ -56,26 +53,6 @@ class StreamingEstimator : public SpaceMetered {
     for (size_t i = 0; i < batch.size; ++i) Process(batch.edges[i]);
   }
 };
-
-// Feeds the remainder of `stream` into `alg`, a batch at a time: one
-// MersenneFold per id here replaces one per (id, sub-estimator hash) pair
-// inside, and the batched entry points amortize the Horner evaluations.
-inline void FeedStream(EdgeStream& stream, StreamingEstimator& alg) {
-  constexpr size_t kFeedBatch = 1024;
-  std::vector<Edge> edges;
-  std::vector<uint64_t> set_folded;
-  std::vector<uint64_t> element_folded;
-  while (stream.NextBatch(&edges, kFeedBatch) > 0) {
-    set_folded.resize(edges.size());
-    element_folded.resize(edges.size());
-    for (size_t i = 0; i < edges.size(); ++i) {
-      set_folded[i] = MersenneFold(edges[i].set);
-      element_folded[i] = MersenneFold(edges[i].element);
-    }
-    alg.ProcessBatch(PrefoldedEdges{edges.data(), set_folded.data(),
-                                    element_folded.data(), edges.size()});
-  }
-}
 
 }  // namespace streamkc
 

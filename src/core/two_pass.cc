@@ -16,6 +16,15 @@ TwoPassMaxCover::TwoPassMaxCover(const Config& config) : config_(config) {
                           .seed = rng.Fork()});
 }
 
+void TwoPassMaxCover::ProcessBatch(const PrefoldedEdges& batch) {
+  if (first_pass_done_) {
+    second_->ProcessBatch(batch);
+  } else {
+    covered_->AddFoldedBatch(batch.element_folded, batch.size);
+  }
+  peak_bytes_ = std::max(peak_bytes_, MemoryBytes());
+}
+
 void TwoPassMaxCover::ProcessFirstPass(const Edge& edge) {
   CHECK(!first_pass_done_);
   covered_->Add(edge.element);
@@ -75,20 +84,6 @@ uint32_t TwoPassMaxCover::num_oracles() const {
 size_t TwoPassMaxCover::MemoryBytes() const {
   if (!first_pass_done_) return covered_->MemoryBytes();
   return second_->MemoryBytes();
-}
-
-EstimateOutcome RunTwoPass(EdgeStream& stream,
-                           const TwoPassMaxCover::Config& config,
-                           TwoPassMaxCover* out_instance) {
-  TwoPassMaxCover two_pass(config);
-  Edge e;
-  while (stream.Next(&e)) two_pass.ProcessFirstPass(e);
-  two_pass.FinishFirstPass();
-  stream.Reset();
-  while (stream.Next(&e)) two_pass.ProcessSecondPass(e);
-  EstimateOutcome out = two_pass.Finalize();
-  if (out_instance != nullptr) *out_instance = std::move(two_pass);
-  return out;
 }
 
 }  // namespace streamkc

@@ -44,6 +44,11 @@ class TwoPassMaxCover {
 
   explicit TwoPassMaxCover(const Config& config);
 
+  // Ingests a batch into the live pass, leaving the state the per-edge calls
+  // below would; the peak is sampled once per batch, so it may read lower.
+  // RunTwoPass (runtime/feed_stream.h) drives both passes through it.
+  void ProcessBatch(const PrefoldedEdges& batch);
+
   // ---- Pass 1: bracket OPT. ------------------------------------------------
   void ProcessFirstPass(const Edge& edge);
   // Computes the bracket and builds the pass-2 estimator. Must be called
@@ -80,12 +85,6 @@ class TwoPassMaxCover {
   std::unique_ptr<EstimateMaxCover> second_;
   size_t peak_bytes_ = 0;
 };
-
-// Convenience driver over a resettable stream: runs both passes and returns
-// the outcome.
-EstimateOutcome RunTwoPass(EdgeStream& stream,
-                           const TwoPassMaxCover::Config& config,
-                           TwoPassMaxCover* out_instance = nullptr);
 
 }  // namespace streamkc
 

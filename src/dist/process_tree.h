@@ -5,22 +5,23 @@
 // MPI, no re-entry protocol, and in-memory test corpora ride across the
 // fork for free). Each worker owns a contiguous block of the caller's
 // segments (worker w gets [S*w/W, S*(w+1)/W) — the SegmentedTextStream
-// byte-range convention), ingests them through the batched ProcessBatch
-// path, and ships ONE final frame to the coordinator: the shipped
-// WorkerCounters block followed by the State's Save() blob, framed with
-// length + CRC + MergeFingerprint (dist/frame.h). HOW the frame travels is
-// the Transport's business (dist/transport.h): over a per-worker pipe, or
-// over TCP where the worker dials the coordinator when its frame is ready
-// (`DistOptions::transport`). The single-threaded coordinator poll(2)s the
-// per-worker fds plus whatever reactor fds the transport owns (listen
-// socket, half-open connections, SIGCHLD self-pipe), reassembles frames
-// with a per-connection FrameDecoder, and reduces the surviving states
-// through the arity-configurable merge tree (dist/reduction_tree.h).
+// byte-range convention), ingests them through FeedStream
+// (runtime/feed_stream.h), and ships ONE final frame to the coordinator:
+// the shipped WorkerCounters block followed by the State's Save() blob,
+// framed with length + CRC + MergeFingerprint (dist/frame.h). HOW the
+// frame travels is the Transport's business (dist/transport.h): over a
+// per-worker pipe, or over TCP where the worker dials the coordinator when
+// its frame is ready (`DistOptions::transport`). The single-threaded
+// coordinator poll(2)s the per-worker fds plus whatever reactor fds the
+// transport owns (listen socket, half-open connections, SIGCHLD
+// self-pipe), reassembles frames with a per-connection FrameDecoder, and
+// reduces the surviving states through the arity-configurable merge tree
+// (dist/reduction_tree.h).
 //
 // Crash recovery: with a checkpoint_dir configured, workers write a
 // checksummed checkpoint (dist/checkpoint.h) every checkpoint_every
 // committed segments. A worker that dies mid-stream (crash, CHECK-abort,
-// or a FaultPlan kill-shard) is respawned — up to max_respawns times —
+// or a FaultPlan kill-shard) is respawned — up to kMaxRespawns times —
 // and the respawned incarnation loads the checkpoint, then re-ingests only
 // the segments past the committed prefix. Because the checkpoint holds
 // exactly the committed prefix and the dead incarnation's uncommitted work
@@ -54,7 +55,7 @@
 //   crash / kill      coordinator sees EOF without a frame (pipe), a torn
 //                     connection, or a SIGCHLD-sweep waitpid (TCP, worker
 //                     died before dialing) -> respawn, then quarantine
-//                     once max_respawns is exhausted
+//                     once kMaxRespawns is exhausted
 //   exit(kPermanentErrorExit) (e.g. parse error, transport retry budget
 //                     exhausted) -> quarantine immediately (deterministic
 //                     failures don't earn respawns)
@@ -69,8 +70,9 @@
 //                     turned one torn file into a respawn loop that
 //                     quarantined the worker forever)
 //
-// Requirements on State: Process/ProcessBatch, Merge, MergeFingerprint,
-// Save(ostream&), static Load(istream&) — the serialize.h sketch contract.
+// State is a SerializableState (runtime/feed_stream.h): the pipeline
+// contract plus Save(ostream&) and static Load(istream&), the serialize.h
+// sketch contract.
 
 #ifndef STREAMKC_DIST_PROCESS_TREE_H_
 #define STREAMKC_DIST_PROCESS_TREE_H_
@@ -99,6 +101,7 @@
 #include "fault/fault_injector.h"
 #include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
+#include "runtime/feed_stream.h"
 #include "stream/edge_stream.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -114,8 +117,6 @@ struct DistOptions {
   // When > 0, checkpoint_dir must name an existing writable directory.
   uint32_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // Respawn budget per worker before it is quarantined out of the merge.
-  uint32_t max_respawns = 2;
   // Strict mode: any quarantine exits(1) after the reduction — the dist
   // analogue of DegradationPolicy::strict (a successful respawn is
   // recovery, not degradation, and does not trip strict mode).
@@ -143,7 +144,10 @@ inline constexpr int kWorkerOkExit = 0;
 inline constexpr int kWorkerKilledExit = 6;          // injected kill fault
 inline constexpr int kWorkerPermanentErrorExit = 9;  // deterministic failure
 
-template <typename State>
+// Respawns a crashed worker earns before it is quarantined out of the merge.
+inline constexpr uint32_t kMaxRespawns = 2;
+
+template <SerializableState State>
 class ProcessReductionTree {
  public:
   // Opens segment i afresh; called in the CHILD after fork, so the lambda
@@ -550,7 +554,7 @@ class ProcessReductionTree {
       inj->Count(FaultInjector::kFaultWorkerDeath);
     }
     DistWorkerRow& row = metrics_.workers[w];
-    if (row.respawns >= options_.max_respawns) {
+    if (row.respawns >= kMaxRespawns) {
       std::fprintf(stderr,
                    "dist: worker %u crashed with respawn budget exhausted "
                    "(%u used); quarantined\n",
@@ -561,7 +565,7 @@ class ProcessReductionTree {
     ++row.respawns;
     ++s->generation;
     std::fprintf(stderr, "dist: worker %u crashed; respawning (%u/%u)\n", w,
-                 row.respawns, options_.max_respawns);
+                 row.respawns, kMaxRespawns);
     Spawn(w, num_segments, open, slots);
   }
 
@@ -630,10 +634,34 @@ class ProcessReductionTree {
                      (unsigned long long)(seg_begin + local));
         ::_exit(kWorkerPermanentErrorExit);
       }
-      if (!IngestSegment(w, stream.get(), &state, &counters, &batch,
-                         killable, &batches_seen)) {
+      const FeedCounts fed = FeedStream(
+          *stream, state, batch, options_.batch_size, options_.degradation,
+          nullptr, [&](const FeedCounts& done) {
+            // A batch cut short by a parse error is not killed at: the
+            // worker exits permanently below.
+            const uint64_t at = batches_seen + done.batches;
+            if (killable && (stream->ok() || stream->transient()) &&
+                inj->WorkerDiesAt(w, at)) {
+              std::fprintf(stderr,
+                           "dist: worker %u killed by fault plan at batch "
+                           "%llu\n",
+                           w, (unsigned long long)at);
+              ::_exit(kWorkerKilledExit);
+            }
+          });
+      batches_seen += fed.batches;
+      counters.edges_ingested += fed.edges;
+      counters.edges_processed += fed.edges;
+      counters.batches += fed.batches;
+      counters.stream_retries += fed.retries;
+      if (!stream->ok() && !stream->transient()) {
+        std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
+                     stream->StatusMessage().c_str());
         ::_exit(kWorkerPermanentErrorExit);
       }
+      // A spent retry budget truncates the segment, and what it read still
+      // commits — the pipeline's degradation semantics.
+      if (!stream->ok()) ++counters.truncated_segments;
       ++counters.segments_done;
       const uint64_t committed = local + 1;
       if (!ckpt_path.empty() && committed < owned &&
@@ -671,44 +699,6 @@ class ProcessReductionTree {
           return frame;
         });
     ::_exit(shipped ? kWorkerOkExit : kWorkerPermanentErrorExit);
-  }
-
-  // Batched ingest of one segment, retrying transient errors through the
-  // shared BatchReader. Returns false on a non-transient stream error
-  // (parse failure).
-  bool IngestSegment(uint32_t w, EdgeStream* stream, State* state,
-                     WorkerCounters* counters, EdgeBatch* batch,
-                     bool killable, uint64_t* batches_seen) {
-    const FaultInjector* inj = options_.fault_injector;
-    BatchReader reader(*stream, options_.degradation);
-    // A batch cut short by a parse error never commits: the worker exits.
-    while (reader.Next(&batch->edges, options_.batch_size) > 0 &&
-           (stream->ok() || stream->transient())) {
-      if (killable && inj->WorkerDiesAt(w, *batches_seen)) {
-        std::fprintf(stderr,
-                     "dist: worker %u killed by fault plan at batch "
-                     "%llu\n",
-                     w, (unsigned long long)*batches_seen);
-        ::_exit(kWorkerKilledExit);
-      }
-      ++*batches_seen;
-      batch->Prefold();
-      state->ProcessBatch(batch->View());
-      counters->edges_ingested += batch->size();
-      counters->edges_processed += batch->size();
-      counters->batches += 1;
-    }
-    counters->stream_retries += reader.retries();
-    if (stream->ok()) return true;
-    if (!stream->transient()) {
-      std::fprintf(stderr, "dist: worker %u stream error: %s\n", w,
-                   stream->StatusMessage().c_str());
-      return false;
-    }
-    // Retry budget exhausted: the segment is truncated, and what it read
-    // still commits — the pipeline's degradation semantics.
-    counters->truncated_segments += 1;
-    return true;
   }
 
   DistOptions options_;

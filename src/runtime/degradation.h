@@ -5,8 +5,9 @@
 //   * Backoff — the retry budget and its saturating sleeps. The TCP redial
 //     (dist/socket_transport.cc) spends one directly.
 //   * BatchReader — batched reads that retry transient stream errors
-//     through a Backoff. ShardedPipeline producers, ServingRuntime's inline
-//     segments and ProcessReductionTree workers all read through it.
+//     through a Backoff. ShardedPipeline producers read through it, and so
+//     does FeedStream (runtime/feed_stream.h), the loop every other driver
+//     ingests through.
 //   * MajorityFingerprint — the vote both coordinators (ShardedPipeline,
 //     ProcessReductionTree) use to keep a disagreeing replica out of the
 //     fold.

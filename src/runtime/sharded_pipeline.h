@@ -18,14 +18,13 @@
 // each draining its own substream from a SegmentOpener — the sender/receiver
 // decoupling that breaks the one-thread parse/route/flush bottleneck.
 //
-// `State` is any type with
-//     void Process(const Edge&);
-//     void Merge(const State&);     // same-seed replica
-// — which every streamkc estimator (EstimateMaxCover, ReportMaxCover,
-// SketchGreedy) and every sketch adapter satisfies. Replicas are produced
-// by a factory called once per shard; handing every shard THE SAME seeds is
-// what makes the shard states Merge()-compatible (seed-coordinated
-// replicas, the same contract as the distributed_coverage example).
+// `State` is a PipelineState (runtime/feed_stream.h): ProcessBatch, Merge
+// of a same-seed replica, MergeFingerprint and SpaceMetered — which
+// EstimateMaxCover, ReportMaxCover, ServingState and CoverageSketchState
+// meet. Replicas are produced by a factory called once per shard; handing
+// every shard THE SAME seeds is what makes the shard states
+// Merge()-compatible (seed-coordinated replicas, the same contract as the
+// distributed_coverage example).
 //
 // Determinism: the router is a pure function of the edge, so the MULTISET
 // each shard observes is fixed by (stream, segmentation, options),
@@ -62,8 +61,8 @@
 //     backpressure cannot deadlock) but its edges are discarded and the
 //     shard is QUARANTINED out of the merge;
 //   * merge corruption — before folding, shard fingerprints
-//     (State::MergeFingerprint(), when provided) are compared and the
-//     minority view is quarantined rather than folded into garbage.
+//     (State::MergeFingerprint()) are compared and the minority view is
+//     quarantined rather than folded into garbage.
 // Quarantine counts are reported in RuntimeMetrics (shards_quarantined,
 // QuarantinedFraction()) so drivers can attach a confidence discount to the
 // final estimate. strict mode turns every degradation into a hard failure —
@@ -75,7 +74,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -91,6 +89,7 @@
 #include "obs/space_accountant.h"
 #include "runtime/degradation.h"
 #include "runtime/edge_batch.h"
+#include "runtime/feed_stream.h"
 #include "runtime/runtime_metrics.h"
 #include "runtime/shard_router.h"
 #include "runtime/spsc_ring.h"
@@ -131,7 +130,7 @@ struct ShardedPipelineOptions {
   std::function<void()> before_exit;
 };
 
-template <typename State>
+template <PipelineState State>
 class ShardedPipeline {
  public:
   using Factory = std::function<State(uint32_t shard)>;
@@ -193,7 +192,7 @@ class ShardedPipeline {
   }
 
   // Space breakdown of the last Run(): peak = sum of simultaneous per-shard
-  // peaks, current = merged state. Empty unless State is SpaceMetered.
+  // peaks, current = merged state.
   const SpaceAccountant& space() const { return accountant_; }
 
  private:
@@ -394,18 +393,10 @@ class ShardedPipeline {
             continue;
           }
           auto t0 = std::chrono::steady_clock::now();
-          // Batch-capable states consume the whole block through one call
-          // (after a worker-side prefold of the ids), which amortizes hash
-          // evaluation and skips per-edge virtual dispatch; everything else
-          // gets the classic per-edge loop.
-          if constexpr (requires(State& st, const PrefoldedEdges& v) {
-                          st.ProcessBatch(v);
-                        }) {
-            batch.Prefold();
-            state.ProcessBatch(batch.View());
-          } else {
-            for (const Edge& e : batch.edges) state.Process(e);
-          }
+          // The worker prefolds the ids, so the fold parallelizes with the
+          // shard fan-out.
+          batch.Prefold();
+          state.ProcessBatch(batch.View());
           auto t1 = std::chrono::steady_clock::now();
           uint64_t busy = static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -425,18 +416,14 @@ class ShardedPipeline {
               std::this_thread::sleep_for(std::chrono::nanoseconds(slow_ns));
             }
           }
-          if constexpr (std::derived_from<State, SpaceMetered>) {
-            if (sample_every > 0 && ++batches_since_sample >= sample_every) {
-              batches_since_sample = 0;
-              acct.Sample(state);
-            }
+          if (sample_every > 0 && ++batches_since_sample >= sample_every) {
+            batches_since_sample = 0;
+            acct.Sample(state);
           }
         }
         // End-of-substream footprint, so peaks are recorded even for runs
         // shorter than the sampling cadence.
-        if constexpr (std::derived_from<State, SpaceMetered>) {
-          acct.Sample(state);
-        }
+        acct.Sample(state);
       });
     }
 
@@ -493,15 +480,10 @@ class ShardedPipeline {
     }
 
     // End-of-stream space accounting: per-shard sketch footprints BEFORE the
-    // fold — their sum is the pipeline's peak sketch space (SpaceAccounted
-    // interface, when State implements it).
+    // fold — their sum is the pipeline's peak sketch space.
     for (uint32_t s = 0; s < n; ++s) {
-      if constexpr (requires(const State& st) {
-                      { st.MemoryBytes() } -> std::convertible_to<size_t>;
-                    }) {
-        metrics_.shard(s).state_bytes.store(states[s].MemoryBytes(),
-                                            std::memory_order_relaxed);
-      }
+      metrics_.shard(s).state_bytes.store(states[s].MemoryBytes(),
+                                          std::memory_order_relaxed);
       accountant_.Absorb(shard_accts[s]);
     }
 
@@ -515,27 +497,23 @@ class ShardedPipeline {
         metrics_.worker_deaths.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    // (2) Merge corruption, when State exposes a fingerprint: the healthy
-    // replicas vote, and the minority view is quarantined.
-    if constexpr (requires(const State& st) {
-                    { st.MergeFingerprint() } -> std::convertible_to<uint64_t>;
-                  }) {
-      std::vector<uint64_t> fps(n), votes;
-      for (uint32_t s = 0; s < n; ++s) {
-        fps[s] = states[s].MergeFingerprint();
-        if (injector != nullptr && injector->CorruptsMergeFingerprint(s)) {
-          fps[s] ^= 0xD1E7C0DEDEADBEEFull;  // injected corruption
-          injector->Count(FaultInjector::kFaultMergeCorruption);
-        }
-        if (!quarantined[s]) votes.push_back(fps[s]);
+    // (2) Merge corruption: the healthy replicas vote on their
+    // fingerprints, and the minority view is quarantined.
+    std::vector<uint64_t> fps(n), votes;
+    for (uint32_t s = 0; s < n; ++s) {
+      fps[s] = states[s].MergeFingerprint();
+      if (injector != nullptr && injector->CorruptsMergeFingerprint(s)) {
+        fps[s] ^= 0xD1E7C0DEDEADBEEFull;  // injected corruption
+        injector->Count(FaultInjector::kFaultMergeCorruption);
       }
-      const uint64_t majority = MajorityFingerprint(votes);
-      for (uint32_t s = 0; s < n; ++s) {
-        if (quarantined[s] || fps[s] == majority) continue;
-        quarantined[s] = 1;
-        metrics_.merge_corruptions_detected.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      if (!quarantined[s]) votes.push_back(fps[s]);
+    }
+    const uint64_t majority = MajorityFingerprint(votes);
+    for (uint32_t s = 0; s < n; ++s) {
+      if (quarantined[s] || fps[s] == majority) continue;
+      quarantined[s] = 1;
+      metrics_.merge_corruptions_detected.fetch_add(1,
+                                                    std::memory_order_relaxed);
     }
     uint32_t num_quarantined = 0;
     for (uint32_t s = 0; s < n; ++s) {
@@ -572,17 +550,11 @@ class ShardedPipeline {
             std::chrono::steady_clock::now() - merge_start)
             .count(),
         std::memory_order_relaxed);
-    if constexpr (requires(const State& st) {
-                    { st.MemoryBytes() } -> std::convertible_to<size_t>;
-                  }) {
-      metrics_.merged_state_bytes.store(states[root].MemoryBytes(),
-                                        std::memory_order_relaxed);
-    }
+    metrics_.merged_state_bytes.store(states[root].MemoryBytes(),
+                                      std::memory_order_relaxed);
     // Current footprint after the fold = the merged state alone; the peak
     // (sum of simultaneous shard peaks, absorbed above) is retained.
-    if constexpr (std::derived_from<State, SpaceMetered>) {
-      accountant_.Sample(states[root]);
-    }
+    accountant_.Sample(states[root]);
     metrics_.wall_ns.store(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - run_start)

@@ -1,10 +1,10 @@
 // Ready-made pipeline states over the raw sketches.
 //
-// The core estimators (EstimateMaxCover, ReportMaxCover, SketchGreedy)
-// already satisfy the ShardedPipeline State concept directly. The raw
-// sketches expose Add(id) rather than Process(Edge); this header wraps the
-// common bundles so benches, tests and ad-hoc callers can shard them
-// without writing adapters.
+// The core estimators (EstimateMaxCover, ReportMaxCover) already meet the
+// ShardedPipeline State contract (PipelineState, runtime/feed_stream.h)
+// directly. The raw sketches expose Add(id) rather than ProcessBatch; this
+// header wraps the common bundles so benches, tests and ad-hoc callers can
+// shard them without writing adapters.
 
 #ifndef STREAMKC_RUNTIME_SKETCH_STATES_H_
 #define STREAMKC_RUNTIME_SKETCH_STATES_H_

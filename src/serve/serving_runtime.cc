@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "runtime/edge_batch.h"
+#include "runtime/feed_stream.h"
 #include "runtime/runtime_metrics.h"
 #include "runtime/sharded_pipeline.h"
 #include "util/check.h"
@@ -100,12 +101,9 @@ IngestSummary ServingRuntime::Ingest(EdgeStream& stream) {
     // fingerprint vote) folds the segment into its own state.
     std::optional<ServingState> segment;
     if (options_.threads == 0) {
-      BatchReader reader(bounded, options_.degradation, retry_backoff_ns_);
-      while (const size_t n = reader.Next(&batch.edges, options_.batch_size)) {
-        batch.Prefold();
-        state_.ProcessBatch(batch.View());
-        got += n;
-      }
+      got = FeedStream(bounded, state_, batch, options_.batch_size,
+                       options_.degradation, retry_backoff_ns_)
+                .edges;
     } else {
       ShardedPipeline<ServingState> pipeline(popts, factory);
       segment.emplace(pipeline.Run(bounded));

@@ -10,10 +10,10 @@
 // cadence, and forks only on how that segment is ingested and where it is
 // published:
 //
-//   * inline (threads == 0): the calling thread reads the segment through a
-//     BatchReader (runtime/degradation.h), prefolds and batches it straight
-//     into the cumulative ServingState, and publishes in place — the
-//     single-core path;
+//   * inline (threads == 0): the calling thread feeds the segment straight
+//     into the cumulative ServingState through FeedStream
+//     (runtime/feed_stream.h), reusing one EdgeBatch across segments, and
+//     publishes in place — the single-core path;
 //   * sharded (threads >= 1): the segment is one ShardedPipeline run over
 //     the view; its merged state is handed to a publisher thread, which
 //     folds it into the cumulative state with Merge() and publishes while

@@ -13,9 +13,9 @@
 //     (the core estimators settle `mutable` buffers inside const Finalize,
 //     so their answers must be precomputed at snapshot-publish time — see
 //     serve/snapshot.h);
-//   * the ShardedPipeline State contract — Process/ProcessBatch/Merge/
-//     MergeFingerprint/SpaceMetered — so serving instances shard exactly
-//     like one-shot passes.
+//   * the ShardedPipeline State contract (PipelineState: ProcessBatch/
+//     Merge/MergeFingerprint/SpaceMetered) — so serving instances shard
+//     exactly like one-shot passes.
 
 #ifndef STREAMKC_SERVE_SERVING_STATE_H_
 #define STREAMKC_SERVE_SERVING_STATE_H_

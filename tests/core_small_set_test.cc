@@ -462,7 +462,7 @@ TEST_P(SmallSetReference, MatchesMapOfListsEvaluation) {
         inst.system, k, 8, tc.budget_bytes, 77, tc.dying ? 2 : 0);
     if (tc.dying) {
       // The first instance dies at stream position 1100 + 200, 20 edges
-      // into a 128-edge tile of FeedStream's second block.
+      // into a 128-edge tile of FeedStream's first block.
       PlantImmortals(ReferenceSmallSet(config), inst.system.num_sets(),
                      tc.budget_bytes, 1100, &edges);
     }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "runtime/feed_stream.h"
 #include "test_util.h"
 
 namespace streamkc {
@@ -80,6 +84,46 @@ TEST(TwoPass, ReportingWorks) {
   uint64_t cov = inst.system.CoverageOf(sets);
   EXPECT_GE(static_cast<double>(cov),
             static_cast<double>(GreedyCoverage(inst.system, 64)) / 16.0);
+}
+
+// RunTwoPass feeds both passes through FeedStream in batches; the per-edge
+// calls are the reference it must reproduce exactly, whatever the batching.
+TEST(TwoPass, BatchedRunMatchesPerEdgeReference) {
+  const uint64_t k = 32;
+  const std::vector<GeneratedInstance> instances = {
+      PlantedCover(1024, 4096, k, 0.25, 6, 31),
+      SmallSetFamily(512, 2048, k, 33)};
+  for (const GeneratedInstance& inst : instances) {
+    const TwoPassMaxCover::Config config =
+        MakeConfig(inst.system, k, 8, 35, /*reporting=*/true);
+    VectorEdgeStream stream = inst.system.MakeStream(ArrivalOrder::kRandom, 6);
+    TwoPassMaxCover per_edge(config);
+    Edge e;
+    while (stream.Next(&e)) per_edge.ProcessFirstPass(e);
+    per_edge.FinishFirstPass();
+    stream.Reset();
+    while (stream.Next(&e)) per_edge.ProcessSecondPass(e);
+    const EstimateOutcome want = per_edge.Finalize();
+    ASSERT_TRUE(want.feasible) << inst.family;
+
+    for (size_t batch_size : {size_t{257}, kFeedBatchSize}) {
+      stream.Reset();
+      TwoPassMaxCover batched(config);
+      const EstimateOutcome got =
+          RunTwoPass(stream, config, &batched, batch_size);
+      const std::string label =
+          inst.family + " batch " + std::to_string(batch_size);
+      EXPECT_EQ(batched.guess_lo(), per_edge.guess_lo()) << label;
+      EXPECT_EQ(batched.guess_hi(), per_edge.guess_hi()) << label;
+      EXPECT_EQ(batched.num_oracles(), per_edge.num_oracles()) << label;
+      EXPECT_EQ(got.feasible, want.feasible) << label;
+      EXPECT_EQ(got.estimate, want.estimate) << label;
+      EXPECT_EQ(got.source, want.source) << label;
+      EXPECT_EQ(batched.ExtractSolution(k), per_edge.ExtractSolution(k))
+          << label;
+      EXPECT_EQ(batched.MemoryBytes(), per_edge.MemoryBytes()) << label;
+    }
+  }
 }
 
 TEST(TwoPass, PhaseDisciplineEnforced) {

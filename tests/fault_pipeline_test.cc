@@ -18,6 +18,8 @@
 #include "fault/faulty_stream.h"
 #include "obs/metrics.h"
 #include "runtime/degradation.h"
+#include "runtime/edge_batch.h"
+#include "runtime/feed_stream.h"
 #include "runtime/shard_router.h"
 #include "runtime/sharded_pipeline.h"
 #include "runtime/sketch_states.h"
@@ -370,6 +372,73 @@ TEST(BatchReader, FillsAcrossTransientErrorsAndStopsForGood) {
   EXPECT_EQ(spent.Next(&batch, 8), 0u);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(down.calls(), calls_at_stop);
+}
+
+EstimateMaxCover::Config FeedConfig() {
+  EstimateMaxCover::Config c;
+  c.params = Params::Practical(256, 4096, 8, 4);
+  c.seed = 11;
+  return c;
+}
+
+TEST(FeedStream, RetriedTransientErrorsLeaveTheCleanState) {
+  const std::vector<Edge> edges = SyntheticEdges(3000, 7);
+  VectorEdgeStream clean_stream(edges);
+  EstimateMaxCover clean(FeedConfig());
+  const FeedCounts clean_fed = FeedStream(clean_stream, clean);
+  EXPECT_EQ(clean_fed.edges, edges.size());
+  EXPECT_EQ(clean_fed.retries, 0u);
+
+  // Two outages of two reads each, one mid-batch and one at the start of
+  // the third batch, each within the budget of 3.
+  DegradationPolicy pol;
+  pol.max_stream_retries = 3;
+  pol.initial_backoff_ns = 1;
+  ScriptedFaultStream flaky(edges, {100, 101, 1026, 1027});
+  EstimateMaxCover fed(FeedConfig());
+  EdgeBatch batch;
+  std::vector<uint64_t> hook_edges;
+  const FeedCounts counts =
+      FeedStream(flaky, fed, batch, 512, pol, nullptr,
+                 [&](const FeedCounts& done) {
+                   hook_edges.push_back(done.edges);
+                 });
+  EXPECT_TRUE(flaky.ok());
+  EXPECT_EQ(counts.edges, edges.size());
+  EXPECT_EQ(counts.batches, 6u);
+  EXPECT_EQ(counts.retries, 4u);
+  // The hook runs before each batch with what was ingested before it.
+  EXPECT_EQ(hook_edges,
+            (std::vector<uint64_t>{0, 512, 1024, 1536, 2048, 2560}));
+  const EstimateOutcome got = fed.Finalize();
+  const EstimateOutcome want = clean.Finalize();
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(fed.MemoryBytes(), clean.MemoryBytes());
+}
+
+TEST(FeedStream, AnOutageLongerThanTheBudgetStopsTheFeed) {
+  const std::vector<Edge> edges = SyntheticEdges(3000, 7);
+  DegradationPolicy pol;
+  pol.max_stream_retries = 2;
+  pol.initial_backoff_ns = 1;
+  ScriptedFaultStream down(edges, {700, 701, 702});
+  EstimateMaxCover fed(FeedConfig());
+  EdgeBatch batch;
+  const FeedCounts counts = FeedStream(down, fed, batch, 512, pol);
+  EXPECT_FALSE(down.ok());
+  EXPECT_TRUE(down.transient());
+  EXPECT_EQ(counts.edges, 700u);
+  EXPECT_EQ(counts.batches, 2u);
+  EXPECT_EQ(counts.retries, 2u);
+  // The edges read before the outage are in the state, and no others.
+  VectorEdgeStream prefix(
+      std::vector<Edge>(edges.begin(), edges.begin() + 700));
+  EstimateMaxCover want(FeedConfig());
+  FeedStream(prefix, want);
+  EXPECT_EQ(fed.Finalize().estimate, want.Finalize().estimate);
+  EXPECT_EQ(fed.MemoryBytes(), want.MemoryBytes());
 }
 
 using FaultPipelineDeathTest = ::testing::Test;

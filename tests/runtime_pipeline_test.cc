@@ -262,7 +262,7 @@ TEST(ShardedPipeline, EmptyStreamCompletes) {
 
 // A state whose Process is slow enough to fill its ring: the bounded queue
 // must stall the producer (backpressure), not drop or buffer unboundedly.
-struct SlowCountingState {
+struct SlowCountingState : SpaceMetered {
   uint64_t edges_seen = 0;
   void Process(const Edge&) {
     ++edges_seen;
@@ -270,7 +270,13 @@ struct SlowCountingState {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+  void ProcessBatch(const PrefoldedEdges& batch) {
+    for (size_t i = 0; i < batch.size; ++i) Process(batch.edges[i]);
+  }
   void Merge(const SlowCountingState& other) { edges_seen += other.edges_seen; }
+  uint64_t MergeFingerprint() const { return 0; }
+  size_t MemoryBytes() const override { return sizeof(*this); }
+  const char* ComponentName() const override { return "slow_counting"; }
 };
 
 TEST(ShardedPipeline, SlowShardBackpressuresProducerWithoutLoss) {

@@ -21,6 +21,7 @@
 #include "dist/process_tree.h"
 #include "fault/faulty_stream.h"
 #include "offline/greedy.h"
+#include "runtime/feed_stream.h"
 #include "runtime/sketch_states.h"
 #include "setsys/generators.h"
 #include "setsys/set_system.h"

@@ -17,7 +17,9 @@
 // --threads N runs estimate/report through the sharded runtime pipeline
 // (src/runtime): N seed-coordinated replicas ingest disjoint substreams and
 // are folded with Merge() at end of stream. The result is deterministic and
-// matches the single-threaded answer on the same seed.
+// matches the single-threaded answer on the same seed. --partition picks
+// the routing key and so needs --threads. Inline passes read the file
+// through FeedStream in --batch-size batches.
 //
 // --producers P (estimate/report with --threads >= 1) additionally splits
 // the input file into P newline-aligned segments and parses/routes them
@@ -85,6 +87,8 @@
 #include "hash/kernel_dispatch.h"
 #include "obs/metrics.h"
 #include "obs/space_accountant.h"
+#include "runtime/edge_batch.h"
+#include "runtime/feed_stream.h"
 #include "runtime/metrics_export.h"
 #include "runtime/sharded_pipeline.h"
 #include "runtime/sketch_states.h"
@@ -112,6 +116,7 @@ struct Args {
   bool producers_set = false;
   size_t batch_size = 4096;
   std::string partition = "element";  // routing key: element | set
+  bool partition_set = false;
   std::string metrics_out;            // metrics dump sink ("-" = stdout)
   std::string metrics_format = "json";  // json | prometheus
   bool lenient = false;  // skip+count malformed input lines instead of failing
@@ -161,9 +166,9 @@ struct Args {
                "   (pin the field-hash kernel; default: CPUID dispatch,\n"
                "            overridable via STREAMKC_HASH_KERNEL)\n"
                "  streamkc_cli report  FILE --m M --n N --k K --alpha A"
-               " [--seed S] [--threads T ...]\n"
+               " [--seed S] [--batch-size B] [--threads T ...]\n"
                "  streamkc_cli twopass FILE --m M --n N --k K --alpha A"
-               " [--seed S]\n"
+               " [--seed S] [--batch-size B]\n"
                "  streamkc_cli serve   FILE --m M --n N --k K"
                " (--alpha A | --budget-kb B) [--seed S]\n"
                "           [--snapshot-every E] [--query-threads Q]"
@@ -244,6 +249,7 @@ Args Parse(int argc, char** argv) {
       if (a.batch_size == 0) Usage("--batch-size must be >= 1");
     } else if (flag == "--partition") {
       a.partition = next();
+      a.partition_set = true;
       if (a.partition != "element" && a.partition != "set") {
         Usage("--partition must be element or set");
       }
@@ -396,6 +402,9 @@ void ValidateFlags(const Args& a) {
       Usage("--producers > 1 needs --threads >= 1");
     }
   }
+  if (a.partition_set && a.threads == 0) {
+    Usage("--partition needs --threads >= 1 (it routes edges to shards)");
+  }
 }
 
 TextEdgeStream::Config StreamConfig(const Args& a);
@@ -521,34 +530,50 @@ void DumpMetrics(const Args& a, const RuntimeMetrics* runtime,
   WriteDump(content, a.metrics_out);
 }
 
+// The --fault-plan injector (nullptr without one), its plan line printed.
+std::unique_ptr<FaultInjector> MakeFaultInjector(const Args& a) {
+  if (a.fault_plan.empty()) return nullptr;
+  FaultPlan plan;
+  std::string err;
+  if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
+  std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
+              a.fault_strict ? " (strict)" : "");
+  return std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
+}
+
 // What a pass reports back to its command besides the estimator state.
 struct PassStats {
+  uint64_t edges = 0;     // edges ingested by an inline pass
   size_t peak_bytes = 0;  // peak sketch footprint (SpaceAccountant)
   // Degradation verdicts from a faulted sharded pass (0 / 0.0 when clean).
   uint32_t shards_quarantined = 0;
   double quarantined_fraction = 0.0;
 };
 
-// One pass over `a.file` with a fresh `make()` estimator: in-line when
-// --threads is absent, through the sharded runtime otherwise. Peak sketch
-// footprint comes from the SpaceAccountant: sampled every 64Ki edges
-// in-line (rescaling subroutines can shrink, so the final footprint is not
-// the peak), and the sum of simultaneous shard replica peaks when sharded.
+// One pass over `a.file` with a fresh `make()` state: in-line through
+// FeedStream when --threads is absent, through the sharded runtime
+// otherwise. Peak sketch footprint comes from the SpaceAccountant: sampled
+// in-line whenever the ingested edges pass a multiple of 64Ki (rescaling
+// subroutines can shrink, so the final footprint is not the peak), and the
+// sum of simultaneous shard replica peaks when sharded.
 // With --fault-plan, the stream is wrapped in a FaultInjectingStream and
 // the pipeline runs under the plan's runtime faults + degradation policy.
 template <typename State, typename MakeFn>
 State RunPass(const Args& a, MakeFn make, PassStats* stats) {
   TextEdgeStream stream(a.file, StreamConfig(a));
   if (a.threads == 0) {
-    if (!a.fault_plan.empty()) Usage("--fault-plan needs --threads >= 1");
     State st = make();
     SpaceAccountant acct(&MetricsRegistry::Global());
-    Edge e;
-    uint64_t count = 0;
-    while (stream.Next(&e)) {
-      st.Process(e);
-      if ((++count & 0xFFFFu) == 0) acct.Sample(st);
-    }
+    EdgeBatch batch(a.batch_size);
+    uint64_t sampled_marks = 0;
+    stats->edges =
+        FeedStream(stream, st, batch, a.batch_size, DegradationPolicy(),
+                   nullptr, [&](const FeedCounts& done) {
+                     if ((done.edges >> 16) == sampled_marks) return;
+                     sampled_marks = done.edges >> 16;
+                     acct.Sample(st);
+                   })
+            .edges;
     CheckStream(stream);
     acct.Sample(st);
     stats->peak_bytes = acct.peak_total_bytes();
@@ -556,25 +581,16 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
     return st;
   }
   ShardedPipelineOptions po = PipelineOptions(a);
-  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
+  po.fault_injector = injector.get();
+  po.degradation.strict = a.fault_strict;
+  // With multiple producers the fault wrapping happens per segment below;
+  // here only the single whole-file stream is wrapped.
   std::unique_ptr<FaultInjectingStream> faulted;
   EdgeStream* src = &stream;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    po.fault_injector = injector.get();
-    po.degradation.strict = a.fault_strict;
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-    // With multiple producers the fault wrapping happens per segment below;
-    // here only the single whole-file stream is wrapped.
-    if (plan.HasStreamFaults() && a.producers <= 1) {
-      faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
-      src = faulted.get();
-    }
+  if (injector && injector->plan().HasStreamFaults() && a.producers <= 1) {
+    faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
+    src = faulted.get();
   }
   po.num_producers = static_cast<uint32_t>(a.producers);
   ShardedPipeline<State> pipe(po, [&](uint32_t) { return make(); });
@@ -718,7 +734,7 @@ int CmdTwoPass(const Args& a) {
   TextEdgeStream stream(a.file, StreamConfig(a));
   TwoPassMaxCover tp(c);
   Stopwatch sw;
-  EstimateOutcome out = RunTwoPass(stream, c, &tp);
+  EstimateOutcome out = RunTwoPass(stream, c, &tp, a.batch_size);
   CheckStream(stream);
   std::printf("coverage estimate  : %.0f (%s)\n", out.estimate,
               out.source.c_str());
@@ -750,23 +766,14 @@ int CmdServe(const Args& a) {
                                      : PartitionPolicy::kByElement;
 
   TextEdgeStream stream(a.file, StreamConfig(a));
-  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
+  opts.fault_injector = injector.get();
+  opts.degradation.strict = a.fault_strict;
   std::unique_ptr<FaultInjectingStream> faulted;
   EdgeStream* src = &stream;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    opts.fault_injector = injector.get();
-    opts.degradation.strict = a.fault_strict;
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-    if (plan.HasStreamFaults()) {
-      faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
-      src = faulted.get();
-    }
+  if (injector && injector->plan().HasStreamFaults()) {
+    faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
+    src = faulted.get();
   }
 
   ServingRuntime runtime(sc, opts, &store);
@@ -860,6 +867,16 @@ int CmdServe(const Args& a) {
   return final_ans.ok ? 0 : 1;
 }
 
+// The state lines both sketch drivers print.
+void PrintSketch(const CoverageSketchState& state) {
+  std::printf("distinct covered   : %.0f (L0), %.0f (HLL)\n",
+              state.covered_l0.Estimate(), state.covered_hll.Estimate());
+  std::printf("element F2         : %.0f\n", state.element_f2.Estimate());
+  std::printf("merge fingerprint  : %016llx\n",
+              (unsigned long long)state.MergeFingerprint());
+  std::printf("sketch memory      : %zu KiB\n", state.MemoryBytes() >> 10);
+}
+
 // Multi-process coverage-sketch pass: forks --workers processes over the
 // file's segment split and tree-merges their serialized states. With
 // --workers 0 the same state ingests inline — the differential reference
@@ -870,27 +887,13 @@ int CmdSketch(const Args& a) {
   config.seed = a.seed;
 
   if (a.workers == 0) {
-    TextEdgeStream stream(a.file, StreamConfig(a));
-    CoverageSketchState state(config);
     Stopwatch sw;
-    Edge e;
-    uint64_t edges = 0;
-    while (stream.Next(&e)) {
-      state.Process(e);
-      ++edges;
-    }
-    CheckStream(stream);
+    PassStats stats;
+    CoverageSketchState state = RunPass<CoverageSketchState>(
+        a, [&] { return CoverageSketchState(config); }, &stats);
     std::printf("sketch             : inline pass, %llu edges in %.2fs\n",
-                (unsigned long long)edges, sw.ElapsedSeconds());
-    std::printf("distinct covered   : %.0f (L0), %.0f (HLL)\n",
-                state.covered_l0.Estimate(), state.covered_hll.Estimate());
-    std::printf("element F2         : %.0f\n", state.element_f2.Estimate());
-    std::printf("merge fingerprint  : %016llx\n",
-                (unsigned long long)state.MergeFingerprint());
-    std::printf("sketch memory      : %zu KiB\n", state.MemoryBytes() >> 10);
-    SpaceAccountant acct(&MetricsRegistry::Global());
-    acct.Sample(state);
-    DumpMetrics(a, nullptr, &acct);
+                (unsigned long long)stats.edges, sw.ElapsedSeconds());
+    PrintSketch(state);
     return 0;
   }
 
@@ -909,17 +912,8 @@ int CmdSketch(const Args& a) {
   if (!a.listen_addr.empty()) opt.transport.listen_addr = a.listen_addr;
   opt.transport.connect_addr = a.connect_addr;
   opt.poll_timeout_ms = static_cast<int>(a.poll_timeout_ms);
-  std::unique_ptr<FaultInjector> injector;
-  if (!a.fault_plan.empty()) {
-    FaultPlan plan;
-    std::string err;
-    if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
-    injector =
-        std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
-    opt.fault_injector = injector.get();
-    std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
-                a.fault_strict ? " (strict)" : "");
-  }
+  std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
+  opt.fault_injector = injector.get();
 
   ProcessReductionTree<CoverageSketchState> tree(
       opt, [config](uint32_t) { return CoverageSketchState(config); });
@@ -964,12 +958,7 @@ int CmdSketch(const Args& a) {
                 dm.FingerprintCorruptions(), dm.WorkersQuarantined(),
                 dm.num_workers);
   }
-  std::printf("distinct covered   : %.0f (L0), %.0f (HLL)\n",
-              state.covered_l0.Estimate(), state.covered_hll.Estimate());
-  std::printf("element F2         : %.0f\n", state.element_f2.Estimate());
-  std::printf("merge fingerprint  : %016llx\n",
-              (unsigned long long)state.MergeFingerprint());
-  std::printf("sketch memory      : %zu KiB\n", state.MemoryBytes() >> 10);
+  PrintSketch(state);
   dm.PublishTo(&MetricsRegistry::Global());
   DumpMetrics(a, nullptr, nullptr, "dist", dm.ToJson());
   return 0;
