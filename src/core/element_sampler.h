@@ -28,11 +28,6 @@ class ElementSampler : public SpaceAccounted {
     return hash_.Keep(e, rate_num_, kRateDen);
   }
 
-  // Membership for a pre-folded id (folded == MersenneFold(e)).
-  bool SampledFolded(uint64_t folded) const {
-    return hash_.KeepFolded(folded, rate_num_, kRateDen);
-  }
-
   // Batched membership keys: out[i] ∈ [0, kRateDen) is folded[i]'s sample
   // key; the element is sampled iff its key < rate_num() (keys are always
   // below kRateDen, so the test matches Sampled() even at rate 1).

@@ -30,11 +30,6 @@ class SetSampler : public SpaceAccounted {
   // Deterministic membership test.
   bool Sampled(SetId set) const { return hash_.MapRange(set, range_) == 0; }
 
-  // Membership for a pre-folded id (folded == MersenneFold(set)).
-  bool SampledFolded(uint64_t folded) const {
-    return hash_.MapRangeFolded(folded, range_) == 0;
-  }
-
   // Batched membership keys: out[i] is the sample key of folded[i]; the set
   // is sampled iff its key is 0 (same test Sampled() applies).
   void SampleKeysFoldedBatch(const uint64_t* folded, uint64_t* out,

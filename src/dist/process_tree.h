@@ -9,14 +9,22 @@
 // (runtime/feed_stream.h), and ships ONE final frame to the coordinator:
 // the shipped WorkerCounters block followed by the State's Save() blob,
 // framed with length + CRC + MergeFingerprint (dist/frame.h). HOW the
-// frame travels is the Transport's business (dist/transport.h): over a
-// per-worker pipe, or over TCP where the worker dials the coordinator when
-// its frame is ready (`DistOptions::transport`). The single-threaded
-// coordinator poll(2)s the per-worker fds plus whatever reactor fds the
-// transport owns (listen socket, half-open connections, SIGCHLD
-// self-pipe), reassembles frames with a per-connection FrameDecoder, and
-// reduces the surviving states through the arity-configurable merge tree
+// frame travels is the Transport's business (dist/transport.h): through
+// the worker's exit pipe, or over TCP where the worker dials the
+// coordinator when its frame is ready (`DistOptions::transport`). The
+// single-threaded coordinator poll(2)s the per-worker fds plus whatever
+// reactor fds the transport owns (listen socket, half-open connections),
+// reassembles frames with a per-connection FrameDecoder, and reduces the
+// surviving states through the arity-configurable merge tree
 // (dist/reduction_tree.h).
+//
+// One exit path: Spawn creates a pipe per worker and the child holds the
+// write end until it exits, on both transports. EOF on the read end is the
+// worker's one exit signal: the coordinator drains any still-bound
+// connection, decodes, reaps with one blocking waitpid, and classifies.
+// Run() installs no signal handler and leaves SIGCHLD as it found it, but
+// like any waitpid-based parent it needs SIGCHLD not to be ignored: under
+// SIG_IGN the kernel reaps the workers itself and the reap CHECK-fails.
 //
 // Crash recovery: with a checkpoint_dir configured, workers write a
 // checksummed checkpoint (dist/checkpoint.h) every checkpoint_every
@@ -29,7 +37,10 @@
 // exactly once: a kill-and-respawn run is byte-identical to a never-killed
 // one. Without a checkpoint — or when the checkpoint file itself is torn
 // (host crash mid-write) and the loader rejects it — the respawn
-// re-ingests from scratch: slower, same answer.
+// re-ingests from scratch: slower, same answer. Files are named by worker
+// id only, so before the first spawn Run() removes any loadable checkpoint
+// an earlier run left in the directory: a respawn only ever loads state
+// this run wrote.
 //
 // FaultPlan integration (all seed-deterministic, replayable from the spec):
 //   kill-shard=W@B    worker W's FIRST incarnation _exit()s before its B-th
@@ -52,9 +63,9 @@
 //                     wrapping segments in FaultInjectingStream.
 //
 // Failure matrix (who detects, what happens):
-//   crash / kill      coordinator sees EOF without a frame (pipe), a torn
-//                     connection, or a SIGCHLD-sweep waitpid (TCP, worker
-//                     died before dialing) -> respawn, then quarantine
+//   crash / kill      coordinator sees exit-pipe EOF with no complete
+//                     frame decoded (on TCP a torn connection only frees
+//                     the slot for a redial) -> respawn, then quarantine
 //                     once kMaxRespawns is exhausted
 //   exit(kPermanentErrorExit) (e.g. parse error, transport retry budget
 //                     exhausted) -> quarantine immediately (deterministic
@@ -69,6 +80,9 @@
 //                     scratch — it still converges (the pre-fix CHECK-abort
 //                     turned one torn file into a respawn loop that
 //                     quarantined the worker forever)
+//   checkpoint-dir reuse -> Run() removes the earlier run's loadable files
+//                     before the first spawn (a torn one stays: the
+//                     respawn rejects it as above)
 //
 // State is a SerializableState (runtime/feed_stream.h): the pipeline
 // contract plus Save(ostream&) and static Load(istream&), the serialize.h
@@ -117,18 +131,17 @@ struct DistOptions {
   // When > 0, checkpoint_dir must name an existing writable directory.
   uint32_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // Strict mode: any quarantine exits(1) after the reduction — the dist
-  // analogue of DegradationPolicy::strict (a successful respawn is
-  // recovery, not degradation, and does not trip strict mode).
-  bool strict = false;
   // Bounded retry/backoff for transient stream errors inside workers, and
   // for transient transport failures (refused/dropped TCP connections)
-  // when shipping the final frame.
+  // when shipping the final frame. With degradation.strict set, any
+  // quarantine exits(1) after the reduction (a successful respawn is
+  // recovery, not degradation, and does not trip strict mode).
   DegradationPolicy degradation;
   // How worker frames travel to the coordinator (pipe or tcp + addresses).
   TransportConfig transport;
   // Coordinator poll(2) timeout: 0 = auto (infinite — every worker exit is
-  // observable through the poll set, so an idle tree takes zero wakeups),
+  // EOF on an exit pipe in the poll set, so an idle tree takes zero
+  // wakeups),
   // > 0 = fixed milliseconds, -1 = explicit infinite. See
   // ResolvePollTimeoutMs in dist/transport.h.
   int poll_timeout_ms = 0;
@@ -198,6 +211,18 @@ class ProcessReductionTree {
         return true;
       });
     }
+    if (options_.checkpoint_every > 0) {
+      // Files are named by worker id only, so an earlier run's would hand
+      // this run's respawns foreign state. A torn one can stay: the
+      // respawn loader rejects it anyway.
+      for (uint32_t w = 0; w < options_.num_workers; ++w) {
+        const std::string path = CheckpointPath(options_.checkpoint_dir, w);
+        Checkpoint stale;
+        if (TryLoadCheckpointFile(path, &stale)) {
+          CHECK_EQ(::unlink(path.c_str()), 0);
+        }
+      }
+    }
 
     std::vector<Slot> slots(options_.num_workers);
     for (uint32_t w = 0; w < options_.num_workers; ++w) {
@@ -212,7 +237,7 @@ class ProcessReductionTree {
     const Transport::Stats tstats = transport_->stats();
     metrics_.connections_accepted = tstats.connections_accepted;
     metrics_.socket_drops = tstats.socket_drops;
-    transport_.reset();  // close the listen socket, restore SIGCHLD
+    transport_.reset();  // close the listen socket
 
     // Majority vote over the reported fingerprints (the in-process
     // pipeline's corruption detection, applied across process boundaries).
@@ -255,7 +280,7 @@ class ProcessReductionTree {
                    "dist: every worker quarantined; no state to merge\n");
       std::exit(1);
     }
-    if (options_.strict && metrics_.WorkersQuarantined() > 0) {
+    if (options_.degradation.strict && metrics_.WorkersQuarantined() > 0) {
       std::fprintf(stderr,
                    "dist: strict mode: %u workers quarantined\n",
                    metrics_.WorkersQuarantined());
@@ -270,11 +295,16 @@ class ProcessReductionTree {
   struct Slot {
     enum { kRunning, kDone, kQuarantined } state = kRunning;
     pid_t pid = -1;
-    int fd = -1;
+    // Read end of the worker's exit pipe: EOF means the process is gone.
+    // The pipe transport's frame bytes arrive here too.
+    int exit_fd = -1;
+    int conn_fd = -1;  // TCP: the bound connection, if any
     uint32_t generation = 0;
     FrameDecoder decoder;
+    // kNeedMore until a complete frame (valid or CRC-rejected) is decoded.
+    FrameDecoder::Status decoded = FrameDecoder::Status::kNeedMore;
+    std::string decode_error;
     Frame frame;
-    bool frame_ready = false;
   };
 
   uint32_t SegmentBegin(uint32_t w, uint32_t num_segments) const {
@@ -289,7 +319,8 @@ class ProcessReductionTree {
   void Spawn(uint32_t w, uint32_t num_segments, const SegmentOpener& open,
              std::vector<Slot>* slots) {
     Slot* slot = &(*slots)[w];
-    Transport::Channel ch = transport_->MakeChannel(w, slot->generation);
+    int exit_pipe[2];
+    CHECK_EQ(::pipe(exit_pipe), 0);
     // Flush stdio before forking so buffered output is not duplicated into
     // the child (the child bypasses exit handlers with _exit, but anything
     // it prints itself would otherwise ride on stale parent buffers).
@@ -297,21 +328,24 @@ class ProcessReductionTree {
     pid_t pid = ::fork();
     CHECK_GE(pid, 0);
     if (pid == 0) {
-      // Drop every coordinator-side fd this child inherited: the
-      // transport's reactor fds, and other workers' slot fds — a child
-      // holding a copy of another worker's socket or pipe would hold that
-      // worker's EOF hostage for this child's whole lifetime.
-      transport_->OnChildFork(ch);
+      // Drop every coordinator-side fd this child inherited: the exit
+      // pipe's read end, the transport's reactor fds, and other workers'
+      // exit pipes and connections — a child holding a copy of another
+      // worker's fd would hold that worker's EOF hostage for this child's
+      // whole lifetime.
+      ::close(exit_pipe[0]);
+      transport_->OnChildFork();
       for (Slot& other : *slots) {
-        if (other.fd >= 0) ::close(other.fd);
+        if (other.exit_fd >= 0) ::close(other.exit_fd);
+        if (other.conn_fd >= 0) ::close(other.conn_fd);
       }
-      WorkerMain(w, slot->generation, ch, num_segments, open);
+      WorkerMain(w, slot->generation, exit_pipe[1], num_segments, open);
     }
-    transport_->OnParentFork(&ch);
+    ::close(exit_pipe[1]);
     slot->pid = pid;
-    slot->fd = ch.coord_fd;  // pipe read end; -1 for TCP until the dial-in
+    slot->exit_fd = exit_pipe[0];
     slot->decoder = FrameDecoder();
-    slot->frame_ready = false;
+    slot->decoded = FrameDecoder::Status::kNeedMore;
     slot->state = Slot::kRunning;
   }
 
@@ -325,33 +359,33 @@ class ProcessReductionTree {
     row.counters = WorkerCounters();
   }
 
-  // Single-threaded event loop: drain slot fds, pump the transport's
-  // reactor fds (accepts, hellos, SIGCHLD self-pipe), reap exits, respawn
-  // or quarantine failures, until every worker is kDone or kQuarantined.
+  // Single-threaded event loop: pump the transport's reactor fds
+  // (accepts, hellos), drain connections and exit pipes, reap exits,
+  // respawn or quarantine failures, until every worker is kDone or
+  // kQuarantined.
   void PumpUntilResolved(std::vector<Slot>* slots, uint32_t num_segments,
                          const SegmentOpener& open) {
-    const FaultInjector* inj = options_.fault_injector;
-    const bool sweep_exits = transport_->NeedsExitSweep();
+    struct Watch {
+      uint32_t worker;
+      uint32_t generation;
+    };
     for (;;) {
-      bool any_running = false;
       std::vector<pollfd> pfds;
-      std::vector<uint32_t> owner;
+      std::vector<Watch> watched;
       for (uint32_t w = 0; w < slots->size(); ++w) {
-        Slot& s = (*slots)[w];
+        const Slot& s = (*slots)[w];
         if (s.state != Slot::kRunning) continue;
-        any_running = true;
-        if (s.fd >= 0) {
-          pfds.push_back(pollfd{s.fd, POLLIN, 0});
-          owner.push_back(w);
+        // The connection ahead of the exit pipe: a frame decodes before
+        // the exit it precedes is classified.
+        for (int fd : {s.conn_fd, s.exit_fd}) {
+          if (fd < 0) continue;
+          pfds.push_back(pollfd{fd, POLLIN, 0});
+          watched.push_back(Watch{w, s.generation});
         }
       }
-      if (!any_running) return;
+      if (pfds.empty()) return;
       const size_t slot_fds = pfds.size();
       transport_->AppendPollFds(&pfds);
-      // Every running worker is observable: through its slot fd (pipe) or
-      // through the transport's self-pipe/listen fds (TCP) — which is why
-      // the auto timeout below can be infinite.
-      CHECK(!pfds.empty());
       int ready = ::poll(pfds.data(), pfds.size(),
                          ResolvePollTimeoutMs(options_.poll_timeout_ms,
                                               /*deadline_pending=*/false));
@@ -360,43 +394,28 @@ class ProcessReductionTree {
         CHECK_EQ(errno, EINTR);
         continue;
       }
-      // Transport events first: a fresh connection binds to its slot (with
-      // a fresh per-connection FrameDecoder) before any draining.
+      // Transport events first: a fresh connection binds to its slot
+      // before any draining.
       std::vector<Transport::Ready> bound;
-      const bool sweep = transport_->HandlePollFds(
-          pfds.data() + slot_fds, pfds.size() - slot_fds, &bound);
+      transport_->HandlePollFds(pfds.data() + slot_fds,
+                                pfds.size() - slot_fds, &bound);
       for (const Transport::Ready& r : bound) BindConnection(slots, r);
       for (size_t i = 0; i < slot_fds; ++i) {
         if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        const uint32_t w = owner[i];
+        const uint32_t w = watched[i].worker;
         Slot& s = (*slots)[w];
-        if (s.state != Slot::kRunning || s.fd != pfds[i].fd) continue;
-        char buf[65536];
-        bool eof = false;
-        for (;;) {
-          ssize_t n = ::read(s.fd, buf, sizeof(buf));
-          if (n > 0) {
-            metrics_.workers[w].bytes_shipped += static_cast<uint64_t>(n);
-            s.decoder.Feed(buf, static_cast<size_t>(n));
-            if (static_cast<size_t>(n) < sizeof(buf)) break;
-            continue;
-          }
-          if (n == 0) {
-            eof = true;
-            break;
-          }
-          CHECK_EQ(errno, EINTR);
+        // Resolved or respawned earlier in this round: a respawn's new fds
+        // may reuse these numbers.
+        if (s.state != Slot::kRunning ||
+            s.generation != watched[i].generation) {
+          continue;
         }
-        if (!eof) continue;
-        if (sweep_exits) {
-          ResolveConnectionEof(w, &s, num_segments, open, inj, slots);
-        } else {
-          ::close(s.fd);
-          s.fd = -1;
-          ResolveExited(w, &s, num_segments, open, inj, slots);
+        if (pfds[i].fd == s.conn_fd) {
+          if (Drain(w, &s, s.conn_fd)) OnConnectionEof(w, &s);
+        } else if (pfds[i].fd == s.exit_fd && Drain(w, &s, s.exit_fd)) {
+          OnExit(w, &s, num_segments, open, slots);
         }
       }
-      if (sweep) SweepExits(slots, num_segments, open, inj);
     }
   }
 
@@ -409,7 +428,7 @@ class ProcessReductionTree {
       return;
     }
     Slot& s = (*slots)[r.worker];
-    if (s.state != Slot::kRunning || s.fd >= 0 ||
+    if (s.state != Slot::kRunning || s.conn_fd >= 0 ||
         r.generation != s.generation) {
       std::fprintf(stderr,
                    "dist: stale connection for worker %u (gen %u) dropped\n",
@@ -417,71 +436,65 @@ class ProcessReductionTree {
       ::close(r.fd);
       return;
     }
-    s.fd = r.fd;
-    s.decoder = FrameDecoder();  // per-connection reassembly state
-    s.frame_ready = false;
+    s.conn_fd = r.fd;
   }
 
-  // Pipe EOF: the worker exited. Reap it, then decode and classify.
-  void ResolveExited(uint32_t w, Slot* s, uint32_t num_segments,
-                     const SegmentOpener& open, const FaultInjector* inj,
-                     std::vector<Slot>* slots) {
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(s->pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    CHECK_EQ(r, s->pid);
-    s->pid = -1;
-
-    // corrupt-frame transport fault: flip one bit of the received bytes
-    // before decoding (deterministic per worker; a transport this broken
-    // corrupts every retry too, so the failure goes straight to
-    // quarantine via the CRC below).
-    std::string err;
-    if (inj != nullptr && inj->CorruptsFrame(w) &&
-        s->decoder.buffered_bytes() > 0) {
-      s->decoder.CorruptForTest();
-      inj->Count(FaultInjector::kFaultFrameCorruption);
-    }
-    FrameDecoder::Status ds = s->decoder.Next(&s->frame, &err);
-    ClassifyOutcome(w, s, status, ds, err, num_segments, open, inj, slots);
-  }
-
-  // TCP connection EOF: decode what landed, fin-ack a complete frame (the
-  // worker is blocked waiting for it), then reap and classify.
-  void ResolveConnectionEof(uint32_t w, Slot* s, uint32_t num_segments,
-                            const SegmentOpener& open,
-                            const FaultInjector* inj,
-                            std::vector<Slot>* slots) {
-    std::string err;
-    if (inj != nullptr && inj->CorruptsFrame(w) &&
-        s->decoder.buffered_bytes() > 0) {
-      s->decoder.CorruptForTest();
-      inj->Count(FaultInjector::kFaultFrameCorruption);
-    }
-    FrameDecoder::Status ds = s->decoder.Next(&s->frame, &err);
-    if (ds == FrameDecoder::Status::kNeedMore) {
-      // Torn connection, no complete frame: the worker either died
-      // mid-send (reap it right here) or will redial with a fresh
-      // connection; either way this one is spent.
-      transport_->FinishShipFd(s->fd, /*acked=*/false);
-      s->fd = -1;
-      s->decoder = FrameDecoder();
-      int status = 0;
-      pid_t r = ::waitpid(s->pid, &status, WNOHANG);
-      if (r == s->pid) {
-        s->pid = -1;
-        ClassifyOutcome(w, s, status, FrameDecoder::Status::kNeedMore, err,
-                        num_segments, open, inj, slots);
+  // Feeds what `fd` holds to worker w's decoder; true at EOF. Returns at a
+  // short read rather than waiting for more bytes.
+  bool Drain(uint32_t w, Slot* s, int fd) {
+    char buf[65536];
+    for (;;) {
+      ssize_t n = ::read(fd, buf, sizeof(buf));
+      if (n > 0) {
+        metrics_.workers[w].bytes_shipped += static_cast<uint64_t>(n);
+        s->decoder.Feed(buf, static_cast<size_t>(n));
+        if (static_cast<size_t>(n) < sizeof(buf)) return false;
+        continue;
       }
-      return;
+      if (n == 0) return true;
+      CHECK_EQ(errno, EINTR);
     }
-    // Complete frame (valid or CRC-rejected — rejection is a verdict, not
-    // a transport failure): fin-ack so the worker exits, then classify
-    // exactly as the pipe path does.
-    transport_->FinishShipFd(s->fd, /*acked=*/true);
-    s->fd = -1;
+  }
+
+  // The one decode step. The corrupt-frame transport fault flips one bit
+  // of the received bytes first (deterministic per worker; a transport
+  // this broken corrupts every retry too, so the failure goes straight to
+  // quarantine via the CRC).
+  void Decode(uint32_t w, Slot* s) {
+    const FaultInjector* inj = options_.fault_injector;
+    if (inj != nullptr && inj->CorruptsFrame(w) &&
+        s->decoder.buffered_bytes() > 0) {
+      s->decoder.CorruptForTest();
+      inj->Count(FaultInjector::kFaultFrameCorruption);
+    }
+    s->decoded = s->decoder.Next(&s->frame, &s->decode_error);
+  }
+
+  // TCP connection EOF: decode, and fin-ack a complete frame (valid or
+  // CRC-rejected — rejection is a verdict, not a transport failure) so the
+  // worker exits. A torn connection frees the slot, and its decoder, for a
+  // redial. Reaping waits for the exit pipe.
+  void OnConnectionEof(uint32_t w, Slot* s) {
+    Decode(w, s);
+    const bool complete = s->decoded != FrameDecoder::Status::kNeedMore;
+    transport_->FinishShipFd(s->conn_fd, /*acked=*/complete);
+    s->conn_fd = -1;
+    if (!complete) s->decoder = FrameDecoder();
+  }
+
+  // Exit-pipe EOF: the worker is gone. Drain a still-bound connection
+  // first so a frame that landed is never lost, decode if nothing was
+  // decoded yet, then reap and classify.
+  void OnExit(uint32_t w, Slot* s, uint32_t num_segments,
+              const SegmentOpener& open, std::vector<Slot>* slots) {
+    if (s->conn_fd >= 0) {
+      while (!Drain(w, s, s->conn_fd)) {
+      }
+      OnConnectionEof(w, s);
+    }
+    if (s->decoded == FrameDecoder::Status::kNeedMore) Decode(w, s);
+    ::close(s->exit_fd);
+    s->exit_fd = -1;
     int status = 0;
     pid_t r;
     do {
@@ -489,40 +502,20 @@ class ProcessReductionTree {
     } while (r < 0 && errno == EINTR);
     CHECK_EQ(r, s->pid);
     s->pid = -1;
-    ClassifyOutcome(w, s, status, ds, err, num_segments, open, inj, slots);
-  }
-
-  // SIGCHLD fired (TCP): reap workers that died with no connection bound
-  // (crashed before — or between — dials). A slot with a live fd resolves
-  // through that fd's EOF instead: a dead worker's socket always EOFs, and
-  // the sweep must not steal a frame that is sitting in its decoder.
-  void SweepExits(std::vector<Slot>* slots, uint32_t num_segments,
-                  const SegmentOpener& open, const FaultInjector* inj) {
-    for (uint32_t w = 0; w < slots->size(); ++w) {
-      Slot& s = (*slots)[w];
-      if (s.state != Slot::kRunning || s.fd >= 0 || s.pid <= 0) continue;
-      int status = 0;
-      pid_t r = ::waitpid(s.pid, &status, WNOHANG);
-      if (r == 0) continue;  // alive: ingesting, dialing, or backing off
-      CHECK_EQ(r, s.pid);
-      s.pid = -1;
-      std::string err;
-      ClassifyOutcome(w, &s, status, FrameDecoder::Status::kNeedMore, err,
-                      num_segments, open, inj, slots);
-    }
+    ClassifyOutcome(w, s, status, num_segments, open, slots);
   }
 
   // Shared verdict for a reaped worker, given its exit status and what the
   // decoder made of its bytes — identical across transports, which is what
   // keeps the crash/quarantine matrix differential-testable over both.
   void ClassifyOutcome(uint32_t w, Slot* s, int status,
-                       FrameDecoder::Status ds, const std::string& err,
                        uint32_t num_segments, const SegmentOpener& open,
-                       const FaultInjector* inj, std::vector<Slot>* slots) {
+                       std::vector<Slot>* slots) {
+    const FaultInjector* inj = options_.fault_injector;
     const bool clean_exit =
         WIFEXITED(status) && WEXITSTATUS(status) == kWorkerOkExit;
 
-    if (ds == FrameDecoder::Status::kFrame && clean_exit) {
+    if (s->decoded == FrameDecoder::Status::kFrame && clean_exit) {
       // corrupt-merge fault: the worker's fingerprint arrives flipped, so
       // only the majority vote (not a payload cross-check) can catch it —
       // the same detection path the in-process pipeline exercises.
@@ -533,9 +526,9 @@ class ProcessReductionTree {
       s->state = Slot::kDone;
       return;
     }
-    if (ds == FrameDecoder::Status::kCorrupt) {
+    if (s->decoded == FrameDecoder::Status::kCorrupt) {
       std::fprintf(stderr, "dist: worker %u frame rejected: %s\n", w,
-                   err.c_str());
+                   s->decode_error.c_str());
       ++metrics_.workers[w].crc_rejections;
       Quarantine(w, s);
       return;
@@ -571,8 +564,7 @@ class ProcessReductionTree {
 
   // ---- Child side -------------------------------------------------------
 
-  [[noreturn]] void WorkerMain(uint32_t w, uint32_t generation,
-                               const Transport::Channel& ch,
+  [[noreturn]] void WorkerMain(uint32_t w, uint32_t generation, int exit_fd,
                                uint32_t num_segments,
                                const SegmentOpener& open) {
     // First thing, before any fd can break: a dead coordinator must
@@ -687,7 +679,7 @@ class ProcessReductionTree {
     // connect_retries, and the shipped counters must describe the attempt
     // that actually landed. The state bytes are identical every time.
     const bool shipped = transport_->ShipFinalFrame(
-        ch, w, generation, options_.degradation, &counters,
+        exit_fd, w, generation, options_.degradation, &counters,
         [&](const WorkerCounters& c) {
           Frame frame;
           frame.fingerprint = fingerprint;

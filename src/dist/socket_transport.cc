@@ -7,7 +7,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,57 +20,11 @@
 namespace streamkc {
 namespace {
 
-// ---- SIGCHLD self-pipe ---------------------------------------------------
-// poll(2) cannot see a child exit, so the handler writes one byte into a
-// nonblocking pipe that IS in the poll set; the coordinator drains it and
-// sweeps waitpid(WNOHANG). One coordinator per process (the tree is
-// single-threaded and runs alone), so process-global state is fine.
-
-int g_sigchld_rfd = -1;
-int g_sigchld_wfd = -1;
-struct sigaction g_old_sigchld;
-
-void SigchldHandler(int) {
-  const int saved_errno = errno;
-  if (g_sigchld_wfd >= 0) {
-    char b = 0;
-    // A full pipe is fine: one unread byte already forces a sweep.
-    [[maybe_unused]] ssize_t r = ::write(g_sigchld_wfd, &b, 1);
-  }
-  errno = saved_errno;
-}
-
 void SetNonBlocking(int fd, bool on) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   CHECK_GE(flags, 0);
   flags = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   CHECK_EQ(::fcntl(fd, F_SETFL, flags), 0);
-}
-
-int InstallSigchldSelfPipe() {
-  CHECK_EQ(g_sigchld_wfd, -1);  // one live TCP coordinator at a time
-  int fds[2];
-  CHECK_EQ(::pipe(fds), 0);
-  SetNonBlocking(fds[0], true);
-  SetNonBlocking(fds[1], true);
-  g_sigchld_rfd = fds[0];
-  g_sigchld_wfd = fds[1];
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = SigchldHandler;
-  sa.sa_flags = SA_RESTART;
-  ::sigemptyset(&sa.sa_mask);
-  CHECK_EQ(::sigaction(SIGCHLD, &sa, &g_old_sigchld), 0);
-  return fds[0];
-}
-
-void UninstallSigchldSelfPipe() {
-  if (g_sigchld_wfd < 0) return;
-  ::sigaction(SIGCHLD, &g_old_sigchld, nullptr);
-  ::close(g_sigchld_rfd);
-  ::close(g_sigchld_wfd);
-  g_sigchld_rfd = -1;
-  g_sigchld_wfd = -1;
 }
 
 // ---- Address helpers (IPv4 "host:port") ----------------------------------
@@ -147,7 +100,6 @@ class TcpTransport : public Transport {
   ~TcpTransport() override {
     for (const Pending& p : pending_) ::close(p.fd);
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (coordinator_) UninstallSigchldSelfPipe();
   }
 
   const char* name() const override { return "tcp"; }
@@ -195,86 +147,57 @@ class TcpTransport : public Transport {
       return false;
     }
     SetNonBlocking(listen_fd_, true);
-    sigchld_rfd_ = InstallSigchldSelfPipe();
-    coordinator_ = true;
     return true;
   }
 
-  Channel MakeChannel(uint32_t worker, uint32_t generation) override {
-    (void)worker;
-    (void)generation;
-    return Channel();  // the child dials; nothing crosses the fork
-  }
-
-  void OnParentFork(Channel* ch) override { (void)ch; }
-
-  void OnChildFork(const Channel& ch) override {
-    (void)ch;
+  void OnChildFork() override {
     // The child inherited the coordinator's reactor fds; drop them so a
     // long-running worker cannot hold the port or other workers'
-    // half-open connections alive, and restore SIGCHLD (the handler would
-    // write into a pipe this child just closed).
-    ::sigaction(SIGCHLD, &g_old_sigchld, nullptr);
-    if (g_sigchld_rfd >= 0) ::close(g_sigchld_rfd);
-    if (g_sigchld_wfd >= 0) ::close(g_sigchld_wfd);
-    g_sigchld_rfd = -1;
-    g_sigchld_wfd = -1;
+    // half-open connections alive.
     for (const Pending& p : pending_) ::close(p.fd);
     pending_.clear();
     if (listen_fd_ >= 0) ::close(listen_fd_);
     listen_fd_ = -1;
-    coordinator_ = false;
   }
 
-  bool NeedsExitSweep() const override { return true; }
-
   void AppendPollFds(std::vector<pollfd>* pfds) override {
-    pfds->push_back(pollfd{sigchld_rfd_, POLLIN, 0});
     pfds->push_back(pollfd{listen_fd_, POLLIN, 0});
     for (const Pending& p : pending_) {
       pfds->push_back(pollfd{p.fd, POLLIN, 0});
     }
   }
 
-  bool HandlePollFds(const pollfd* pfds, size_t n,
+  void HandlePollFds(const pollfd* pfds, size_t n,
                      std::vector<Ready>* ready) override {
-    CHECK_EQ(n, 2 + pending_.size());
+    CHECK_EQ(n, 1 + pending_.size());
     // Half-open connections first (reverse order: completed or dead ones
-    // are swap-removed), then the accept queue, then the self-pipe.
+    // are swap-removed), then the accept queue.
     for (size_t i = pending_.size(); i-- > 0;) {
-      if ((pfds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      if ((pfds[1 + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (PumpPending(&pending_[i], ready)) {
         pending_[i] = pending_.back();
         pending_.pop_back();
       }
     }
-    if ((pfds[1].revents & POLLIN) != 0) AcceptNew(ready);
-    bool sweep = false;
-    if ((pfds[0].revents & POLLIN) != 0) {
-      char buf[64];
-      while (::read(sigchld_rfd_, buf, sizeof(buf)) > 0) {
-      }
-      sweep = true;
-    }
-    return sweep;
+    if ((pfds[0].revents & POLLIN) != 0) AcceptNew(ready);
   }
 
   void FinishShipFd(int fd, bool acked) override {
     if (acked) {
       const char ack = kTransportAck;
       // Best-effort: a worker that died mid-ship cannot read its fin-ack,
-      // and the sweep will classify the death.
+      // and its exit pipe will classify the death.
       (void)SendAll(fd, &ack, 1);
     }
     ::close(fd);
   }
 
-  bool ShipFinalFrame(const Channel& ch, uint32_t worker,
-                      uint32_t generation, const DegradationPolicy& policy,
+  bool ShipFinalFrame(int exit_fd, uint32_t worker, uint32_t generation,
+                      const DegradationPolicy& policy,
                       WorkerCounters* counters,
                       const std::function<Frame(const WorkerCounters&)>&
                           make_frame) override {
-    (void)ch;
+    (void)exit_fd;
     IgnoreSigPipe();
     Backoff backoff(policy);
     for (;;) {
@@ -386,9 +309,7 @@ class TcpTransport : public Transport {
   }
 
   TransportConfig config_;
-  bool coordinator_ = false;
   int listen_fd_ = -1;
-  int sigchld_rfd_ = -1;
   std::string bound_addr_;
   std::string dial_addr_;
   std::vector<Pending> pending_;

@@ -70,9 +70,8 @@ void Transport::FinishShipFd(int fd, bool acked) {
 
 namespace {
 
-// The original single-box transport: one pipe per worker, write end
-// inherited through fork, one frame, close, exit. EOF on the read end IS
-// the exit notification, so no extra reactor fds and no exit sweep.
+// The single-box transport: the worker writes its one frame into the exit
+// pipe it already holds, so there are no reactor fds and no handshake.
 class PipeTransport : public Transport {
  public:
   const char* name() const override { return "pipe"; }
@@ -82,26 +81,8 @@ class PipeTransport : public Transport {
     return true;
   }
 
-  Channel MakeChannel(uint32_t worker, uint32_t generation) override {
-    (void)worker;
-    (void)generation;
-    int fds[2];
-    CHECK_EQ(::pipe(fds), 0);
-    Channel ch;
-    ch.coord_fd = fds[0];
-    ch.child_fd = fds[1];
-    return ch;
-  }
-
-  void OnParentFork(Channel* ch) override {
-    ::close(ch->child_fd);
-    ch->child_fd = -1;
-  }
-
-  void OnChildFork(const Channel& ch) override { ::close(ch.coord_fd); }
-
-  bool ShipFinalFrame(const Channel& ch, uint32_t worker,
-                      uint32_t generation, const DegradationPolicy& policy,
+  bool ShipFinalFrame(int exit_fd, uint32_t worker, uint32_t generation,
+                      const DegradationPolicy& policy,
                       WorkerCounters* counters,
                       const std::function<Frame(const WorkerCounters&)>&
                           make_frame) override {
@@ -112,9 +93,7 @@ class PipeTransport : public Transport {
     // error (EPIPE) -> permanent failure, never a SIGPIPE death: a signal
     // death reads as a crash and burns respawns on a hopeless retry.
     IgnoreSigPipe();
-    if (!WriteFrameToFd(ch.child_fd, make_frame(*counters))) return false;
-    ::close(ch.child_fd);
-    return true;
+    return WriteFrameToFd(exit_fd, make_frame(*counters));
   }
 };
 

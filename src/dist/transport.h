@@ -1,23 +1,23 @@
 // Transport: how a worker's final SKF1 frame travels to the coordinator.
 //
 // The frame format (dist/frame.h) is transport-agnostic; this interface
-// isolates everything that is NOT — fd plumbing across fork(), connection
-// establishment, ack handshakes, and how the coordinator's poll(2) reactor
-// learns about worker exits. Two implementations:
+// isolates everything that is NOT — connection establishment, ack
+// handshakes, and the transport's own coordinator fds. How the coordinator
+// learns that a worker ended is not the transport's business: every worker
+// holds the write end of an exit pipe the coordinator creates for it
+// (dist/process_tree.h), so EOF on the read end means the process is gone,
+// whatever carried its frame. Two implementations:
 //
-//   PipeTransport   the original single-box path: one pipe(2) per worker,
-//                   created before fork. The child inherits the write end
-//                   and ships exactly one frame; pipe EOF doubles as the
-//                   exit signal, so the coordinator needs no extra fds.
+//   PipeTransport   the single-box path: the worker writes its one frame
+//                   into that exit pipe, so it needs no fds of its own.
 //
 //   TcpTransport    workers dial the coordinator over TCP (loopback when
 //                   forked, any host once workers run remotely — the dial
 //                   address is plain host:port). Because a socket appears
 //                   only when the worker is DONE ingesting, the coordinator
 //                   runs an accept loop and identifies each connection by a
-//                   12-byte hello; worker exits are invisible on any fd, so
-//                   a SIGCHLD self-pipe joins the poll set and the
-//                   coordinator sweeps waitpid(WNOHANG) when it fires.
+//                   12-byte hello; the worker keeps its exit pipe open and
+//                   untouched until it exits.
 //
 // Ship protocol over TCP (every step bounded by DegradationPolicy's
 // saturating backoff, so a dropped connection retries deterministically):
@@ -88,12 +88,6 @@ bool DecodeHello(const char* bytes, uint32_t* worker, uint32_t* generation);
 
 class Transport {
  public:
-  // The fd pair carried across fork(). Pipe: coord_fd = read end,
-  // child_fd = write end. TCP: both -1 (the child dials instead).
-  struct Channel {
-    int coord_fd = -1;
-    int child_fd = -1;
-  };
   // A connection the coordinator has identified (hello complete, acked)
   // and should bind to worker `worker`'s slot with a fresh FrameDecoder.
   struct Ready {
@@ -109,49 +103,40 @@ class Transport {
   virtual ~Transport() = default;
   virtual const char* name() const = 0;
 
-  // Coordinator setup before the first fork (TCP: bind/listen + SIGCHLD
-  // self-pipe). Returns false with *error on failure.
+  // Coordinator setup before the first fork (TCP: bind/listen). Returns
+  // false with *error on failure.
   virtual bool StartRun(std::string* error) = 0;
 
-  // Pre-fork channel for (worker, generation).
-  virtual Channel MakeChannel(uint32_t worker, uint32_t generation) = 0;
-  // Parent after fork: close the child's end.
-  virtual void OnParentFork(Channel* ch) = 0;
-  // Child after fork: close coordinator-only fds (pipe read end; TCP
-  // listen fd, pending connections, self-pipe) and restore SIGCHLD.
-  virtual void OnChildFork(const Channel& ch) = 0;
-
-  // True when worker exits are only visible via waitpid sweeps (TCP); the
-  // pipe transport signals exits as EOF on the slot fd instead.
-  virtual bool NeedsExitSweep() const { return false; }
+  // Child after fork: close the transport's coordinator-side fds (TCP: the
+  // listen socket and pending connections).
+  virtual void OnChildFork() {}
 
   // Reactor integration: transport-owned fds appended to the poll set
-  // (self-pipe, listen fd, half-open connections), and the handler for
-  // their revents. Completed handshakes land in *ready; returns true when
-  // a waitpid(WNOHANG) sweep should run (SIGCHLD fired).
+  // (listen fd, half-open connections), and the handler for their
+  // revents. Completed handshakes land in *ready.
   virtual void AppendPollFds(std::vector<pollfd>* pfds) { (void)pfds; }
-  virtual bool HandlePollFds(const pollfd* pfds, size_t n,
+  virtual void HandlePollFds(const pollfd* pfds, size_t n,
                              std::vector<Ready>* ready) {
     (void)pfds;
     (void)n;
     (void)ready;
-    return false;
   }
 
-  // Coordinator: finish a slot connection after its EOF. `acked` = a
+  // Coordinator: finish a bound connection after its EOF. `acked` = a
   // complete frame (valid or CRC-rejected) was decoded and the worker may
   // exit; false = torn connection, the worker should redial.
   virtual void FinishShipFd(int fd, bool acked);
 
-  // Child: ships the final frame, retrying transient transport failures
-  // (refused connect, dropped connection, missing ack) with the policy's
-  // saturating backoff; each retry bumps counters->connect_retries and
-  // make_frame re-serializes the payload so the shipped counters are
-  // current. Returns true once the coordinator acknowledged the frame;
-  // false = permanent failure (the caller exits
-  // kWorkerPermanentErrorExit).
+  // Child: ships the final frame. `exit_fd` is the write end of the
+  // worker's exit pipe; the pipe transport writes the frame into it, TCP
+  // leaves it alone. Transient transport failures (refused connect,
+  // dropped connection, missing ack) retry with the policy's saturating
+  // backoff; each retry bumps counters->connect_retries and make_frame
+  // re-serializes the payload so the shipped counters are current.
+  // Returns true once the coordinator acknowledged the frame; false =
+  // permanent failure (the caller exits kWorkerPermanentErrorExit).
   virtual bool ShipFinalFrame(
-      const Channel& ch, uint32_t worker, uint32_t generation,
+      int exit_fd, uint32_t worker, uint32_t generation,
       const DegradationPolicy& policy, WorkerCounters* counters,
       const std::function<Frame(const WorkerCounters&)>& make_frame) = 0;
 
@@ -173,11 +158,11 @@ class Transport {
 
 std::unique_ptr<Transport> MakeTransport(const TransportConfig& config);
 
-// The coordinator's poll timeout policy (satellite of the transport work;
-// unit-tested in dist_transport_test). With every exit observable through
-// the poll set — pipe EOF or the TCP self-pipe — an idle tree needs no
-// wakeups at all, so auto (0) means infinite unless a timed deadline is
-// pending (none exist today; the parameter keeps the contract explicit).
+// The coordinator's poll timeout policy (unit-tested in
+// dist_transport_test). With every exit observable through the poll set as
+// exit-pipe EOF, an idle tree needs no wakeups at all, so auto (0) means
+// infinite unless a timed deadline is pending (none exist today; the
+// parameter keeps the contract explicit).
 inline int ResolvePollTimeoutMs(int configured_ms, bool deadline_pending) {
   if (configured_ms > 0) return configured_ms;
   if (configured_ms < 0) return -1;

@@ -41,17 +41,6 @@ class TabulationHash : public SpaceAccounted {
         (static_cast<__uint128_t>(Map(x)) * range) >> 64);
   }
 
-  // Batch fast path, mirroring KWiseHash::MapFoldedBatch's shape so batched
-  // callers can swap families without restructuring. Tabulation is
-  // gather-bound (8 table lookups per key), not multiply-bound, so there is
-  // no AVX2 win to dispatch to yet — this loop is the hook where a
-  // vpgatherqq kernel would slot in behind the same kernel_dispatch
-  // mechanism if tabulation ever lands on the batched hot path. `out` may
-  // alias `in`.
-  void MapBatch(const uint64_t* in, uint64_t* out, size_t n) const {
-    for (size_t i = 0; i < n; ++i) out[i] = Map(in[i]);
-  }
-
   size_t MemoryBytes() const override { return sizeof(tables_); }
 
  private:

@@ -1,24 +1,18 @@
-// SnapshotStore: atomic double-buffered publication of CoverageSnapshots.
+// SnapshotStore: atomic publication of CoverageSnapshots.
 //
 // One writer (the ingest runtime) publishes at batch boundaries; any number
 // of reader threads fetch the current snapshot at query time. The store
-// keeps two slots. Readers copy the shared_ptr out of the slot the atomic
-// `active_` index names; the writer always installs into the INACTIVE slot
-// and then flips the index. So:
+// keeps one shared_ptr behind one mutex; the mutex guards only the pointer
+// copy or swap itself (refcount + pointer, a few ns) and is never held
+// while building, serializing, querying or destroying a snapshot. So:
 //
-//   * the writer never waits on the slot readers are being directed to —
-//     publication cannot be blocked by query load (the ingest hot path
-//     stays reader-independent);
-//   * a reader that loaded the index just before a flip still sees a fully
-//     constructed snapshot (the slot it names is only rewritten after the
-//     NEXT flip, by which time the per-slot mutex covers the handoff);
+//   * publication cannot be blocked by query load beyond one pointer copy
+//     (the ingest hot path stays reader-independent);
+//   * a read returns the latest installed snapshot, fully constructed;
 //   * snapshots are shared_ptr-owned, so a reader holding epoch E keeps it
-//     alive arbitrarily long after E+2 is published — readers never observe
-//     a snapshot being destroyed under them.
-//
-// The per-slot mutex guards only the shared_ptr copy itself (refcount +
-// pointer, a few ns); it is never held while building, serializing, or
-// querying a snapshot.
+//     alive arbitrarily long after E+1 is published — readers never
+//     observe a snapshot being destroyed under them, and the writer drops
+//     its reference to the replaced snapshot outside the lock.
 
 #ifndef STREAMKC_SERVE_SNAPSHOT_STORE_H_
 #define STREAMKC_SERVE_SNAPSHOT_STORE_H_
@@ -60,16 +54,9 @@ class SnapshotStore {
   const std::string& name() const { return name_; }
 
  private:
-  struct Slot {
-    mutable std::mutex mu;
-    std::shared_ptr<const CoverageSnapshot> snap;
-  };
-
   std::string name_;
-  Slot slots_[2];
-  // Index of the slot readers should use. Release/acquire pairs with the
-  // slot write, so a reader that sees the new index sees the new snapshot.
-  std::atomic<uint32_t> active_{0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const CoverageSnapshot> current_;
   std::atomic<uint64_t> epoch_{0};
 
   Counter* published_ = nullptr;

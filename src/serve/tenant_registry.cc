@@ -130,12 +130,4 @@ size_t TenantRegistry::reserved_budget_bytes() const {
   return reserved_bytes_;
 }
 
-std::vector<std::string> TenantRegistry::TenantNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, _] : tenants_) names.push_back(name);
-  return names;
-}
-
 }  // namespace streamkc

@@ -31,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/params.h"
 #include "obs/metrics.h"
@@ -117,8 +116,6 @@ class TenantRegistry {
   // Σ admitted budgets and the global cap (0 = unlimited).
   size_t reserved_budget_bytes() const;
   size_t global_budget_bytes() const { return global_budget_bytes_; }
-
-  std::vector<std::string> TenantNames() const;
 
  private:
   size_t global_budget_bytes_;

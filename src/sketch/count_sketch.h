@@ -73,10 +73,14 @@ class CountSketch : public SpaceMetered {
 
   // The *Hashed entry points take one id's row hashes out of such a block:
   // row r's value at row_hashes[r·stride] (stride = the block's n; 1 for a
-  // single id). Each equals its namesake on that id bit for bit.
+  // single id). AddHashed and PointQueryHashed each equal their namesake on
+  // that id bit for bit.
   void AddHashed(const uint64_t* row_hashes, size_t stride,
                  int64_t delta = 1);
   double PointQueryHashed(const uint64_t* row_hashes, size_t stride) const;
+  // Single-row (row 0) point estimate: one counter read instead of a
+  // median over all rows. Noisier (±√(F2/width) without median boosting);
+  // used as a cheap admission gate by F2HeavyHitters.
   double QuickEstimateHashed(const uint64_t* row_hashes) const {
     auto [sign, bucket] = SignBucketFromHash(0, row_hashes[0]);
     return sign * static_cast<double>(counters_[bucket]);
@@ -94,14 +98,6 @@ class CountSketch : public SpaceMetered {
   // a bucketed AMS tug-of-war sketch), so CountSketch doubles as the F2
   // reference for heavy-hitter thresholds at no extra update cost.
   double EstimateF2() const;
-
-  // Single-row (row 0) point estimate: one hash evaluation instead of a
-  // median over all rows. Noisier (±√(F2/width) without median boosting);
-  // used as a cheap admission gate by F2HeavyHitters.
-  double QuickEstimate(uint64_t id) const {
-    uint64_t h = row_hash_[0].Map(id);
-    return QuickEstimateHashed(&h);
-  }
 
   // Row 0's Σ_b C[0][b]², maintained incrementally (an always-current,
   // single-sample F2 estimate for the same gate).

@@ -28,10 +28,6 @@ inline void WriteU64(std::ostream& os, uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-inline void WriteI64(std::ostream& os, int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 inline void WriteDouble(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -45,13 +41,6 @@ inline uint32_t ReadU32(std::istream& is) {
 
 inline uint64_t ReadU64(std::istream& is) {
   uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  CHECK(is.good());
-  return v;
-}
-
-inline int64_t ReadI64(std::istream& is) {
-  int64_t v = 0;
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
   CHECK(is.good());
   return v;

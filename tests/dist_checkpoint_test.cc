@@ -1,8 +1,10 @@
 // Checkpoint blob lockdown (src/dist/checkpoint.h): round-trip fidelity,
 // death on every corruption class (truncation, bit flips in every region,
 // version/magic bumps, trailing garbage), atomic tmp+rename publication,
-// cadence bookkeeping, and the end-to-end recovery property — a run that
-// resumes from a checkpoint finishes byte-identical to one never killed.
+// cadence bookkeeping, the end-to-end recovery property — a run that
+// resumes from a checkpoint finishes byte-identical to one never killed —
+// and a reused checkpoint directory, whose earlier run's files a respawn
+// must never load.
 //
 // Corruption has two audiences. DecodeCheckpoint/LoadCheckpointFile stay
 // CHECK-hard (the death tests below) for callers that must never consume a
@@ -251,6 +253,41 @@ TEST(DistCheckpoint, TornFileOnRespawnIsRejectedAndRunStillConverges) {
   EXPECT_EQ(w1.counters.checkpoints_loaded, 0u);
   EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
   EXPECT_EQ(dist.metrics.TotalCheckpointsRejected(), 1u);
+}
+
+TEST(DistCheckpoint, RespawnNeverLoadsACheckpointLeftByAnEarlierRun) {
+  // Checkpoint files are named by worker id only, so a reused directory
+  // still holds the previous run's files when the next run starts. Pre-fix
+  // a respawn loaded them: with the same state config it resumed corpus B
+  // from corpus A's state (wrong bytes, no quarantine, full edge count);
+  // with another seed the stale state lost the fingerprint vote and the
+  // healthy worker was quarantined.
+  ScopedTempDir dir;
+  ScopedWorkerHarness run_a(SyntheticEdges(20000, /*seed=*/61),
+                            /*num_segments=*/8);
+  ScopedWorkerHarness run_b(SyntheticEdges(20000, /*seed=*/62),
+                            /*num_segments=*/8);
+  for (uint64_t state_seed : {uint64_t{1}, uint64_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "state seed " << state_seed);
+    DistOptions opt;
+    opt.num_workers = 2;
+    opt.checkpoint_every = 1;
+    opt.checkpoint_dir = dir.path();
+    run_a.RunDist(opt);  // leaves ckpt_w0.bin and ckpt_w1.bin behind
+
+    CoverageSketchState::Config config;
+    config.seed = state_seed;
+    FaultInjector injector(FaultPlan::ParseOrDie("seed=7,kill-shard=1@0"));
+    opt.fault_injector = &injector;
+    ScopedWorkerHarness::Result dist = run_b.RunDist(opt, config);
+
+    EXPECT_TRUE(dist.state_blob == run_b.RunInline(4096, config).state_blob);
+    const DistWorkerRow& w1 = dist.metrics.workers[1];
+    EXPECT_EQ(w1.respawns, 1u);
+    EXPECT_EQ(w1.counters.checkpoints_loaded, 0u);
+    EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+    EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), 20000u);
+  }
 }
 
 TEST(DistCheckpoint, CadenceRespectsSegmentBoundaries) {

@@ -2,17 +2,20 @@
 // poll-timeout policy, frame reassembly under adversarial delivery splits
 // over both fd flavors the transports use (pipes and sockets), the
 // pipe-vs-tcp differential (clean and under the fault matrix), the
-// socket-drop redial path, and the SIGPIPE regression — a worker shipping
+// socket-drop redial path, the SIGPIPE regression — a worker shipping
 // into a dead coordinator must exit kWorkerPermanentErrorExit, not die by
 // signal (which would read as a crash and burn respawns on a hopeless
-// retry).
+// retry) — and the exit path: a host's SIGCHLD handler stays installed
+// through a run on either transport.
 
 #include "dist/transport.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,11 +213,12 @@ TEST(TransportSigPipeDeathTest, DeadCoordinatorIsPermanentErrorNotSignal) {
       {
         TransportConfig config;  // pipe transport
         std::unique_ptr<Transport> transport = MakeTransport(config);
-        Transport::Channel ch = transport->MakeChannel(0, 0);
-        ::close(ch.coord_fd);  // the coordinator is gone
+        int exit_pipe[2];
+        if (::pipe(exit_pipe) != 0) ::_exit(1);
+        ::close(exit_pipe[0]);  // the coordinator is gone
         WorkerCounters counters;
         const bool shipped = transport->ShipFinalFrame(
-            ch, /*worker=*/0, /*generation=*/0, DegradationPolicy{},
+            exit_pipe[1], /*worker=*/0, /*generation=*/0, DegradationPolicy{},
             &counters, [](const WorkerCounters&) {
               return MakeTestFrame(/*seed=*/41, /*payload_size=*/4096);
             });
@@ -345,6 +349,45 @@ TEST(TcpTransportDifferential, ExplicitListenAddressAndPollTimeoutWork) {
   ScopedWorkerHarness::Result tcp = harness.RunDist(opt);
   EXPECT_EQ(tcp.state_blob, harness.RunInline().state_blob);
   EXPECT_GE(tcp.metrics.poll_wakeups, 1u);
+}
+
+// ---- The host's SIGCHLD disposition -------------------------------------
+
+volatile sig_atomic_t g_sigchld_count = 0;
+
+void CountSigchld(int) { g_sigchld_count = g_sigchld_count + 1; }
+
+TEST(TransportExitPath, HostSigchldHandlerIsLeftAloneOnBothTransports) {
+  // A worker's exit reaches the coordinator as EOF on its exit pipe, so
+  // Run() needs no signal handler: the host's own SIGCHLD handler stays
+  // installed for the whole run and sees the workers exit, over TCP as
+  // over pipes (pre-fix the TCP transport swapped it out and it counted 0).
+  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/56), kSegments);
+  const std::string inline_blob = harness.RunInline().state_blob;
+  for (TransportKind kind : {TransportKind::kPipe, TransportKind::kTcp}) {
+    const char* name = TransportKindName(kind);
+    struct sigaction counting;
+    std::memset(&counting, 0, sizeof(counting));
+    counting.sa_handler = CountSigchld;
+    counting.sa_flags = SA_RESTART;
+    ::sigemptyset(&counting.sa_mask);
+    struct sigaction host;
+    ASSERT_EQ(::sigaction(SIGCHLD, &counting, &host), 0);
+    g_sigchld_count = 0;
+
+    DistOptions opt;
+    opt.num_workers = 3;
+    opt.transport.kind = kind;
+    ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+
+    const int counted = g_sigchld_count;
+    struct sigaction after;
+    ASSERT_EQ(::sigaction(SIGCHLD, &host, &after), 0);
+    EXPECT_GE(counted, 1) << name;  // signals coalesce: at least one lands
+    EXPECT_EQ(after.sa_handler, &CountSigchld) << name;
+    EXPECT_TRUE(dist.state_blob == inline_blob) << name;
+    EXPECT_EQ(dist.metrics.frames_received, 3u) << name;
+  }
 }
 
 }  // namespace

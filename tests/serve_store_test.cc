@@ -1,10 +1,11 @@
-// SnapshotStore contract: double-buffered publication never blocks readers
-// behind the writer or hands them a partially installed snapshot, epochs
-// are strictly increasing, and a reader that holds an old snapshot keeps it
-// alive arbitrarily long after newer publishes. The concurrent section
-// hammers publish/read from many threads and asserts the store's honest
-// guarantee — a read returns one of the two most recently published
-// snapshots — plus integrity of every snapshot handed out. The stress
+// SnapshotStore contract: publication never blocks readers behind the
+// writer or hands them a partially installed snapshot, epochs are strictly
+// increasing, and a reader that holds an old snapshot keeps it alive
+// arbitrarily long after newer publishes. The concurrent section hammers
+// publish/read from many threads and asserts the epoch window — a read
+// returns the snapshot installed last, so at most one publish behind the
+// writer's announced progress — plus integrity of every snapshot handed
+// out. The stress
 // ctest entry re-runs it at a higher publish count (STREAMKC_STORE_ROUNDS).
 
 #include <gtest/gtest.h>
@@ -93,8 +94,8 @@ TEST(SnapshotStore, ReaderKeepsOldSnapshotAlive) {
   store.Publish(MakeSnapshot(&state, 1));
   std::shared_ptr<const CoverageSnapshot> held = store.Current();
   ASSERT_EQ(held->meta().epoch, 1u);
-  // Both slots get rewritten across 4 more publishes; the held snapshot
-  // must stay fully valid (shared_ptr ownership, never recycled storage).
+  // The store replaces it 4 times over; the held snapshot must stay fully
+  // valid (shared_ptr ownership, never recycled storage).
   for (uint64_t e = 2; e <= 5; ++e) store.Publish(MakeSnapshot(&state, e));
   EXPECT_EQ(held->meta().epoch, 1u);
   EXPECT_EQ(CoverageSnapshot::FromBlob(held->blob())->meta().epoch, 1u);
@@ -120,7 +121,7 @@ TEST(SnapshotStoreDeathTest, NullSnapshotAborts) {
 // Concurrent publish/read: one writer publishing `rounds` epochs, many
 // readers spinning Current(). Every read must observe a fully constructed
 // snapshot whose epoch is at most the writer's progress and at least
-// (published - 2) at the moment of the read — the double-buffer guarantee.
+// (published - 1) at the moment of the read — the one-slot store's window.
 TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
   uint64_t rounds = 200;
   if (const char* env = std::getenv("STREAMKC_STORE_ROUNDS")) {
@@ -157,8 +158,8 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
         // Sanity on internal consistency: meta fields written together.
         if (snap->meta().edges_ingested != e) violations.fetch_add(1);
         // Epoch window: cannot be newer than the writer, cannot lag the
-        // writer's pre-read progress by 2+ (two slots, so at most the
-        // previous-but-published epoch is visible).
+        // writer's pre-read progress by 2+ (one slot, so at most the
+        // publish still in flight is not yet visible).
         if (e > after) violations.fetch_add(1);
         if (before >= 2 && e < before - 1) violations.fetch_add(1);
       }
@@ -170,9 +171,9 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
   for (uint64_t epoch = 1; epoch <= rounds; ++epoch) {
     auto snap = MakeSnapshot(&state, epoch);
     // Announce progress BEFORE the publish: a reader that observes
-    // `published == E` is then guaranteed the E-1 flip completed (the store
-    // above synchronizes with the reader's acquire), so its read returns
-    // epoch >= E-1; and no read can return an epoch whose announce it
+    // `published == E` is then guaranteed the E-1 install completed (the
+    // store above synchronizes with the reader's acquire), so its read
+    // returns epoch >= E-1; and no read can return an epoch whose announce it
     // hasn't seen, so epoch <= the post-read load. Together: every read is
     // one of the two most recently published snapshots.
     published.store(epoch, std::memory_order_release);

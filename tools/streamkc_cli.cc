@@ -907,7 +907,7 @@ int CmdSketch(const Args& a) {
   opt.batch_size = a.batch_size;
   opt.checkpoint_every = static_cast<uint32_t>(a.checkpoint_every);
   opt.checkpoint_dir = a.checkpoint_dir;
-  opt.strict = a.fault_strict;
+  opt.degradation.strict = a.fault_strict;
   CHECK(ParseTransportKind(a.transport, &opt.transport.kind));
   if (!a.listen_addr.empty()) opt.transport.listen_addr = a.listen_addr;
   opt.transport.connect_addr = a.connect_addr;
