@@ -1,6 +1,7 @@
 #include "core/estimate_max_cover.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 
@@ -12,6 +13,27 @@
 #include "util/scratch.h"
 
 namespace streamkc {
+
+namespace {
+
+// Retirement checks run right after edge 2^j of a state's own stream, for
+// j ≥ 12: early enough to stop feeding outgrown guesses for most of the
+// stream, and only log-many top-down finalizes in all.
+constexpr uint64_t kFirstRetirementCheck = uint64_t{1} << 12;
+
+// The first check point after `edges` edges.
+uint64_t NextRetirementCheck(uint64_t edges) {
+  if (edges < kFirstRetirementCheck) return kFirstRetirementCheck;
+  return uint64_t{1} << (FloorLog2(edges) + 1);
+}
+
+// Figure 1's threshold: a guess z counts only with est_z ≥ z/(4α).
+bool PassesThreshold(const EstimateOutcome& out, uint64_t z, double alpha) {
+  return out.feasible &&
+         out.estimate >= static_cast<double>(z) / (4.0 * alpha);
+}
+
+}  // namespace
 
 EstimateMaxCover::EstimateMaxCover(const Config& config) : config_(config) {
   const Params& p = config.params;
@@ -65,8 +87,9 @@ void EstimateMaxCover::Process(const Edge& edge) {
     return;
   }
   for (Level& level : oracles_) {
-    level.oracle->Process(level.reduction.MapEdge(edge));
+    if (level.oracle) level.oracle->Process(level.reduction.MapEdge(edge));
   }
+  AdvanceEdges(1);
 }
 
 void EstimateMaxCover::ProcessBatch(const PrefoldedEdges& batch) {
@@ -74,30 +97,112 @@ void EstimateMaxCover::ProcessBatch(const PrefoldedEdges& batch) {
     covered_elements_->AddFoldedBatch(batch.element_folded, batch.size);
     return;
   }
-  // One set index for every oracle: universe reduction remaps elements
-  // only, so each level's view keeps the batch's sets and their index.
-  const IndexedBatch indexed(batch);
+  for (size_t start = 0; start < batch.size;) {
+    // End the slice at the next check point, so the check runs right after
+    // the same edge as in a Process() loop.
+    const size_t len = static_cast<size_t>(std::min<uint64_t>(
+        batch.size - start, NextRetirementCheck(edges_seen_) - edges_seen_));
+    PrefoldedEdges slice = batch;
+    if (len < batch.size) {
+      // A slice is indexed on its own: the batch's index can number more
+      // sets than the slice has edges, and components size their per-set
+      // scratch by the edges of the view they get.
+      slice.edges += start;
+      slice.set_folded += start;
+      slice.element_folded += start;
+      slice.size = len;
+      slice.set_slot = nullptr;
+      slice.distinct_set_folded = nullptr;
+      slice.num_distinct_sets = 0;
+    }
+    // One set index for every oracle: universe reduction remaps elements
+    // only, so each level's view keeps the slice's sets and their index.
+    const IndexedBatch indexed(slice);
+    ProcessLevels(indexed.view());
+    AdvanceEdges(len);
+    start += len;
+  }
+}
+
+void EstimateMaxCover::ProcessLevels(const PrefoldedEdges& slice) {
   struct Scratch {
     std::vector<Edge> edges;
     std::vector<uint64_t> folded;
   };
   thread_local Scratch s;
-  PrefoldedEdges mapped = indexed.view();
-  Edge* edges = GrowTo(s.edges, batch.size);
-  uint64_t* folded = GrowTo(s.folded, batch.size);
+  PrefoldedEdges mapped = slice;
+  Edge* edges = GrowTo(s.edges, slice.size);
+  uint64_t* folded = GrowTo(s.folded, slice.size);
   mapped.edges = edges;
   mapped.element_folded = folded;
   for (Level& level : oracles_) {
+    if (!level.oracle) continue;
     // Batched universe reduction; the mapped pseudo-element ids then get
     // their own fold (they are fresh hash inputs downstream — a guess
     // z > 2^61 - 1 would otherwise leak out-of-field values).
-    level.reduction.MapFoldedBatch(batch.element_folded, folded, batch.size);
-    for (size_t i = 0; i < batch.size; ++i) {
-      edges[i] = Edge{batch.edges[i].set, folded[i]};
+    level.reduction.MapFoldedBatch(slice.element_folded, folded, slice.size);
+    for (size_t i = 0; i < slice.size; ++i) {
+      edges[i] = Edge{slice.edges[i].set, folded[i]};
       folded[i] = MersenneFold(folded[i]);
     }
     level.oracle->ProcessBatch(mapped);
   }
+}
+
+void EstimateMaxCover::AdvanceEdges(uint64_t edges) {
+  const uint64_t check = NextRetirementCheck(edges_seen_);
+  edges_seen_ += edges;
+  if (edges_seen_ == check) RetireOutgrownLevels();
+}
+
+void EstimateMaxCover::RetireOutgrownLevels() {
+  const Params& p = config_.params;
+  // E is the smallest estimate among the repetitions of the largest guess
+  // whose repetitions all pass: one repetition can read 1.5x its twin, so
+  // an E from a single repetition would make which guesses a stream
+  // retires flip with the instance. Levels run from the largest guess
+  // down, each guess's repetitions side by side, and the retired guesses
+  // are the smallest, so the scan stops at the first retired level.
+  const size_t reps = p.universe_reduction_reps;
+  std::optional<double> passing;
+  for (size_t g = 0; !passing && g < oracles_.size() && oracles_[g].oracle;
+       g += reps) {
+    std::optional<double> smallest;
+    for (size_t i = g; i < g + reps; ++i) {
+      const EstimateOutcome out = oracles_[i].oracle->Finalize();
+      if (!PassesThreshold(out, oracles_[i].z, p.alpha)) {
+        smallest.reset();
+        break;
+      }
+      smallest = std::min(smallest.value_or(out.estimate), out.estimate);
+    }
+    passing = smallest;
+  }
+  if (!passing) return;
+  const double margin = RetirementMargin(p);
+  for (Level& level : oracles_) {
+    if (margin * static_cast<double>(level.z) < *passing) level.oracle.reset();
+  }
+}
+
+double EstimateMaxCover::RetirementMargin(const Params& params) {
+  if (params.mode == Params::Mode::kPractical) return 1.0;
+  const uint32_t step = std::max<uint32_t>(1, params.universe_guess_log_step);
+  return std::ldexp(4.0 * params.alpha, static_cast<int>(step));
+}
+
+uint32_t EstimateMaxCover::num_retired() const {
+  uint32_t retired = 0;
+  for (const Level& level : oracles_) retired += level.oracle ? 0 : 1;
+  return retired;
+}
+
+uint64_t EstimateMaxCover::largest_retired_guess() const {
+  // Levels run from the largest guess down.
+  for (const Level& level : oracles_) {
+    if (!level.oracle) return level.z;
+  }
+  return 0;
 }
 
 uint64_t EstimateMaxCover::MergeFingerprint() const {
@@ -128,9 +233,13 @@ void EstimateMaxCover::Merge(const EstimateMaxCover& other) {
   }
   CHECK_EQ(oracles_.size(), other.oracles_.size());
   for (size_t i = 0; i < oracles_.size(); ++i) {
-    CHECK_EQ(oracles_[i].z, other.oracles_[i].z);
-    oracles_[i].oracle->Merge(*other.oracles_[i].oracle);
+    Level& mine = oracles_[i];
+    const Level& theirs = other.oracles_[i];
+    CHECK_EQ(mine.z, theirs.z);
+    if (!theirs.oracle) mine.oracle.reset();
+    if (mine.oracle) mine.oracle->Merge(*theirs.oracle);
   }
+  edges_seen_ += other.edges_seen_;
 }
 
 std::optional<EstimateMaxCover::Winner> EstimateMaxCover::BestLevel() const {
@@ -139,11 +248,10 @@ std::optional<EstimateMaxCover::Winner> EstimateMaxCover::BestLevel() const {
   // est_z ≥ z/(4α) and return the largest estimate.
   std::optional<Winner> best;
   for (size_t i = 0; i < oracles_.size(); ++i) {
+    if (!oracles_[i].oracle) continue;
     Oracle::Finalized fin = oracles_[i].oracle->FinalizeForReport();
     const EstimateOutcome& out = fin.outcome;
-    if (!out.feasible) continue;
-    double z = static_cast<double>(oracles_[i].z);
-    if (out.estimate < z / (4.0 * p.alpha)) continue;
+    if (!PassesThreshold(out, oracles_[i].z, p.alpha)) continue;
     if (!best || out.estimate > best->finalized.outcome.estimate) {
       best = Winner{i, std::move(fin)};
     }
@@ -194,7 +302,7 @@ EstimateOutcome EstimateMaxCover::FinalizeWithSolution(
 size_t EstimateMaxCover::HeavyHitterComponentBytes() const {
   size_t bytes = 0;
   for (const Level& level : oracles_) {
-    bytes += level.oracle->large_set().MemoryBytes();
+    if (level.oracle) bytes += level.oracle->large_set().MemoryBytes();
   }
   return bytes;
 }
@@ -203,6 +311,7 @@ size_t EstimateMaxCover::MemoryBytes() const {
   if (trivial_mode_) return covered_elements_->MemoryBytes();
   size_t bytes = 0;
   for (const Level& level : oracles_) {
+    if (!level.oracle) continue;
     bytes += level.reduction.MemoryBytes() + level.oracle->MemoryBytes();
   }
   return bytes;
@@ -214,7 +323,9 @@ void EstimateMaxCover::ReportSpace(SpaceAccountant* acct) const {
     covered_elements_->ReportSpace(acct);
     return;
   }
-  for (const Level& level : oracles_) level.oracle->ReportSpace(acct);
+  for (const Level& level : oracles_) {
+    if (level.oracle) level.oracle->ReportSpace(acct);
+  }
 }
 
 }  // namespace streamkc

@@ -14,6 +14,18 @@
 // by α is already an α-approximate lower bound — Figure 1's first line.
 //
 // Space: log n · log(1/δ) oracles of Õ(m/α²) each, i.e. Õ(m/α²) total.
+//
+// Retirement (a deviation from Figure 1, DESIGN.md §5): guess z works on the
+// reduced universe [z], so it never reports more than z. Right after edge
+// 2^j (j ≥ 12) of its own stream the estimator finalizes its live levels
+// from the top down until every repetition of one guess passes z/(4α); the
+// smallest of their estimates, E, retires every level with c·z < E
+// (c = RetirementMargin). A retired level's oracle is freed and it no
+// longer ingests, finalizes, merges or counts in the space reports. The
+// answer equals the unretired estimator's whenever the final estimate
+// F ≥ the largest retired z (AnswerExact); in theory mode that holds
+// w.h.p. by the paper's guarantees, in practical mode it is checked per
+// answer.
 
 #ifndef STREAMKC_CORE_ESTIMATE_MAX_COVER_H_
 #define STREAMKC_CORE_ESTIMATE_MAX_COVER_H_
@@ -51,19 +63,23 @@ class EstimateMaxCover : public StreamingEstimator {
 
   // Batched ingest. Trivial mode feeds the whole block to the L0's batch
   // entry point; oracle mode indexes the block's sets once
-  // (core/set_index.h), maps it through each level's universe reduction
-  // (batched) and forwards the whole remapped prefolded view, index
-  // included, to the oracle. Bit-identical to a Process() loop (levels are
-  // independent; per-level edge order is preserved).
+  // (core/set_index.h), maps it through each live level's universe
+  // reduction (batched) and forwards the whole remapped prefolded view,
+  // index included, to the oracle. A block that straddles a retirement
+  // check is split at that edge, and each part is indexed on its own.
+  // Bit-identical to a Process() loop (levels are independent; per-level
+  // edge order and the check points are preserved).
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // The final coverage estimate. Always feasible: the trivial branch and the
   // z-threshold rule guarantee an answer (0 only for an empty stream).
+  // Never retires anything, so the state depends only on the edge sequence.
   EstimateOutcome Finalize() const;
 
   // Merges another estimator built with the same Config: every (guess,
-  // repetition) oracle folds its same-seeded twin, so the merged state is
-  // exactly the single-pass state on the concatenated stream.
+  // repetition) oracle live in both folds its same-seeded twin, and a level
+  // retired in either operand is retired in the result. Each operand's
+  // retiring estimate lower-bounds the concatenated stream's OPT as well.
   void Merge(const EstimateMaxCover& other);
 
   // Fingerprint of everything Merge() requires to agree (seed, instance
@@ -71,7 +87,8 @@ class EstimateMaxCover : public StreamingEstimator {
   // fingerprints are NOT merge-compatible: folding them would silently
   // produce garbage, so coordinators (runtime/sharded_pipeline.h) compare
   // fingerprints first and quarantine mismatching shards — the sketch-merge
-  // corruption detection hook.
+  // corruption detection hook. Retirement is not part of it: replicas that
+  // retired different levels still merge.
   uint64_t MergeFingerprint() const;
   bool MergeCompatible(const EstimateMaxCover& other) const {
     return MergeFingerprint() == other.MergeFingerprint();
@@ -89,27 +106,56 @@ class EstimateMaxCover : public StreamingEstimator {
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "estimate_max_cover"; }
-  uint64_t ItemCount() const override { return oracles_.size(); }
-  // Composite: recurses into every (guess, repetition) oracle, or the
+  uint64_t ItemCount() const override {
+    return oracles_.size() - num_retired();
+  }
+  // Composite: recurses into every live (guess, repetition) oracle, or the
   // trivial branch's L0.
   void ReportSpace(SpaceAccountant* acct) const override;
 
   // Bytes held by the heavy-hitter machinery (the LargeSet subroutines)
-  // across all oracles — the component that carries the Θ̃(m/α²) term of the
-  // space bound, reported separately for the trade-off experiments.
+  // across all live oracles — the component that carries the Θ̃(m/α²) term
+  // of the space bound, reported separately for the trade-off experiments.
   size_t HeavyHitterComponentBytes() const;
 
   bool trivial_mode() const { return trivial_mode_; }
+  // The whole (guess, repetition) grid, retired levels included.
   uint32_t num_oracles() const {
     return static_cast<uint32_t>(oracles_.size());
+  }
+
+  // The retirement margin c: a level retires when c·z < E. Practical mode:
+  // c = 1, so exactness rests on the per-answer check (AnswerExact).
+  // Theory mode: c = 4α·2^universe_guess_log_step, where E ≤ OPT and the
+  // grid guess just below OPT passing with an estimate ≥ z/(4α) make every
+  // answer exact w.h.p. (docs/ALGORITHMS.md §2).
+  static double RetirementMargin(const Params& params);
+  uint32_t num_retired() const;
+  // The largest retired guess z, 0 when nothing is retired.
+  uint64_t largest_retired_guess() const;
+  // Whether `estimate` (this state's Finalize() answer) equals the answer
+  // of the same estimator with no level retired: every retired level could
+  // only have reported at most its z, and ties go to the larger guess.
+  bool AnswerExact(double estimate) const {
+    return estimate >= static_cast<double>(largest_retired_guess());
   }
 
  protected:
   struct Level {
     uint64_t z = 0;            // coverage guess
     UniverseReduction reduction;
-    std::unique_ptr<Oracle> oracle;
+    std::unique_ptr<Oracle> oracle;  // null once the level is retired
   };
+
+  // Feeds `slice` (an indexed view) to every live level.
+  void ProcessLevels(const PrefoldedEdges& slice);
+  // Counts `edges` more edges of this state's stream and runs the
+  // retirement check when the count lands on a check point.
+  void AdvanceEdges(uint64_t edges);
+  // The rule itself: the largest live guess whose repetitions all pass
+  // their threshold gives E, the smallest of their estimates, and every
+  // live level with c·z < E retires.
+  void RetireOutgrownLevels();
 
   // The winner among threshold-passing levels: its index into oracles_ and
   // its finalized oracle.
@@ -124,6 +170,9 @@ class EstimateMaxCover : public StreamingEstimator {
   // Trivial branch state: distinct covered elements.
   std::unique_ptr<L0Estimator> covered_elements_;
   std::vector<Level> oracles_;  // (guess, repetition) pairs, flattened
+  // Edges of this state's stream (merged operands' edges included); the
+  // retirement checks run right after edge 2^j, j ≥ 12.
+  uint64_t edges_seen_ = 0;
 };
 
 }  // namespace streamkc

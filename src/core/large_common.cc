@@ -109,8 +109,10 @@ std::optional<std::pair<size_t, double>> LargeCommon::BestLevel() const {
     double threshold = p.sigma * level.beta * u / (4.0 * p.alpha);
     if (val < threshold) continue;
     // Observation 2.4 + the (1 ± 1/2) L0 guarantee: 2·VAL/(3β) never exceeds
-    // the best k-cover within the sample, hence never exceeds OPT.
-    double estimate = 2.0 * val / (3.0 * level.beta);
+    // the best k-cover within the sample, hence never exceeds OPT. Like
+    // LargeSet and SmallSet, never report more than the universe: the L0
+    // estimate itself can overshoot it.
+    double estimate = std::min(2.0 * val / (3.0 * level.beta), u);
     if (!best || estimate > best->second) best = {{i, estimate}};
   }
   return best;

@@ -63,6 +63,10 @@ class ReportMaxCover : public StreamingEstimator {
     return MergeFingerprint() == other.MergeFingerprint();
   }
 
+  // The wrapped estimator, for its retirement accessors
+  // (EstimateMaxCover::AnswerExact and friends).
+  const EstimateMaxCover& estimator() const { return estimator_; }
+
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "report_max_cover"; }
   uint64_t ItemCount() const override { return set_sample_.heap.size(); }

@@ -43,6 +43,8 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   publish_build_ns_ = reg->GetHistogram("serve_publish_build_ns");
   publish_wait_ns_ = reg->GetHistogram("serve_publish_wait_ns");
   retry_backoff_ns_ = reg->GetHistogram("runtime_retry_backoff_ns");
+  guesses_retired_ = reg->GetGauge("serve_guesses_retired");
+  answers_inexact_ = reg->GetCounter("serve_answers_inexact_total");
 }
 
 void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
@@ -56,6 +58,9 @@ void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
   meta.publish_steady_ns = t0;
   const MaxCoverSolution solution = state_.FinalizeSolution();
   const uint64_t t1 = NowSteadyNs();
+  const EstimateMaxCover& estimator = state_.estimator();
+  guesses_retired_->Set(estimator.num_retired());
+  if (!estimator.AnswerExact(solution.estimate)) answers_inexact_->Increment();
   std::shared_ptr<const CoverageSnapshot> snap =
       CoverageSnapshot::Build(state_, solution, meta);
   const uint64_t t2 = NowSteadyNs();

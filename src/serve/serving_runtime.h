@@ -182,6 +182,11 @@ class ServingRuntime {
   // Inline mode's retry sleeps; the pipeline records sharded mode's into
   // the same histogram.
   Histogram* retry_backoff_ns_;
+  // Retired (guess, repetition) levels in the cumulative state at the last
+  // publish, and the published answers below the largest retired guess
+  // (the ones that may differ from the unretired estimator's).
+  Gauge* guesses_retired_;
+  Counter* answers_inexact_;
 };
 
 }  // namespace streamkc

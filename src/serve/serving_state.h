@@ -57,6 +57,8 @@ class ServingState : public SpaceMetered {
   // never concurrently with queries — snapshots store the results.
   MaxCoverSolution FinalizeSolution() const { return reporter_.Finalize(); }
 
+  // The reporter's estimator, for its retirement accessors.
+  const EstimateMaxCover& estimator() const { return reporter_.estimator(); }
   const CountSketch& set_coverage() const { return set_coverage_; }
   const Config& config() const { return config_; }
 

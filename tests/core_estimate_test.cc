@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/space_accountant.h"
+#include "runtime/edge_batch.h"
 #include "test_util.h"
 
 namespace streamkc {
@@ -142,6 +148,226 @@ TEST(EstimateMaxCover, MemoryIndependentOfStreamLength) {
   size_t small = run(inst_small.system);
   size_t big = run(inst_big.system);
   EXPECT_LE(static_cast<double>(big), static_cast<double>(small) * 1.6);
+}
+
+// ---- Retiring outgrown guesses ---------------------------------------------
+
+// Feeds edges[begin, end) through ProcessBatch in batches of `batch_size`.
+void FeedRange(EstimateMaxCover& est, const std::vector<Edge>& edges,
+               size_t begin, size_t end, size_t batch_size) {
+  EdgeBatch batch;
+  for (size_t i = begin; i < end; i += batch_size) {
+    const size_t n = std::min(batch_size, end - i);
+    batch.Clear();
+    batch.edges.assign(edges.begin() + i, edges.begin() + i + n);
+    batch.Prefold();
+    est.ProcessBatch(batch.View());
+  }
+}
+
+// The estimator with no level retired, over the same edges: each chunk stays
+// below the first check point (2^12 edges) and Merge() never checks, so the
+// in-order merge of the chunk states is the single-pass state with every
+// guess fed to the end (merges are exact).
+EstimateMaxCover Unretired(const EstimateMaxCover::Config& config,
+                           const std::vector<Edge>& edges) {
+  EstimateMaxCover all(config);
+  for (size_t i = 0; i < edges.size(); i += 4095) {
+    EstimateMaxCover chunk(config);
+    FeedRange(chunk, edges, i, std::min(edges.size(), i + 4095), 4095);
+    all.Merge(chunk);
+  }
+  EXPECT_EQ(all.num_retired(), 0u);
+  return all;
+}
+
+// Estimate, source and witness, plus the space rows of every component.
+std::string Observe(const EstimateMaxCover& est) {
+  std::ostringstream os;
+  os.precision(17);
+  const EstimateOutcome out = est.Finalize();
+  os << out.feasible << ' ' << out.estimate << ' ' << out.source << " sets";
+  for (SetId s : est.ExtractSolution(16)) os << ' ' << s;
+  SpaceAccountant acct;
+  acct.Sample(est);
+  os << ' ' << acct.ToJson();
+  return os.str();
+}
+
+EstimateMaxCover::Config RetireConfig(uint64_t m, uint64_t n, uint64_t k,
+                                      double alpha, uint64_t seed) {
+  EstimateMaxCover::Config c;
+  c.params = Params::Practical(m, n, k, alpha);
+  c.reporting = true;
+  c.seed = seed;
+  return c;
+}
+
+// A Process() loop and ProcessBatch at every batch size retire the same
+// levels after the same edges: batches of 4096 end on the check points,
+// batches of 1000 and 5000 straddle 2^12 and 2^13 and are split there, and
+// one whole-stream batch straddles both. On the Zipf stream a check made
+// late (at a batch boundary) retires differently.
+TEST(Retirement, BatchesRetireLikeAProcessLoop) {
+  const uint64_t m = 1024, n = 1 << 14;
+  for (const std::vector<Edge>& edges :
+       {InstanceEdges(PlantedCover(m, n, 16, 0.5, 6, 41), 3),
+        InstanceEdges(ZipfFrequency(m, n, 12, 1.1, 43), 4)}) {
+    ASSERT_GT(edges.size(), size_t{1} << 13);
+    const EstimateMaxCover::Config c = RetireConfig(m, n, 16, 8, 57);
+    EstimateMaxCover per_edge(c);
+    // retired[i]: levels retired after the first i edges.
+    std::vector<uint32_t> retired = {0};
+    for (const Edge& e : edges) {
+      per_edge.Process(e);
+      retired.push_back(per_edge.num_retired());
+    }
+    ASSERT_GT(per_edge.num_retired(), 0u);
+    const std::string want = Observe(per_edge);
+    for (size_t size : {size_t{1}, size_t{1000}, size_t{4096}, size_t{5000},
+                        edges.size()}) {
+      EstimateMaxCover batched(c);
+      for (size_t i = 0; i < edges.size(); i += size) {
+        const size_t end = std::min(edges.size(), i + size);
+        FeedRange(batched, edges, i, end, size);
+        EXPECT_EQ(batched.num_retired(), retired[end])
+            << "batch " << size << " after edge " << end;
+      }
+      EXPECT_EQ(Observe(batched), want) << "batch " << size;
+    }
+  }
+}
+
+// A batch that straddles a check point is split there, and each slice is
+// indexed on its own: here the slice before edge 2^12 has 96 edges while
+// the batch holds thousands of distinct sets, which a slice sharing the
+// batch's index would hand to components whose scratch fits 96.
+TEST(Retirement, StraddlingSliceOfAWideBatchMatchesAProcessLoop) {
+  const uint64_t m = 8192, n = 1 << 15;
+  const std::vector<Edge> edges =
+      InstanceEdges(PlantedCover(m, n, 16, 0.5, 6, 17), 5);
+  ASSERT_GT(edges.size(), size_t{4000 + 8192});
+  const EstimateMaxCover::Config c = RetireConfig(m, n, 16, 8, 23);
+  EstimateMaxCover per_edge(c), batched(c);
+  for (const Edge& e : edges) per_edge.Process(e);
+  FeedRange(batched, edges, 0, 4000, 4000);
+  FeedRange(batched, edges, 4000, edges.size(), 8192);
+  ASSERT_GT(per_edge.num_retired(), 0u);
+  EXPECT_EQ(Observe(batched), Observe(per_edge));
+}
+
+// Replicas that retired different levels still agree in the fingerprint
+// vote, their merge retires the union, and it answers like the inline pass.
+// At n = 2^15 the head quarter retires the guesses up to 512 and the rest
+// of the stream those up to 2048.
+TEST(Retirement, MergeRetiresTheUnionAndAnswersLikeInline) {
+  const std::vector<Edge> edges =
+      InstanceEdges(PlantedCover(2048, 1 << 15, 32, 0.5, 6, 3), 7);
+  const EstimateMaxCover::Config c = RetireConfig(2048, 1 << 15, 32, 8, 91);
+  const size_t cut = edges.size() / 4;
+  EstimateMaxCover head(c), tail(c), inline_pass(c);
+  FeedRange(head, edges, 0, cut, 4096);
+  FeedRange(tail, edges, cut, edges.size(), 4096);
+  FeedRange(inline_pass, edges, 0, edges.size(), 4096);
+  ASSERT_NE(head.num_retired(), tail.num_retired());
+  EXPECT_EQ(head.MergeFingerprint(), tail.MergeFingerprint());
+  // Retirement leaves the fingerprint at a fresh state's value.
+  EXPECT_EQ(head.MergeFingerprint(), EstimateMaxCover(c).MergeFingerprint());
+
+  // Each replica retires the levels below a threshold, so the union is the
+  // larger of the two retired sets.
+  const uint32_t union_retired =
+      std::max(head.num_retired(), tail.num_retired());
+  const uint64_t union_largest =
+      std::max(head.largest_retired_guess(), tail.largest_retired_guess());
+  head.Merge(tail);
+  EXPECT_EQ(head.num_retired(), union_retired);
+  EXPECT_EQ(head.largest_retired_guess(), union_largest);
+  const EstimateOutcome merged = head.Finalize();
+  const EstimateOutcome want = inline_pass.Finalize();
+  ASSERT_TRUE(head.AnswerExact(merged.estimate));
+  ASSERT_TRUE(inline_pass.AnswerExact(want.estimate));
+  EXPECT_EQ(merged.estimate, want.estimate);
+  EXPECT_EQ(merged.source, want.source);
+  EXPECT_EQ(head.ExtractSolution(32), inline_pass.ExtractSolution(32));
+}
+
+// The cells of statistical_guarantee_test: its instances (m = 256, under
+// 2^12 edges each) never reach a check point, so they are checked as they
+// are and once more at m = 2048, n = 8192, where every stream crosses 2^14.
+// On every instance the answer is exact (F ≥ the largest retired z), equals
+// the unretired estimator's, and keeps the sweep's α-bound; retirement must
+// happen somewhere.
+TEST(Retirement, SweepCellsAnswerExactly) {
+  uint32_t retired = 0;
+  for (uint64_t m : {uint64_t{256}, uint64_t{2048}}) {
+    const uint64_t n = 4 * m, k = 16;
+    for (const std::string family : {"uniform", "zipf", "planted"}) {
+      for (double alpha : {4.0, 8.0}) {
+        for (uint64_t seed = 5000; seed < 5004; ++seed) {
+          GeneratedInstance inst = MakeFamilyInstance(family, m, n, k, seed);
+          std::vector<Edge> edges = inst.system.MaterializeEdges();
+          ApplyArrivalOrder(edges, ArrivalOrder::kRandom, seed);
+          EstimateMaxCover::Config c;
+          c.params = Params::Practical(m, n, k, alpha);
+          c.seed = SplitMix64(seed ^ 0xA1FA);
+          EstimateMaxCover est(c);
+          FeedRange(est, edges, 0, edges.size(), 4096);
+          const EstimateOutcome out = est.Finalize();
+          const std::string cell = family + " m=" + std::to_string(m) +
+                                   " alpha=" + std::to_string(alpha) +
+                                   " seed=" + std::to_string(seed);
+          EXPECT_TRUE(est.AnswerExact(out.estimate))
+              << cell << ": estimate " << out.estimate << " < retired guess "
+              << est.largest_retired_guess();
+          const EstimateOutcome want = Unretired(c, edges).Finalize();
+          EXPECT_EQ(out.estimate, want.estimate) << cell;
+          EXPECT_EQ(out.source, want.source) << cell;
+          const double greedy =
+              static_cast<double>(GreedyCoverage(inst.system, k));
+          EXPECT_GE(out.estimate, greedy / (1.5 * alpha)) << cell;
+          EXPECT_LE(out.estimate, OptUpperBound(inst.system, k) * 1.2)
+              << cell;
+          retired += est.num_retired();
+        }
+      }
+    }
+  }
+  EXPECT_GT(retired, 0u);
+}
+
+// The margin c is one function of Params::mode: 1 in practical mode (the
+// per-answer check carries exactness), 4α·2^step in theory mode (the
+// paper's guarantees do).
+TEST(Retirement, MarginFollowsTheMode) {
+  EXPECT_EQ(EstimateMaxCover::RetirementMargin(
+                Params::Practical(2048, 8192, 16, 8)),
+            1.0);
+  Params theory = Params::Theory(2048, 8192, 16, 8);
+  ASSERT_EQ(theory.universe_guess_log_step, 1u);
+  EXPECT_EQ(EstimateMaxCover::RetirementMargin(theory), 4.0 * 8 * 2);
+  theory.universe_guess_log_step = 2;
+  EXPECT_EQ(EstimateMaxCover::RetirementMargin(theory), 4.0 * 8 * 4);
+
+  // Theory constants at a reduced grid (as in core_theory_mode_test) over a
+  // stream past 2^14: the theory margin (64 here) retires the smallest
+  // guess, and the answer stays the unretired one.
+  const std::vector<Edge> edges =
+      InstanceEdges(PlantedCover(256, 4096, 8, 0.5, 64, 1), 2);
+  ASSERT_GT(edges.size(), size_t{1} << 14);
+  EstimateMaxCover::Config c;
+  c.params = Params::Theory(256, 4096, 8, 4);
+  c.params.universe_guess_log_step = 2;
+  c.params.universe_reduction_reps = 1;
+  c.params.large_set_reps = 2;
+  c.params.small_set_reps = 1;
+  c.seed = 5;
+  EstimateMaxCover est(c);
+  FeedRange(est, edges, 0, edges.size(), 4096);
+  ASSERT_GT(est.num_retired(), 0u);
+  const EstimateOutcome out = est.Finalize();
+  EXPECT_TRUE(est.AnswerExact(out.estimate));
+  EXPECT_EQ(out.estimate, Unretired(c, edges).Finalize().estimate);
 }
 
 }  // namespace

@@ -134,5 +134,21 @@ TEST(LargeCommon, MemorySmallAndIndependentOfStream) {
   EXPECT_LE(after, 512u << 10);
 }
 
+// Guess z of EstimateMaxCover runs its oracle on the reduced universe [z]
+// and may only ever report z: the guess-retirement rule relies on it. Fed
+// elements far outside [0, 8), the L0 estimate itself overshoots, and the
+// estimate must still be clamped to the universe.
+TEST(LargeCommon, NeverReportsMoreThanTheUniverse) {
+  LargeCommon::Config c;
+  c.params = Params::Practical(64, 1 << 20, 4, 8);
+  c.universe_size = 8;
+  c.seed = 3;
+  LargeCommon lc(c);
+  for (const Edge& e : SyntheticEdges(20000, 5, 64, 1 << 20)) lc.Process(e);
+  const EstimateOutcome out = lc.Finalize();
+  ASSERT_TRUE(out.feasible);
+  EXPECT_LE(out.estimate, 8.0);
+}
+
 }  // namespace
 }  // namespace streamkc

@@ -169,5 +169,22 @@ TEST(LargeSetComplete, FullRateModeMatchesFigure4) {
   EXPECT_GE(out.estimate, 256.0 / (2.0 * 4.0 * 4.0 * 4.0));
 }
 
+// Guess z of EstimateMaxCover runs its oracle on the reduced universe [z]
+// and may only ever report z: the guess-retirement rule relies on it. Fed a
+// few huge sets of elements far outside [0, 8), the scaled-up estimate must
+// still be clamped to the universe.
+TEST(LargeSet, NeverReportsMoreThanTheUniverse) {
+  LargeSet::Config c;
+  c.params = Params::Practical(64, 1 << 20, 4, 8);
+  c.universe_size = 8;
+  c.w = 8;
+  c.seed = 3;
+  LargeSet ls(c);
+  for (const Edge& e : SyntheticEdges(20000, 5, 4, 1 << 20)) ls.Process(e);
+  const EstimateOutcome out = ls.Finalize();
+  ASSERT_TRUE(out.feasible);
+  EXPECT_LE(out.estimate, 8.0);
+}
+
 }  // namespace
 }  // namespace streamkc

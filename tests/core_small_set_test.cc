@@ -543,5 +543,21 @@ TEST(SmallSet, EqualCoverageTiesGoToTheSmallerSetId) {
   }
 }
 
+// Guess z of EstimateMaxCover runs its oracle on the reduced universe [z]
+// and may only ever report z: the guess-retirement rule relies on it. Fed
+// many small sets of elements far outside [0, 8), the sampled greedy's
+// scaled coverage must still be clamped to the universe.
+TEST(SmallSet, NeverReportsMoreThanTheUniverse) {
+  SmallSet::Config c;
+  c.params = Params::Practical(512, 1 << 20, 16, 8);
+  c.universe_size = 8;
+  c.seed = 3;
+  SmallSet ss(c);
+  for (const Edge& e : SyntheticEdges(8192, 5, 512, 1 << 20)) ss.Process(e);
+  const EstimateOutcome out = ss.Finalize();
+  ASSERT_TRUE(out.feasible);
+  EXPECT_LE(out.estimate, 8.0);
+}
+
 }  // namespace
 }  // namespace streamkc

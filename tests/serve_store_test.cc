@@ -190,7 +190,10 @@ TEST(SnapshotStore, ConcurrentPublishAndReadStress) {
 // A reader that trusts epoch() must be able to read that epoch: once
 // epoch() returns E, Current() is non-null and at least epoch E. Readers
 // spin on epoch() while the writer publishes prebuilt snapshots back to
-// back, so every publish's install window is under observation.
+// back, so every publish's install window is under observation. The writer
+// publishes the first snapshot, then waits until every reader has made a
+// checked read: the rest of the burst takes well under a millisecond, and
+// readers that were still off-CPU would otherwise miss all of it.
 TEST(SnapshotStore, EpochIsAdvertisedOnlyAfterItsSnapshotIsReadable) {
   const uint64_t kRounds = 256;
   ServingState state(TestConfig());
@@ -203,6 +206,7 @@ TEST(SnapshotStore, EpochIsAdvertisedOnlyAfterItsSnapshotIsReadable) {
   SnapshotStore store("t7", &registry);
   std::atomic<bool> stop{false};
   std::atomic<unsigned> spinning{0};
+  std::atomic<unsigned> readers_checked{0};
   std::atomic<uint64_t> checked{0};
   std::atomic<uint64_t> unreadable{0};
   std::atomic<uint64_t> behind{0};
@@ -218,7 +222,7 @@ TEST(SnapshotStore, EpochIsAdvertisedOnlyAfterItsSnapshotIsReadable) {
         uint64_t seen = store.epoch();
         if (seen == 0) continue;
         std::shared_ptr<const CoverageSnapshot> snap = store.Current();
-        ++local_checked;
+        if (++local_checked == 1) readers_checked.fetch_add(1);
         if (snap == nullptr) {
           unreadable.fetch_add(1);
         } else if (snap->meta().epoch < seen) {
@@ -229,7 +233,9 @@ TEST(SnapshotStore, EpochIsAdvertisedOnlyAfterItsSnapshotIsReadable) {
     });
   }
   while (spinning.load() < kReaders) std::this_thread::yield();
-  for (auto& snap : snaps) store.Publish(std::move(snap));
+  store.Publish(std::move(snaps.front()));
+  while (readers_checked.load() < kReaders) std::this_thread::yield();
+  for (size_t i = 1; i < snaps.size(); ++i) store.Publish(std::move(snaps[i]));
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 

@@ -675,6 +675,15 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
   return st;
 }
 
+// Not an answer line: each replica retires guesses on its own sub-stream,
+// so R differs between drivers. The check says whether the answer is the
+// one the estimator gives with no guess retired.
+void PrintRetirement(const EstimateMaxCover& est, double estimate) {
+  std::printf("retired guesses    : %u of %u (answer exact: %s)\n",
+              est.num_retired(), est.num_oracles(),
+              est.AnswerExact(estimate) ? "yes" : "no");
+}
+
 int CmdEstimate(const Args& a) {
   if (a.file.empty()) Usage("estimate needs a FILE");
   EstimateMaxCover::Config c;
@@ -689,6 +698,7 @@ int CmdEstimate(const Args& a) {
   out.quarantined_fraction = stats.quarantined_fraction;
   std::printf("coverage estimate  : %.0f\n", out.estimate);
   std::printf("winning subroutine : %s\n", out.source.c_str());
+  PrintRetirement(est, out.estimate);
   if (out.shards_quarantined > 0) {
     std::printf("confidence         : degraded — %u shards quarantined "
                 "(%.1f%% of substreams unseen)\n",
@@ -712,6 +722,7 @@ int CmdReport(const Args& a) {
   MaxCoverSolution sol = rep.Finalize();
   std::printf("coverage estimate  : %.0f (%s)\n", sol.estimate,
               sol.source.c_str());
+  PrintRetirement(rep.estimator(), sol.estimate);
   if (stats.shards_quarantined > 0) {
     std::printf("confidence         : degraded — %u shards quarantined "
                 "(%.1f%% of substreams unseen)\n",

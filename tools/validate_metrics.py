@@ -227,6 +227,17 @@ def check_invariants(dump, errors):
             errors.append(
                 f"$: per-reason rejected counters sum {rejected} != "
                 f"serving.queries_rejected {serving['queries_rejected']}")
+        # Every published answer must be the one the estimator gives with
+        # no guess retired: a published estimate below the largest retired
+        # guess z counts here, and retirement must never cost an answer.
+        for name in ("serve_guesses_retired", "serve_answers_inexact_total"):
+            if name not in reg:
+                errors.append(f"$.registry.{name}: missing")
+        inexact = reg.get("serve_answers_inexact_total", 0)
+        if inexact != 0:
+            errors.append(
+                f"$.registry.serve_answers_inexact_total: {inexact} "
+                f"published answers fell below a retired guess")
 
     dist = dump.get("dist")
     if dist is not None:
