@@ -9,7 +9,7 @@
 // shards through the ring lattice) and gates the 8-producer speedup
 // against a hardware-aware floor (producer_scaling_ok). A third table
 // scales the multi-PROCESS reduction tree (src/dist, W∈{1,2,4} forked
-// workers; 8 at full scale) over the same edges, requires the tree-merged
+// workers; 8 at full scale) over the same edges, requires the merged
 // state to serialize bit-identical to the in-line batched pass, and gates
 // the top-W speedup the same way (worker_scaling_ok).
 //
@@ -227,7 +227,7 @@ int Main(int argc, char** argv) {
   // W forked workers over a 16-segment span split of the same edges (the
   // in-memory analogue of the CLI's file split; segments are shared
   // copy-on-write after fork). The contract is stronger than the thread
-  // rows': the tree-merged state must serialize BIT-IDENTICAL to the
+  // rows': the merged state must serialize BIT-IDENTICAL to the
   // in-line batched pass, not just estimate-equal — states cross a process
   // boundary here, so representation drift would hide behind equal
   // estimates.
@@ -241,7 +241,7 @@ int Main(int argc, char** argv) {
   constexpr uint32_t kDistSegments = 16;
   std::vector<uint32_t> worker_counts = {1, 2, 4};
   if (!bench::SmallScale()) worker_counts.push_back(8);
-  Table wtable({"workers", "edges/s", "speedup", "shipped KiB", "depth",
+  Table wtable({"workers", "edges/s", "speedup", "shipped KiB",
                 "bit-identical"});
   double workers_1_eps = 0;
   double workers_max_eps = 0;
@@ -264,7 +264,7 @@ int Main(int argc, char** argv) {
         {Fmt("%u", workers), Fmt("%.2fM", eps / 1e6),
          Fmt("%.2fx", eps / base_eps),
          Fmt("%llu", (unsigned long long)(dm.TotalBytesShipped() >> 10)),
-         Fmt("%u", dm.tree.depth), identical ? "yes" : "NO"});
+         identical ? "yes" : "NO"});
     report.SetMetric(Fmt("workers_%u_eps", workers), eps);
     if (workers == 1) workers_1_eps = eps;
     if (workers >= workers_max) {
@@ -281,7 +281,7 @@ int Main(int argc, char** argv) {
 
   // Same hardware-aware gate shape as the producer table, with a lower
   // ceiling: each worker pays fork + full-state serialization + the merge
-  // tree, so even on big hosts the curve sits under the thread curve. On
+  // fold, so even on big hosts the curve sits under the thread curve. On
   // <4-core hosts the floor degrades to not-collapsed.
   const double worker_floor = hc >= 8 ? 2.5 : hc >= 4 ? 1.5 : hc >= 2 ? 0.8
                                                                       : 0.3;
@@ -299,43 +299,6 @@ int Main(int argc, char** argv) {
   if (!worker_ok) {
     std::printf("WORKER SCALING BELOW FLOOR\n");
     return 1;
-  }
-
-  // Socket transport overhead: the same tree at the max worker count with
-  // frames shipped over loopback TCP instead of pipes. The result must
-  // stay bit-identical (the transport is below the protocol, so the bytes
-  // cannot change); the eps ratio prices the accept/dial/hello round trip
-  // and is reported as a metric, not gated — loopback latency on hosted
-  // runners is far too noisy for a floor.
-  {
-    DistOptions opts;
-    opts.num_workers = workers_max;
-    opts.batch_size = kBatchSize;
-    opts.transport.kind = TransportKind::kTcp;
-    ProcessReductionTree<CoverageSketchState> tree(
-        opts, [&](uint32_t) { return CoverageSketchState(cfg); });
-    CoverageSketchState merged = tree.Run(
-        kDistSegments,
-        [&](uint32_t s) { return MakeEdgeSpanSegment(edges, s, kDistSegments); });
-    const DistMetrics& dm = tree.metrics();
-    std::ostringstream os;
-    merged.Save(os);
-    if (os.str() != inline_blob) {
-      std::printf("SERIALIZED-STATE DIVERGENCE over tcp transport\n");
-      return 1;
-    }
-    const double tcp_eps = dm.EdgesPerSecond();
-    std::printf(
-        "\ntcp transport at %u workers: %.2fM edges/s (%.2fx of pipe), "
-        "%llu connections, %llu poll wakeups, bit-identical\n",
-        workers_max, tcp_eps / 1e6,
-        workers_max_eps > 0 ? tcp_eps / workers_max_eps : 0.0,
-        (unsigned long long)dm.connections_accepted,
-        (unsigned long long)dm.poll_wakeups);
-    report.SetMetric("tcp_transport_eps", tcp_eps);
-    report.SetMetric("tcp_transport_vs_pipe",
-                     workers_max_eps > 0 ? tcp_eps / workers_max_eps : 0.0);
-    report.SetMetric("tcp_transport_deterministic", 1);
   }
 
   bench::DumpMetricsJson(metrics_out);

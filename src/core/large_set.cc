@@ -211,6 +211,9 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
   cntr_large_.AddIndexedBatch(supersets, superset_f, sets, slot, updates);
   const bool pool_all = pool_rate_num_ >= pool_rate_den_;
   if (!pool_all) {
+    // One pool key per index entry: at ρ = 1 a caller's index may hold
+    // more entries than the view has edges.
+    keys = GrowTo(s.keys, sets);
     pool_hash_.MapRangeFoldedBatch(superset_f, keys, sets, pool_rate_den_);
   }
   for (size_t t = 0; t < updates; ++t) {

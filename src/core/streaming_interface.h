@@ -21,14 +21,6 @@ struct EstimateOutcome {
   // Which subroutine produced the estimate ("large-common", "large-set",
   // "small-set", "trivial", ...); set by Oracle/EstimateMaxCover.
   std::string source;
-  // Confidence metadata, filled by drivers that ran the estimator through a
-  // degraded sharded pass (runtime quarantine policy): how many shard
-  // replicas were excluded from the merge and what fraction of the fleet
-  // that is. 0 / 0.0 for clean passes. A nonzero fraction means the
-  // estimate saw only (1 - quarantined_fraction) of the stream's shard
-  // substreams and its α guarantee is correspondingly weakened.
-  uint32_t shards_quarantined = 0;
-  double quarantined_fraction = 0.0;
 };
 
 // A single-pass streaming coverage estimator over (set, element) edges.

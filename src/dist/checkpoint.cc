@@ -17,7 +17,9 @@ namespace streamkc {
 namespace {
 
 constexpr uint32_t kCkptMagic = 0x534b4331;  // "SKC1"
-constexpr uint32_t kCkptVersion = 1;
+// Bumped with every body layout change, the WorkerCounters block's
+// included, so an older file is rejected by its version, not its length.
+constexpr uint32_t kCkptVersion = 2;
 // u32 magic + u32 version + u64 body_len + u32 crc.
 constexpr size_t kCkptHeaderBytes = 4 + 4 + 8 + 4;
 // Fixed-width body prefix: u32 worker + u64 segments_done + counters +

@@ -13,7 +13,7 @@
 // Layout (little-endian, util/serialize.h helpers):
 //
 //   u32 magic    'SKC1'
-//   u32 version  1
+//   u32 version  2
 //   u64 body_len
 //   u32 crc      CRC-32 over the body bytes
 //   body:

@@ -53,12 +53,6 @@ uint64_t DistMetrics::TotalCheckpointsRejected() const {
   return total;
 }
 
-uint64_t DistMetrics::TotalConnectRetries() const {
-  uint64_t total = 0;
-  for (const auto& w : workers) total += w.counters.connect_retries;
-  return total;
-}
-
 uint32_t DistMetrics::TotalRespawns() const {
   uint32_t total = 0;
   for (const auto& w : workers) total += w.respawns;
@@ -91,12 +85,8 @@ std::string DistMetrics::ToJson() const {
       buf, sizeof(buf),
       "{\n"
       "    \"num_workers\": %u,\n"
-      "    \"merge_arity\": %u,\n"
       "    \"num_segments\": %u,\n"
-      "    \"transport\": \"%s\",\n"
       "    \"poll_wakeups\": %" PRIu64 ",\n"
-      "    \"connections_accepted\": %" PRIu64 ",\n"
-      "    \"socket_drops\": %" PRIu64 ",\n"
       "    \"edges_ingested\": %" PRIu64 ",\n"
       "    \"edges_processed\": %" PRIu64 ",\n"
       "    \"edges_discarded\": %" PRIu64 ",\n"
@@ -110,21 +100,18 @@ std::string DistMetrics::ToJson() const {
       "    \"checkpoints_written\": %" PRIu64 ",\n"
       "    \"checkpoints_loaded\": %" PRIu64 ",\n"
       "    \"checkpoints_rejected\": %" PRIu64 ",\n"
-      "    \"connect_retries\": %" PRIu64 ",\n"
-      "    \"merge_depth\": %u,\n"
       "    \"merges\": %" PRIu64 ",\n"
       "    \"merge_ns\": %" PRIu64 ",\n"
       "    \"wall_ns\": %" PRIu64 ",\n"
       "    \"edges_per_second\": %.0f,\n"
       "    \"workers\": [",
-      num_workers, merge_arity, num_segments, transport.c_str(),
-      poll_wakeups, connections_accepted, socket_drops, TotalEdgesIngested(),
+      num_workers, num_segments, poll_wakeups, TotalEdgesIngested(),
       TotalEdgesProcessed(), TotalEdgesDiscarded(), TotalStreamRetries(),
       TotalBytesShipped(), frames_received, TotalCrcRejections(),
       FingerprintCorruptions(), TotalRespawns(), WorkersQuarantined(),
       TotalCheckpointsWritten(), TotalCheckpointsLoaded(),
-      TotalCheckpointsRejected(), TotalConnectRetries(), tree.depth,
-      tree.merges, tree.merge_ns, wall_ns, EdgesPerSecond());
+      TotalCheckpointsRejected(), merge.merges, merge.merge_ns, wall_ns,
+      EdgesPerSecond());
   out += buf;
   for (size_t i = 0; i < workers.size(); ++i) {
     const DistWorkerRow& w = workers[i];
@@ -138,7 +125,7 @@ std::string DistMetrics::ToJson() const {
         ", \"checkpoints_written\": %" PRIu64
         ", \"checkpoints_loaded\": %" PRIu64
         ", \"checkpoints_rejected\": %" PRIu64
-        ", \"connect_retries\": %" PRIu64 ", \"bytes_shipped\": %" PRIu64
+        ", \"bytes_shipped\": %" PRIu64
         ", \"respawns\": %u, \"crc_rejections\": %u, \"quarantined\": %d"
         ", \"fingerprint_corrupted\": %d}",
         i == 0 ? "" : ",", w.worker, w.counters.edges_ingested,
@@ -147,7 +134,7 @@ std::string DistMetrics::ToJson() const {
         w.counters.truncated_segments, w.segments_assigned,
         w.counters.segments_done, w.counters.checkpoints_written,
         w.counters.checkpoints_loaded, w.counters.checkpoints_rejected,
-        w.counters.connect_retries, w.bytes_shipped, w.respawns,
+        w.bytes_shipped, w.respawns,
         w.crc_rejections, w.quarantined ? 1 : 0,
         w.fingerprint_corrupted ? 1 : 0);
     out += buf;
@@ -161,7 +148,6 @@ void DistMetrics::PublishTo(MetricsRegistry* registry) const {
     registry->GetGauge(name)->Set(v);
   };
   set("dist_num_workers", num_workers);
-  set("dist_merge_arity", merge_arity);
   set("dist_num_segments", num_segments);
   set("dist_edges_ingested_total", TotalEdgesIngested());
   set("dist_edges_processed_total", TotalEdgesProcessed());
@@ -176,13 +162,9 @@ void DistMetrics::PublishTo(MetricsRegistry* registry) const {
   set("dist_checkpoints_written_total", TotalCheckpointsWritten());
   set("dist_checkpoints_loaded_total", TotalCheckpointsLoaded());
   set("dist_checkpoints_rejected_total", TotalCheckpointsRejected());
-  set("dist_connect_retries_total", TotalConnectRetries());
   set("dist_poll_wakeups_total", poll_wakeups);
-  set("dist_connections_accepted_total", connections_accepted);
-  set("dist_socket_drops_total", socket_drops);
-  set("dist_merge_depth", tree.depth);
-  set("dist_merges_total", tree.merges);
-  set("dist_merge_ns", tree.merge_ns);
+  set("dist_merges_total", merge.merges);
+  set("dist_merge_ns", merge.merge_ns);
   set("dist_wall_ns", wall_ns);
   for (const DistWorkerRow& w : workers) {
     std::string worker = std::to_string(w.worker);

@@ -3,7 +3,7 @@
 // DistMetrics is the coordinator-side ledger: one row per worker (the
 // counters the worker shipped inside its final frame, plus what only the
 // coordinator can observe — bytes received, respawns, CRC rejections,
-// quarantine verdicts) and run-level totals for the merge tree. Unlike
+// quarantine verdicts) and run-level totals for the merge fold. Unlike
 // RuntimeMetrics there are no atomics: the coordinator is single-threaded,
 // and worker-side counters cross the process boundary by serialization
 // (see worker_counters.h), not by shared memory.
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/reduction_tree.h"
 #include "dist/worker_counters.h"
 #include "obs/metrics.h"
 
@@ -37,17 +36,18 @@ struct DistWorkerRow {
   bool fingerprint_corrupted = false;  // lost the majority vote
 };
 
+struct MergeStats {
+  uint64_t merges = 0;    // pairwise Merge() calls
+  uint64_t merge_ns = 0;  // wall time inside Merge() calls
+};
+
 struct DistMetrics {
   uint32_t num_workers = 0;
-  uint32_t merge_arity = 0;
   uint32_t num_segments = 0;
   uint64_t frames_received = 0;  // valid final frames decoded
   uint64_t wall_ns = 0;
-  std::string transport = "pipe";     // how frames traveled (pipe | tcp)
-  uint64_t poll_wakeups = 0;          // coordinator poll(2) returns
-  uint64_t connections_accepted = 0;  // TCP hellos bound to slots (0: pipe)
-  uint64_t socket_drops = 0;          // connections dropped by fault plan
-  MergeTreeStats tree;
+  uint64_t poll_wakeups = 0;     // coordinator poll(2) returns
+  MergeStats merge;
   std::vector<DistWorkerRow> workers;
 
   // Sums over worker rows (quarantined rows carry zero counters: their
@@ -60,7 +60,6 @@ struct DistMetrics {
   uint64_t TotalCheckpointsWritten() const;
   uint64_t TotalCheckpointsLoaded() const;
   uint64_t TotalCheckpointsRejected() const;
-  uint64_t TotalConnectRetries() const;
   uint32_t TotalRespawns() const;
   uint32_t TotalCrcRejections() const;
   uint32_t WorkersQuarantined() const;

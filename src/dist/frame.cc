@@ -1,11 +1,13 @@
 #include "dist/frame.h"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <sstream>
 
+#include "util/check.h"
 #include "util/serialize.h"
 
 namespace streamkc {
@@ -67,6 +69,13 @@ std::string EncodeFrame(const Frame& frame) {
   os.write(frame.payload.data(),
            static_cast<std::streamsize>(frame.payload.size()));
   return os.str();
+}
+
+void IgnoreSigPipe() {
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sa_handler = SIG_IGN;
+  CHECK_EQ(::sigaction(SIGPIPE, &sa, nullptr), 0);
 }
 
 bool WriteFrameToFd(int fd, const Frame& frame) {

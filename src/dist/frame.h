@@ -54,6 +54,12 @@ std::string EncodeFrame(const Frame& frame);
 // broke); the worker treats that as fatal.
 bool WriteFrameToFd(int fd, const Frame& frame);
 
+// Sets SIGPIPE to SIG_IGN (idempotent). A worker calls it before it ships:
+// a coordinator that closed the read end must surface as a write error
+// (EPIPE) -> permanent failure, never a SIGPIPE death, which would read as
+// a crash and burn respawns on a hopeless retry.
+void IgnoreSigPipe();
+
 // Reassembles frames from a byte stream arriving in arbitrary chunks.
 class FrameDecoder {
  public:

@@ -1,4 +1,4 @@
-// ProcessReductionTree: multi-process partitioned ingest with a tree merge.
+// ProcessReductionTree: multi-process partitioned ingest with a flat merge.
 //
 // The coordinator fork()s W worker processes (no exec — the child runs the
 // templated worker loop directly, which keeps the harness CI-friendly: no
@@ -8,23 +8,22 @@
 // byte-range convention), ingests them through FeedStream
 // (runtime/feed_stream.h), and ships ONE final frame to the coordinator:
 // the shipped WorkerCounters block followed by the State's Save() blob,
-// framed with length + CRC + MergeFingerprint (dist/frame.h). HOW the
-// frame travels is the Transport's business (dist/transport.h): through
-// the worker's exit pipe, or over TCP where the worker dials the
-// coordinator when its frame is ready (`DistOptions::transport`). The
-// single-threaded coordinator poll(2)s the per-worker fds plus whatever
-// reactor fds the transport owns (listen socket, half-open connections),
-// reassembles frames with a per-connection FrameDecoder, and reduces the
-// surviving states through the arity-configurable merge tree
-// (dist/reduction_tree.h).
+// framed with length + CRC + MergeFingerprint (dist/frame.h).
 //
-// One exit path: Spawn creates a pipe per worker and the child holds the
-// write end until it exits, on both transports. EOF on the read end is the
-// worker's one exit signal: the coordinator drains any still-bound
-// connection, decodes, reaps with one blocking waitpid, and classifies.
-// Run() installs no signal handler and leaves SIGCHLD as it found it, but
-// like any waitpid-based parent it needs SIGCHLD not to be ignored: under
-// SIG_IGN the kernel reaps the workers itself and the reap CHECK-fails.
+// One way out of a worker: Spawn creates a pipe per worker, and the child
+// writes its frame into the write end and holds it until it exits. The
+// single-threaded coordinator poll(2)s the read ends and feeds each
+// worker's bytes to its own FrameDecoder. EOF is the worker's one exit
+// signal: the coordinator decodes, reaps with one blocking waitpid, and
+// classifies. Run() installs no signal handler and leaves SIGCHLD as it
+// found it, but like any waitpid-based parent it needs SIGCHLD not to be
+// ignored: under SIG_IGN the kernel reaps the workers itself and the reap
+// CHECK-fails.
+//
+// The surviving states fold flat, in worker order, into the lowest
+// surviving index: ShardedPipeline's fold order. Every State merges
+// exactly and order-free, so the result is byte-identical to the inline
+// pass (FoldSurvivors below).
 //
 // Crash recovery: with a checkpoint_dir configured, workers write a
 // checksummed checkpoint (dist/checkpoint.h) every checkpoint_every
@@ -53,26 +52,20 @@
 //                     the CRC rejects the frame and W is quarantined (a
 //                     transport that corrupts deterministically would
 //                     corrupt every respawn too, so no respawn is spent).
-//   socket-drop=W     TCP only: the coordinator drops worker W's first
-//                     connection before acking its hello; the worker
-//                     redials with the DegradationPolicy backoff and the
-//                     run converges byte-identically (with the retry
-//                     budget at zero the worker gives up permanently and
-//                     is quarantined, not crashed).
 //   stream faults     apply inside the worker via the caller's opener
 //                     wrapping segments in FaultInjectingStream.
 //
 // Failure matrix (who detects, what happens):
 //   crash / kill      coordinator sees exit-pipe EOF with no complete
-//                     frame decoded (on TCP a torn connection only frees
-//                     the slot for a redial) -> respawn, then quarantine
-//                     once kMaxRespawns is exhausted
-//   exit(kPermanentErrorExit) (e.g. parse error, transport retry budget
-//                     exhausted) -> quarantine immediately (deterministic
-//                     failures don't earn respawns)
-//   SIGPIPE           never: workers ignore it (dist/transport.h), so a
-//                     dead coordinator surfaces as a write error -> the
-//                     permanent-error path above, not a signal death
+//                     frame decoded -> respawn, then quarantine once
+//                     kMaxRespawns is exhausted
+//   exit(kPermanentErrorExit) (e.g. parse error, a failed frame write)
+//                     -> quarantine immediately (deterministic failures
+//                     don't earn respawns)
+//   SIGPIPE           never: workers ignore it (IgnoreSigPipe,
+//                     dist/frame.h), so a dead coordinator surfaces as a
+//                     write error -> the permanent-error path above, not
+//                     a signal death
 //   CRC-corrupt frame -> quarantine immediately
 //   fingerprint minority -> quarantine after the majority vote
 //   corrupt checkpoint -> the respawned worker REJECTS the blob, counts
@@ -96,7 +89,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -104,13 +96,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/checkpoint.h"
 #include "dist/dist_metrics.h"
 #include "dist/frame.h"
-#include "dist/reduction_tree.h"
-#include "dist/transport.h"
 #include "dist/worker_counters.h"
 #include "fault/fault_injector.h"
 #include "runtime/degradation.h"
@@ -124,28 +115,18 @@ namespace streamkc {
 
 struct DistOptions {
   uint32_t num_workers = 4;
-  uint32_t merge_arity = 4;
   size_t batch_size = 4096;
   // Checkpoint cadence in committed segments; 0 disables checkpointing
   // (a respawned worker then re-ingests its whole block from scratch).
   // When > 0, checkpoint_dir must name an existing writable directory.
   uint32_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // Bounded retry/backoff for transient stream errors inside workers, and
-  // for transient transport failures (refused/dropped TCP connections)
-  // when shipping the final frame. With degradation.strict set, any
-  // quarantine exits(1) after the reduction (a successful respawn is
-  // recovery, not degradation, and does not trip strict mode).
+  // Bounded retry/backoff for transient stream errors inside workers. With
+  // degradation.strict set, any quarantine exits(1) after the reduction (a
+  // successful respawn is recovery, not degradation, and does not trip
+  // strict mode).
   DegradationPolicy degradation;
-  // How worker frames travel to the coordinator (pipe or tcp + addresses).
-  TransportConfig transport;
-  // Coordinator poll(2) timeout: 0 = auto (infinite — every worker exit is
-  // EOF on an exit pipe in the poll set, so an idle tree takes zero
-  // wakeups),
-  // > 0 = fixed milliseconds, -1 = explicit infinite. See
-  // ResolvePollTimeoutMs in dist/transport.h.
-  int poll_timeout_ms = 0;
-  // Optional deterministic fault plan (kill/corrupt/drop hooks above). The
+  // Optional deterministic fault plan (kill/corrupt hooks above). The
   // injector must outlive Run(); its counters land in the coordinator's
   // registry (worker-side registries die with the worker).
   const FaultInjector* fault_injector = nullptr;
@@ -160,6 +141,31 @@ inline constexpr int kWorkerPermanentErrorExit = 9;  // deterministic failure
 // Respawns a crashed worker earns before it is quarantined out of the merge.
 inline constexpr uint32_t kMaxRespawns = 2;
 
+// Folds the non-null entries of `states` in index order into the lowest
+// non-null one and returns its index, or SIZE_MAX when every entry is null.
+// Consumed entries are reset to null; `stats` (optional) accumulates.
+template <typename State>
+size_t FoldSurvivors(std::vector<std::unique_ptr<State>>* states,
+                     MergeStats* stats) {
+  size_t root = SIZE_MAX;
+  for (size_t i = 0; i < states->size(); ++i) {
+    std::unique_ptr<State>& state = (*states)[i];
+    if (state == nullptr) continue;
+    if (root == SIZE_MAX) {
+      root = i;
+      continue;
+    }
+    Stopwatch sw;
+    (*states)[root]->Merge(*state);
+    if (stats != nullptr) {
+      stats->merge_ns += static_cast<uint64_t>(sw.ElapsedSeconds() * 1e9);
+      ++stats->merges;
+    }
+    state.reset();
+  }
+  return root;
+}
+
 template <SerializableState State>
 class ProcessReductionTree {
  public:
@@ -172,7 +178,6 @@ class ProcessReductionTree {
   ProcessReductionTree(const DistOptions& options, Factory factory)
       : options_(options), factory_(std::move(factory)) {
     CHECK_GE(options_.num_workers, 1u);
-    CHECK_GE(options_.merge_arity, 2u);
     CHECK_GE(options_.batch_size, size_t{1});
     if (options_.checkpoint_every > 0) {
       CHECK(!options_.checkpoint_dir.empty());
@@ -180,37 +185,16 @@ class ProcessReductionTree {
   }
 
   // Partitions [0, num_segments) across the workers, runs the fleet, and
-  // returns the tree-merged state. num_segments >= num_workers keeps every
+  // returns the merged state. num_segments >= num_workers keeps every
   // worker busy; fewer segments leave the tail workers idle (legal).
   State Run(uint32_t num_segments, const SegmentOpener& open) {
     CHECK_GE(num_segments, 1u);
     Stopwatch wall;
     metrics_ = DistMetrics();
     metrics_.num_workers = options_.num_workers;
-    metrics_.merge_arity = options_.merge_arity;
     metrics_.num_segments = num_segments;
     metrics_.workers.resize(options_.num_workers);
 
-    transport_ = MakeTransport(options_.transport);
-    metrics_.transport = transport_->name();
-    {
-      std::string terr;
-      if (!transport_->StartRun(&terr)) {
-        std::fprintf(stderr, "dist: transport start failed: %s\n",
-                     terr.c_str());
-        CHECK(false);
-      }
-    }
-    if (options_.fault_injector != nullptr) {
-      const FaultInjector* inj = options_.fault_injector;
-      transport_->set_drop_hook([inj](uint32_t w, uint64_t nth) {
-        // Only the FIRST connection is dropped: like kill-shard, the plan
-        // names one deterministic fault point and the retry converges.
-        if (nth > 0 || !inj->DropsSocket(w)) return false;
-        inj->Count(FaultInjector::kFaultSocketDrop);
-        return true;
-      });
-    }
     if (options_.checkpoint_every > 0) {
       // Files are named by worker id only, so an earlier run's would hand
       // this run's respawns foreign state. A torn one can stay: the
@@ -233,11 +217,6 @@ class ProcessReductionTree {
       Spawn(w, num_segments, open, &slots);
     }
     PumpUntilResolved(&slots, num_segments, open);
-
-    const Transport::Stats tstats = transport_->stats();
-    metrics_.connections_accepted = tstats.connections_accepted;
-    metrics_.socket_drops = tstats.socket_drops;
-    transport_.reset();  // close the listen socket
 
     // Majority vote over the reported fingerprints (the in-process
     // pipeline's corruption detection, applied across process boundaries).
@@ -272,8 +251,7 @@ class ProcessReductionTree {
       ++metrics_.frames_received;
     }
 
-    const size_t root =
-        TreeMerge(&states, options_.merge_arity, &metrics_.tree);
+    const size_t root = FoldSurvivors(&states, &metrics_.merge);
     metrics_.wall_ns = static_cast<uint64_t>(wall.ElapsedSeconds() * 1e9);
     if (root == SIZE_MAX) {
       std::fprintf(stderr,
@@ -295,15 +273,11 @@ class ProcessReductionTree {
   struct Slot {
     enum { kRunning, kDone, kQuarantined } state = kRunning;
     pid_t pid = -1;
-    // Read end of the worker's exit pipe: EOF means the process is gone.
-    // The pipe transport's frame bytes arrive here too.
+    // Read end of the worker's exit pipe: its frame bytes arrive here, and
+    // EOF means the process is gone.
     int exit_fd = -1;
-    int conn_fd = -1;  // TCP: the bound connection, if any
     uint32_t generation = 0;
     FrameDecoder decoder;
-    // kNeedMore until a complete frame (valid or CRC-rejected) is decoded.
-    FrameDecoder::Status decoded = FrameDecoder::Status::kNeedMore;
-    std::string decode_error;
     Frame frame;
   };
 
@@ -329,15 +303,12 @@ class ProcessReductionTree {
     CHECK_GE(pid, 0);
     if (pid == 0) {
       // Drop every coordinator-side fd this child inherited: the exit
-      // pipe's read end, the transport's reactor fds, and other workers'
-      // exit pipes and connections — a child holding a copy of another
-      // worker's fd would hold that worker's EOF hostage for this child's
-      // whole lifetime.
+      // pipe's read end and other workers' exit pipes — a child holding a
+      // copy of another worker's fd would hold that worker's EOF hostage
+      // for this child's whole lifetime.
       ::close(exit_pipe[0]);
-      transport_->OnChildFork();
       for (Slot& other : *slots) {
         if (other.exit_fd >= 0) ::close(other.exit_fd);
-        if (other.conn_fd >= 0) ::close(other.conn_fd);
       }
       WorkerMain(w, slot->generation, exit_pipe[1], num_segments, open);
     }
@@ -345,7 +316,6 @@ class ProcessReductionTree {
     slot->pid = pid;
     slot->exit_fd = exit_pipe[0];
     slot->decoder = FrameDecoder();
-    slot->decoded = FrameDecoder::Status::kNeedMore;
     slot->state = Slot::kRunning;
   }
 
@@ -359,10 +329,8 @@ class ProcessReductionTree {
     row.counters = WorkerCounters();
   }
 
-  // Single-threaded event loop: pump the transport's reactor fds
-  // (accepts, hellos), drain connections and exit pipes, reap exits,
-  // respawn or quarantine failures, until every worker is kDone or
-  // kQuarantined.
+  // Single-threaded event loop: drain exit pipes, reap exits, respawn or
+  // quarantine failures, until every worker is kDone or kQuarantined.
   void PumpUntilResolved(std::vector<Slot>* slots, uint32_t num_segments,
                          const SegmentOpener& open) {
     struct Watch {
@@ -375,32 +343,19 @@ class ProcessReductionTree {
       for (uint32_t w = 0; w < slots->size(); ++w) {
         const Slot& s = (*slots)[w];
         if (s.state != Slot::kRunning) continue;
-        // The connection ahead of the exit pipe: a frame decodes before
-        // the exit it precedes is classified.
-        for (int fd : {s.conn_fd, s.exit_fd}) {
-          if (fd < 0) continue;
-          pfds.push_back(pollfd{fd, POLLIN, 0});
-          watched.push_back(Watch{w, s.generation});
-        }
+        pfds.push_back(pollfd{s.exit_fd, POLLIN, 0});
+        watched.push_back(Watch{w, s.generation});
       }
       if (pfds.empty()) return;
-      const size_t slot_fds = pfds.size();
-      transport_->AppendPollFds(&pfds);
-      int ready = ::poll(pfds.data(), pfds.size(),
-                         ResolvePollTimeoutMs(options_.poll_timeout_ms,
-                                              /*deadline_pending=*/false));
+      // No timeout: every worker exit is EOF on a pipe in this set, so an
+      // idle tree takes no wakeups.
+      int ready = ::poll(pfds.data(), pfds.size(), -1);
       ++metrics_.poll_wakeups;
       if (ready < 0) {
         CHECK_EQ(errno, EINTR);
         continue;
       }
-      // Transport events first: a fresh connection binds to its slot
-      // before any draining.
-      std::vector<Transport::Ready> bound;
-      transport_->HandlePollFds(pfds.data() + slot_fds,
-                                pfds.size() - slot_fds, &bound);
-      for (const Transport::Ready& r : bound) BindConnection(slots, r);
-      for (size_t i = 0; i < slot_fds; ++i) {
+      for (size_t i = 0; i < pfds.size(); ++i) {
         if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
         const uint32_t w = watched[i].worker;
         Slot& s = (*slots)[w];
@@ -410,41 +365,17 @@ class ProcessReductionTree {
             s.generation != watched[i].generation) {
           continue;
         }
-        if (pfds[i].fd == s.conn_fd) {
-          if (Drain(w, &s, s.conn_fd)) OnConnectionEof(w, &s);
-        } else if (pfds[i].fd == s.exit_fd && Drain(w, &s, s.exit_fd)) {
-          OnExit(w, &s, num_segments, open, slots);
-        }
+        if (Drain(w, &s)) OnExit(w, &s, num_segments, open, slots);
       }
     }
   }
 
-  // A completed TCP handshake: bind the connection into its worker's slot.
-  void BindConnection(std::vector<Slot>* slots, const Transport::Ready& r) {
-    if (r.worker >= slots->size()) {
-      std::fprintf(stderr, "dist: connection for unknown worker %u dropped\n",
-                   r.worker);
-      ::close(r.fd);
-      return;
-    }
-    Slot& s = (*slots)[r.worker];
-    if (s.state != Slot::kRunning || s.conn_fd >= 0 ||
-        r.generation != s.generation) {
-      std::fprintf(stderr,
-                   "dist: stale connection for worker %u (gen %u) dropped\n",
-                   r.worker, r.generation);
-      ::close(r.fd);
-      return;
-    }
-    s.conn_fd = r.fd;
-  }
-
-  // Feeds what `fd` holds to worker w's decoder; true at EOF. Returns at a
-  // short read rather than waiting for more bytes.
-  bool Drain(uint32_t w, Slot* s, int fd) {
+  // Feeds what the exit pipe holds to worker w's decoder; true at EOF.
+  // Returns at a short read rather than waiting for more bytes.
+  bool Drain(uint32_t w, Slot* s) {
     char buf[65536];
     for (;;) {
-      ssize_t n = ::read(fd, buf, sizeof(buf));
+      ssize_t n = ::read(s->exit_fd, buf, sizeof(buf));
       if (n > 0) {
         metrics_.workers[w].bytes_shipped += static_cast<uint64_t>(n);
         s->decoder.Feed(buf, static_cast<size_t>(n));
@@ -456,43 +387,22 @@ class ProcessReductionTree {
     }
   }
 
-  // The one decode step. The corrupt-frame transport fault flips one bit
-  // of the received bytes first (deterministic per worker; a transport
-  // this broken corrupts every retry too, so the failure goes straight to
-  // quarantine via the CRC).
-  void Decode(uint32_t w, Slot* s) {
+  // Exit-pipe EOF: the worker is gone. Decode what it wrote, reap, and
+  // classify. The corrupt-frame fault flips one bit of the received bytes
+  // first (deterministic per worker; a transport this broken corrupts
+  // every retry too, so the failure goes straight to quarantine via the
+  // CRC).
+  void OnExit(uint32_t w, Slot* s, uint32_t num_segments,
+              const SegmentOpener& open, std::vector<Slot>* slots) {
     const FaultInjector* inj = options_.fault_injector;
     if (inj != nullptr && inj->CorruptsFrame(w) &&
         s->decoder.buffered_bytes() > 0) {
       s->decoder.CorruptForTest();
       inj->Count(FaultInjector::kFaultFrameCorruption);
     }
-    s->decoded = s->decoder.Next(&s->frame, &s->decode_error);
-  }
-
-  // TCP connection EOF: decode, and fin-ack a complete frame (valid or
-  // CRC-rejected — rejection is a verdict, not a transport failure) so the
-  // worker exits. A torn connection frees the slot, and its decoder, for a
-  // redial. Reaping waits for the exit pipe.
-  void OnConnectionEof(uint32_t w, Slot* s) {
-    Decode(w, s);
-    const bool complete = s->decoded != FrameDecoder::Status::kNeedMore;
-    transport_->FinishShipFd(s->conn_fd, /*acked=*/complete);
-    s->conn_fd = -1;
-    if (!complete) s->decoder = FrameDecoder();
-  }
-
-  // Exit-pipe EOF: the worker is gone. Drain a still-bound connection
-  // first so a frame that landed is never lost, decode if nothing was
-  // decoded yet, then reap and classify.
-  void OnExit(uint32_t w, Slot* s, uint32_t num_segments,
-              const SegmentOpener& open, std::vector<Slot>* slots) {
-    if (s->conn_fd >= 0) {
-      while (!Drain(w, s, s->conn_fd)) {
-      }
-      OnConnectionEof(w, s);
-    }
-    if (s->decoded == FrameDecoder::Status::kNeedMore) Decode(w, s);
+    std::string decode_error;
+    const FrameDecoder::Status decoded =
+        s->decoder.Next(&s->frame, &decode_error);
     ::close(s->exit_fd);
     s->exit_fd = -1;
     int status = 0;
@@ -502,20 +412,22 @@ class ProcessReductionTree {
     } while (r < 0 && errno == EINTR);
     CHECK_EQ(r, s->pid);
     s->pid = -1;
-    ClassifyOutcome(w, s, status, num_segments, open, slots);
+    ClassifyOutcome(w, s, status, decoded, decode_error, num_segments, open,
+                    slots);
   }
 
-  // Shared verdict for a reaped worker, given its exit status and what the
-  // decoder made of its bytes — identical across transports, which is what
-  // keeps the crash/quarantine matrix differential-testable over both.
+  // The verdict for a reaped worker, given its exit status and what the
+  // decoder made of its bytes.
   void ClassifyOutcome(uint32_t w, Slot* s, int status,
+                       FrameDecoder::Status decoded,
+                       const std::string& decode_error,
                        uint32_t num_segments, const SegmentOpener& open,
                        std::vector<Slot>* slots) {
     const FaultInjector* inj = options_.fault_injector;
     const bool clean_exit =
         WIFEXITED(status) && WEXITSTATUS(status) == kWorkerOkExit;
 
-    if (s->decoded == FrameDecoder::Status::kFrame && clean_exit) {
+    if (decoded == FrameDecoder::Status::kFrame && clean_exit) {
       // corrupt-merge fault: the worker's fingerprint arrives flipped, so
       // only the majority vote (not a payload cross-check) can catch it —
       // the same detection path the in-process pipeline exercises.
@@ -526,9 +438,9 @@ class ProcessReductionTree {
       s->state = Slot::kDone;
       return;
     }
-    if (s->decoded == FrameDecoder::Status::kCorrupt) {
+    if (decoded == FrameDecoder::Status::kCorrupt) {
       std::fprintf(stderr, "dist: worker %u frame rejected: %s\n", w,
-                   s->decode_error.c_str());
+                   decode_error.c_str());
       ++metrics_.workers[w].crc_rejections;
       Quarantine(w, s);
       return;
@@ -671,32 +583,19 @@ class ProcessReductionTree {
       }
     }
 
-    const uint64_t fingerprint = state.MergeFingerprint();
-    std::ostringstream state_os;
-    state.Save(state_os);
-    const std::string state_blob = state_os.str();
-    // The payload is re-serialized per ship attempt: a TCP retry bumps
-    // connect_retries, and the shipped counters must describe the attempt
-    // that actually landed. The state bytes are identical every time.
-    const bool shipped = transport_->ShipFinalFrame(
-        exit_fd, w, generation, options_.degradation, &counters,
-        [&](const WorkerCounters& c) {
-          Frame frame;
-          frame.fingerprint = fingerprint;
-          std::ostringstream payload;
-          c.Save(payload);
-          payload.write(state_blob.data(),
-                        static_cast<std::streamsize>(state_blob.size()));
-          frame.payload = payload.str();
-          return frame;
-        });
-    ::_exit(shipped ? kWorkerOkExit : kWorkerPermanentErrorExit);
+    Frame frame;
+    frame.fingerprint = state.MergeFingerprint();
+    std::ostringstream payload;
+    counters.Save(payload);
+    state.Save(payload);
+    frame.payload = payload.str();
+    ::_exit(WriteFrameToFd(exit_fd, frame) ? kWorkerOkExit
+                                           : kWorkerPermanentErrorExit);
   }
 
   DistOptions options_;
   Factory factory_;
   DistMetrics metrics_;
-  std::unique_ptr<Transport> transport_;
 };
 
 }  // namespace streamkc

@@ -38,11 +38,11 @@ struct WorkerCounters {
   uint64_t checkpoints_written = 0;
   uint64_t checkpoints_loaded = 0;
   uint64_t checkpoints_rejected = 0;  // torn/foreign blobs discarded on load
-  uint64_t connect_retries = 0;  // transport dials retried (TCP ship path)
 
   // Exact Save() footprint; the checkpoint Try-decoder validates body
-  // lengths against this before handing the bytes to Load.
-  static constexpr size_t kSerializedBytes = 11 * sizeof(uint64_t);
+  // lengths against this before handing the bytes to Load. A change to
+  // the block bumps the checkpoint version (dist/checkpoint.cc).
+  static constexpr size_t kSerializedBytes = 10 * sizeof(uint64_t);
 
   void Save(std::ostream& os) const {
     WriteU64(os, edges_ingested);
@@ -55,7 +55,6 @@ struct WorkerCounters {
     WriteU64(os, checkpoints_written);
     WriteU64(os, checkpoints_loaded);
     WriteU64(os, checkpoints_rejected);
-    WriteU64(os, connect_retries);
   }
 
   static WorkerCounters Load(std::istream& is) {
@@ -70,7 +69,6 @@ struct WorkerCounters {
     c.checkpoints_written = ReadU64(is);
     c.checkpoints_loaded = ReadU64(is);
     c.checkpoints_rejected = ReadU64(is);
-    c.connect_retries = ReadU64(is);
     return c;
   }
 };

@@ -25,7 +25,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan, MetricsRegistry* registry)
   worker_death_count_ = counter(kFaultWorkerDeath);
   merge_corruption_count_ = counter(kFaultMergeCorruption);
   frame_corruption_count_ = counter(kFaultFrameCorruption);
-  socket_drop_count_ = counter(kFaultSocketDrop);
   stream_error_count_ = counter(kFaultStreamError);
   duplicate_count_ = counter(kFaultDuplicate);
   reorder_count_ = counter(kFaultReorder);
@@ -69,10 +68,6 @@ bool FaultInjector::CorruptsFrame(uint32_t shard) const {
   return shard == plan_.corrupt_frame_shard;
 }
 
-bool FaultInjector::DropsSocket(uint32_t shard) const {
-  return shard == plan_.socket_drop_shard;
-}
-
 Counter* FaultInjector::CounterFor(const char* kind) const {
   if (std::strcmp(kind, kFaultPushDelay) == 0) return push_delay_count_;
   if (std::strcmp(kind, kFaultSlowShard) == 0) return slow_shard_count_;
@@ -83,7 +78,6 @@ Counter* FaultInjector::CounterFor(const char* kind) const {
   if (std::strcmp(kind, kFaultFrameCorruption) == 0) {
     return frame_corruption_count_;
   }
-  if (std::strcmp(kind, kFaultSocketDrop) == 0) return socket_drop_count_;
   if (std::strcmp(kind, kFaultStreamError) == 0) return stream_error_count_;
   if (std::strcmp(kind, kFaultDuplicate) == 0) return duplicate_count_;
   if (std::strcmp(kind, kFaultReorder) == 0) return reorder_count_;

@@ -52,11 +52,6 @@ class FaultInjector {
   // corrupted in transport (the CRC rejection path under test).
   bool CorruptsFrame(uint32_t shard) const;
 
-  // Dist-coordinator-side, TCP transport only: true when worker `shard`'s
-  // first connection should be dropped before its hello is acked (the
-  // redial-with-backoff path under test).
-  bool DropsSocket(uint32_t shard) const;
-
   // Deterministic Bernoulli(p) for (tag, sequence n) — shared with
   // FaultInjectingStream so every fault site draws from the same scheme.
   bool Decide(uint64_t tag, uint64_t n, double p) const;
@@ -70,7 +65,6 @@ class FaultInjector {
   static constexpr const char* kFaultWorkerDeath = "worker-death";
   static constexpr const char* kFaultMergeCorruption = "merge-corruption";
   static constexpr const char* kFaultFrameCorruption = "frame-corruption";
-  static constexpr const char* kFaultSocketDrop = "socket-drop";
   static constexpr const char* kFaultStreamError = "stream-error";
   static constexpr const char* kFaultDuplicate = "duplicate";
   static constexpr const char* kFaultReorder = "reorder";
@@ -87,7 +81,6 @@ class FaultInjector {
   Counter* worker_death_count_;
   Counter* merge_corruption_count_;
   Counter* frame_corruption_count_;
-  Counter* socket_drop_count_;
   Counter* stream_error_count_;
   Counter* duplicate_count_;
   Counter* reorder_count_;

@@ -88,9 +88,6 @@ std::string FaultPlan::ToSpec() const {
   if (corrupt_frame_shard != kNoShard) {
     s += ",corrupt-frame=" + std::to_string(corrupt_frame_shard);
   }
-  if (socket_drop_shard != kNoShard) {
-    s += ",socket-drop=" + std::to_string(socket_drop_shard);
-  }
   return s;
 }
 
@@ -159,11 +156,6 @@ bool FaultPlan::Parse(const std::string& spec, FaultPlan* plan,
         return fail(clause, "shard id required");
       }
       plan->corrupt_frame_shard = static_cast<uint32_t>(u);
-    } else if (key == "socket-drop") {
-      if (!ParseU64(value, &u) || u >= kNoShard) {
-        return fail(clause, "shard id required");
-      }
-      plan->socket_drop_shard = static_cast<uint32_t>(u);
     } else {
       return fail(clause, "unknown key");
     }

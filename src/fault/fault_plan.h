@@ -29,11 +29,6 @@
 //   corrupt-frame=S     multi-process runs only: worker S's state frame is
 //                       corrupted in transport; the dist coordinator's CRC
 //                       must reject the frame and quarantine the worker.
-//   socket-drop=S       TCP transport only: the coordinator drops worker
-//                       S's first connection before acking its hello; the
-//                       worker must redial with backoff and the run must
-//                       converge byte-identically (with a zero retry
-//                       budget the worker is quarantined, not crashed).
 //
 // Example:
 //   --fault-plan=seed=7,read-error=0.001,dup=0.02,kill-shard=1@8
@@ -74,7 +69,6 @@ struct FaultPlan {
   uint32_t corrupt_merge_shard = kNoShard;
   // Dist faults (applied by ProcessReductionTree's coordinator).
   uint32_t corrupt_frame_shard = kNoShard;
-  uint32_t socket_drop_shard = kNoShard;
 
   bool HasStreamFaults() const {
     return read_error_rate > 0 || duplicate_rate > 0 || reorder_window > 0 ||
@@ -83,7 +77,7 @@ struct FaultPlan {
   bool HasRuntimeFaults() const {
     return push_delay_rate > 0 || slow_shard != kNoShard ||
            kill_shard != kNoShard || corrupt_merge_shard != kNoShard ||
-           corrupt_frame_shard != kNoShard || socket_drop_shard != kNoShard;
+           corrupt_frame_shard != kNoShard;
   }
   bool Any() const { return HasStreamFaults() || HasRuntimeFaults(); }
 

@@ -2,8 +2,7 @@
 // replica that disagrees with its peers (DESIGN.md §9).
 //
 // The policy lives here once, for every driver:
-//   * Backoff — the retry budget and its saturating sleeps. The TCP redial
-//     (dist/socket_transport.cc) spends one directly.
+//   * Backoff — the retry budget and its saturating sleeps.
 //   * BatchReader — batched reads that retry transient stream errors
 //     through a Backoff. ShardedPipeline producers read through it, and so
 //     does FeedStream (runtime/feed_stream.h), the loop every other driver

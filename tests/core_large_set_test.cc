@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "runtime/edge_batch.h"
 #include "test_util.h"
 
 namespace streamkc {
@@ -167,6 +171,52 @@ TEST(LargeSetComplete, FullRateModeMatchesFigure4) {
   EstimateOutcome out = lsc.Finalize();
   ASSERT_TRUE(out.feasible);
   EXPECT_GE(out.estimate, 256.0 / (2.0 * 4.0 * 4.0 * 4.0));
+}
+
+// stream/edge.h lets a view carry an index with more entries than edges.
+// At ρ = 1 every entry reaches the pool gate, which must take one key per
+// entry: fed the first 16 edges of a 4096-edge batch with the whole batch's
+// index, the batched path must match a Process() loop over those 16 edges
+// (under ASan, a key buffer sized by the edges overflows here).
+TEST(LargeSetComplete, IndexWiderThanTheViewMatchesPerEdge) {
+  LargeSetComplete::Config c;
+  c.params = Params::Practical(4096, 1 << 14, 16, 8);
+  c.universe_size = 1 << 14;
+  c.w = 8;
+  c.element_rate = 1.0;
+  c.reporting = true;
+  c.seed = 37;
+  EdgeBatch batch;
+  batch.edges = SyntheticEdges(4096, /*seed=*/41, 4096, 1 << 14);
+  batch.Prefold();
+  std::unordered_map<SetId, uint32_t> first_seen;
+  std::vector<uint32_t> slot;
+  std::vector<uint64_t> distinct_folded;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto [it, fresh] = first_seen.emplace(
+        batch.edges[i].set, static_cast<uint32_t>(distinct_folded.size()));
+    if (fresh) distinct_folded.push_back(batch.set_folded[i]);
+    slot.push_back(it->second);
+  }
+  constexpr size_t kPrefix = 16;
+  ASSERT_GT(distinct_folded.size(), 4 * kPrefix);
+  PrefoldedEdges view = batch.View();
+  view.size = kPrefix;
+  view.set_slot = slot.data();
+  view.distinct_set_folded = distinct_folded.data();
+  view.num_distinct_sets = distinct_folded.size();
+
+  LargeSetComplete batched(c);
+  batched.ProcessBatch(view);
+  LargeSetComplete per_edge(c);
+  for (size_t i = 0; i < kPrefix; ++i) per_edge.Process(batch.edges[i]);
+  const EstimateOutcome got = batched.Finalize();
+  const EstimateOutcome want = per_edge.Finalize();
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(batched.ExtractSolution(16), per_edge.ExtractSolution(16));
+  EXPECT_EQ(batched.MemoryBytes(), per_edge.MemoryBytes());
 }
 
 // Guess z of EstimateMaxCover runs its oracle on the reduced universe [z]

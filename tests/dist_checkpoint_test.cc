@@ -204,6 +204,18 @@ TEST(DistCheckpoint, TryDecodeRejectsEveryCorruptionClassWithoutDying) {
   EXPECT_FALSE(TryDecodeCheckpoint(bytes + bytes, &out, &error));
 }
 
+TEST(DistCheckpoint, VersionOneFileIsRejectedByItsVersion) {
+  // Version 1 carried an 11-word WorkerCounters block; version 2 carries
+  // 10. A version-1 file fails on its version field, whatever its length.
+  std::string bytes = EncodeCheckpoint(MakeCheckpoint());
+  ASSERT_EQ(bytes[4], 2);  // version LSB
+  bytes[4] = 1;
+  Checkpoint out;
+  std::string error;
+  EXPECT_FALSE(TryDecodeCheckpoint(bytes, &out, &error));
+  EXPECT_EQ(error, "unsupported version");
+}
+
 TEST(DistCheckpoint, TryLoadRejectsMissingAndTornFilesWithoutDying) {
   ScopedTempDir dir;
   const std::string path = CheckpointPath(dir.path(), 0);

@@ -1,9 +1,8 @@
 // Differential battery for the multi-process reduction tree
 // (src/dist/process_tree.h): the distributed run must be BIT-IDENTICAL —
 // compared on the serialized final state, not an estimate tolerance — to
-// the single-process inline pass, across worker counts, merge arities,
-// injected worker deaths (with and without checkpoints), and transport
-// corruption. Fault scenarios additionally pin the detection path: a
+// the single-process inline pass, across worker counts, injected worker
+// deaths (with and without checkpoints), and transport corruption. Fault scenarios additionally pin the detection path: a
 // corrupted frame dies on the CRC, a corrupted fingerprint loses the
 // majority vote, and in both cases the offender is quarantined rather than
 // folded into the estimate.
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/reduction_tree.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "runtime/sketch_states.h"
@@ -38,24 +36,19 @@ TEST_F(DistDifferential, MatchesInlineAcrossWorkersAndArity) {
   ScopedWorkerHarness harness = MakeHarness(/*seed=*/1);
   ScopedWorkerHarness::Result inline_ref = harness.RunInline();
   for (uint32_t workers : {1u, 2u, 4u}) {
-    for (uint32_t arity : {2u, 4u}) {
-      DistOptions opt;
-      opt.num_workers = workers;
-      opt.merge_arity = arity;
-      ScopedWorkerHarness::Result dist = harness.RunDist(opt);
-      EXPECT_EQ(dist.state_blob, inline_ref.state_blob)
-          << "workers=" << workers << " arity=" << arity;
-      EXPECT_EQ(dist.fingerprint, inline_ref.fingerprint);
-      EXPECT_EQ(dist.metrics.frames_received, workers);
-      EXPECT_EQ(dist.metrics.TotalEdgesIngested(), kEdges);
-      EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
-      EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
-      EXPECT_EQ(dist.metrics.TotalRespawns(), 0u);
-      // The recorded tree depth matches the closed form the validator uses.
-      EXPECT_EQ(dist.metrics.tree.depth, MergeTreeDepth(workers, arity));
-      if (workers > 1) {
-        EXPECT_GT(dist.metrics.tree.merges, 0u);
-      }
+    DistOptions opt;
+    opt.num_workers = workers;
+    ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+    EXPECT_EQ(dist.state_blob, inline_ref.state_blob)
+        << "workers=" << workers;
+    EXPECT_EQ(dist.fingerprint, inline_ref.fingerprint);
+    EXPECT_EQ(dist.metrics.frames_received, workers);
+    EXPECT_EQ(dist.metrics.TotalEdgesIngested(), kEdges);
+    EXPECT_EQ(dist.metrics.TotalEdgesProcessed(), kEdges);
+    EXPECT_EQ(dist.metrics.WorkersQuarantined(), 0u);
+    EXPECT_EQ(dist.metrics.TotalRespawns(), 0u);
+    if (workers > 1) {
+      EXPECT_GT(dist.metrics.merge.merges, 0u);
     }
   }
 }
@@ -261,7 +254,6 @@ TEST_F(DistDifferential, SeededFaultSweep) {
     FaultInjector injector(plan);
     DistOptions opt;
     opt.num_workers = 4;
-    opt.merge_arity = t % 2 == 0 ? 2 : 4;
     opt.fault_injector = &injector;
     if (t % 2 == 0) {
       opt.checkpoint_every = 1;
@@ -275,35 +267,6 @@ TEST_F(DistDifferential, SeededFaultSweep) {
   }
 }
 
-TEST(DistReductionTree, TreeMergeMatchesFlatFoldAndReportsShape) {
-  CoverageSketchState::Config config;
-  auto make_states = [&] {
-    std::vector<std::unique_ptr<CoverageSketchState>> states;
-    for (uint32_t i = 0; i < 9; ++i) {
-      auto s = std::make_unique<CoverageSketchState>(config);
-      for (const Edge& e : SyntheticEdges(500, /*seed=*/i)) s->Process(e);
-      states.push_back(std::move(s));
-    }
-    return states;
-  };
-  auto flat = make_states();
-  for (size_t i = 1; i < flat.size(); ++i) flat[0]->Merge(*flat[i]);
-  std::ostringstream flat_blob;
-  flat[0]->Save(flat_blob);
-
-  for (uint32_t arity : {2u, 3u, 4u, 9u}) {
-    auto states = make_states();
-    MergeTreeStats stats;
-    size_t root = TreeMerge(&states, arity, &stats);
-    ASSERT_EQ(root, 0u);
-    std::ostringstream blob;
-    states[root]->Save(blob);
-    EXPECT_EQ(blob.str(), flat_blob.str()) << "arity=" << arity;
-    EXPECT_EQ(stats.depth, MergeTreeDepth(9, arity)) << "arity=" << arity;
-    EXPECT_EQ(stats.merges, 8u) << "arity=" << arity;  // always N-1 merges
-  }
-}
-
 TEST(DistReductionTree, SkipsQuarantinedSlotsAndHandlesAllNull) {
   CoverageSketchState::Config config;
   std::vector<std::unique_ptr<CoverageSketchState>> states;
@@ -311,12 +274,12 @@ TEST(DistReductionTree, SkipsQuarantinedSlotsAndHandlesAllNull) {
     states.push_back(i == 1 ? nullptr
                             : std::make_unique<CoverageSketchState>(config));
   }
-  MergeTreeStats stats;
-  EXPECT_EQ(TreeMerge(&states, 2, &stats), 0u);
+  MergeStats stats;
+  EXPECT_EQ(FoldSurvivors(&states, &stats), 0u);
   EXPECT_EQ(stats.merges, 2u);  // three survivors -> two merges
 
   std::vector<std::unique_ptr<CoverageSketchState>> empty(3);
-  EXPECT_EQ(TreeMerge(&empty, 2, nullptr), SIZE_MAX);
+  EXPECT_EQ(FoldSurvivors(&empty, nullptr), SIZE_MAX);
 }
 
 }  // namespace

@@ -1,14 +1,10 @@
-// Transport-layer lockdown (src/dist/transport.h): the hello codec, the
-// poll-timeout policy, frame reassembly under adversarial delivery splits
-// over both fd flavors the transports use (pipes and sockets), the
-// pipe-vs-tcp differential (clean and under the fault matrix), the
-// socket-drop redial path, the SIGPIPE regression — a worker shipping
-// into a dead coordinator must exit kWorkerPermanentErrorExit, not die by
-// signal (which would read as a crash and burn respawns on a hopeless
-// retry) — and the exit path: a host's SIGCHLD handler stays installed
-// through a run on either transport.
-
-#include "dist/transport.h"
+// Ship-path lockdown (src/dist/frame.h, src/dist/process_tree.h): frame
+// reassembly under adversarial delivery splits over two stream fd flavors
+// (pipes and sockets), the SIGPIPE regression — a worker shipping into a
+// dead coordinator must exit kWorkerPermanentErrorExit, not die by signal
+// (which would read as a crash and burn respawns on a hopeless retry) —
+// and the exit path: a host's SIGCHLD handler stays installed through a
+// run.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -16,58 +12,17 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dist/frame.h"
 #include "dist/process_tree.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "runtime/sketch_states.h"
 #include "test_util.h"
 #include "util/random.h"
 
 namespace streamkc {
 namespace {
-
-TEST(TransportKindTest, ParsesAndNamesBothKinds) {
-  TransportKind kind = TransportKind::kTcp;
-  EXPECT_TRUE(ParseTransportKind("pipe", &kind));
-  EXPECT_EQ(kind, TransportKind::kPipe);
-  EXPECT_TRUE(ParseTransportKind("tcp", &kind));
-  EXPECT_EQ(kind, TransportKind::kTcp);
-  EXPECT_FALSE(ParseTransportKind("udp", &kind));
-  EXPECT_FALSE(ParseTransportKind("", &kind));
-  EXPECT_STREQ(TransportKindName(TransportKind::kPipe), "pipe");
-  EXPECT_STREQ(TransportKindName(TransportKind::kTcp), "tcp");
-}
-
-TEST(TransportHelloTest, RoundTripsAndRejectsBadMagic) {
-  char buf[kHelloBytes];
-  EncodeHello(/*worker=*/7, /*generation=*/3, buf);
-  uint32_t worker = 0, generation = 0;
-  ASSERT_TRUE(DecodeHello(buf, &worker, &generation));
-  EXPECT_EQ(worker, 7u);
-  EXPECT_EQ(generation, 3u);
-  EncodeHello(UINT32_MAX, UINT32_MAX, buf);
-  ASSERT_TRUE(DecodeHello(buf, &worker, &generation));
-  EXPECT_EQ(worker, UINT32_MAX);
-  EXPECT_EQ(generation, UINT32_MAX);
-  buf[0] ^= 0x01;  // magic LSB
-  EXPECT_FALSE(DecodeHello(buf, &worker, &generation));
-}
-
-TEST(PollTimeoutTest, AutoIsInfiniteUnlessDeadlinePending) {
-  // The satellite fix: with every worker exit observable through the poll
-  // set, an idle tree must take ZERO wakeups — auto resolves to infinite.
-  EXPECT_EQ(ResolvePollTimeoutMs(0, /*deadline_pending=*/false), -1);
-  EXPECT_EQ(ResolvePollTimeoutMs(0, /*deadline_pending=*/true), 1000);
-  EXPECT_EQ(ResolvePollTimeoutMs(-1, false), -1);
-  EXPECT_EQ(ResolvePollTimeoutMs(-1, true), -1);   // explicit beats pending
-  EXPECT_EQ(ResolvePollTimeoutMs(250, false), 250);
-  EXPECT_EQ(ResolvePollTimeoutMs(250, true), 250);
-}
 
 // ---- Frame reassembly under adversarial delivery splits -----------------
 
@@ -105,9 +60,8 @@ void DeliverThroughFds(int write_fd, int read_fd, const std::string& bytes,
   ASSERT_EQ(off, bytes.size());
 }
 
-// One fd pair per transport flavor: pipe(2) as PipeTransport uses, and an
-// AF_UNIX socketpair as the closest in-process stand-in for a TCP stream
-// (same SOCK_STREAM short-read/short-write semantics).
+// One fd pair per stream flavor: pipe(2), as the exit pipe uses, and an
+// AF_UNIX socketpair (SOCK_STREAM short-read/short-write semantics).
 struct FdPair {
   int read_fd = -1;
   int write_fd = -1;
@@ -207,149 +161,24 @@ TEST(TransportSigPipeDeathTest, DeadCoordinatorIsPermanentErrorNotSignal) {
   // Pre-fix, the worker's first write after the coordinator closed the
   // read end died by SIGPIPE — the coordinator then classified it as a
   // crash and spent respawns re-running a worker that can never ship.
-  // Post-fix ShipFinalFrame ignores SIGPIPE, sees EPIPE, and returns
-  // false; the worker protocol turns that into kWorkerPermanentErrorExit.
+  // Post-fix the worker ignores SIGPIPE, WriteFrameToFd sees EPIPE and
+  // returns false; the worker protocol turns that into
+  // kWorkerPermanentErrorExit.
   EXPECT_EXIT(
       {
-        TransportConfig config;  // pipe transport
-        std::unique_ptr<Transport> transport = MakeTransport(config);
         int exit_pipe[2];
         if (::pipe(exit_pipe) != 0) ::_exit(1);
         ::close(exit_pipe[0]);  // the coordinator is gone
-        WorkerCounters counters;
-        const bool shipped = transport->ShipFinalFrame(
-            exit_pipe[1], /*worker=*/0, /*generation=*/0, DegradationPolicy{},
-            &counters, [](const WorkerCounters&) {
-              return MakeTestFrame(/*seed=*/41, /*payload_size=*/4096);
-            });
+        IgnoreSigPipe();
+        const bool shipped = WriteFrameToFd(
+            exit_pipe[1], MakeTestFrame(/*seed=*/41, /*payload_size=*/4096));
         ::_exit(shipped ? kWorkerOkExit : kWorkerPermanentErrorExit);
       },
       ::testing::ExitedWithCode(kWorkerPermanentErrorExit), "");
 }
 
-// ---- Pipe-vs-TCP differential -------------------------------------------
-
 constexpr size_t kEdges = 20000;
 constexpr uint32_t kSegments = 16;
-
-DistOptions TcpOptions(uint32_t workers) {
-  DistOptions opt;
-  opt.num_workers = workers;
-  opt.transport.kind = TransportKind::kTcp;
-  return opt;
-}
-
-TEST(TcpTransportDifferential, MatchesPipeAndInlineByteForByte) {
-  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/51), kSegments);
-  ScopedWorkerHarness::Result inline_ref = harness.RunInline();
-  DistOptions pipe_opt;
-  pipe_opt.num_workers = 4;
-  ScopedWorkerHarness::Result pipe = harness.RunDist(pipe_opt);
-  ScopedWorkerHarness::Result tcp = harness.RunDist(TcpOptions(4));
-  EXPECT_EQ(pipe.state_blob, inline_ref.state_blob);
-  EXPECT_EQ(tcp.state_blob, inline_ref.state_blob);
-  EXPECT_EQ(tcp.fingerprint, pipe.fingerprint);
-  EXPECT_EQ(tcp.metrics.transport, "tcp");
-  EXPECT_EQ(tcp.metrics.connections_accepted, 4u);
-  EXPECT_EQ(tcp.metrics.socket_drops, 0u);
-  EXPECT_EQ(tcp.metrics.TotalConnectRetries(), 0u);
-  EXPECT_EQ(tcp.metrics.frames_received, 4u);
-  EXPECT_EQ(tcp.metrics.TotalEdgesProcessed(), kEdges);
-}
-
-TEST(TcpTransportDifferential, FaultMatrixMatchesPipeVerdictForVerdict) {
-  // The acceptance bar: kill-shard and corrupt-frame must produce the SAME
-  // serialized state and the SAME quarantine/respawn ledger over TCP as
-  // over pipes.
-  for (const char* spec :
-       {"seed=7,kill-shard=1@2", "seed=7,corrupt-frame=2"}) {
-    ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/52),
-                                kSegments);
-    FaultInjector pipe_injector(FaultPlan::ParseOrDie(spec));
-    DistOptions pipe_opt;
-    pipe_opt.num_workers = 4;
-    pipe_opt.fault_injector = &pipe_injector;
-    ScopedWorkerHarness::Result pipe = harness.RunDist(pipe_opt);
-
-    FaultInjector tcp_injector(FaultPlan::ParseOrDie(spec));
-    DistOptions tcp_opt = TcpOptions(4);
-    tcp_opt.fault_injector = &tcp_injector;
-    ScopedWorkerHarness::Result tcp = harness.RunDist(tcp_opt);
-
-    EXPECT_EQ(tcp.state_blob, pipe.state_blob) << spec;
-    EXPECT_EQ(tcp.metrics.TotalRespawns(), pipe.metrics.TotalRespawns())
-        << spec;
-    EXPECT_EQ(tcp.metrics.WorkersQuarantined(),
-              pipe.metrics.WorkersQuarantined())
-        << spec;
-    EXPECT_EQ(tcp.metrics.TotalCrcRejections(),
-              pipe.metrics.TotalCrcRejections())
-        << spec;
-    for (uint32_t w = 0; w < 4; ++w) {
-      EXPECT_EQ(tcp.metrics.workers[w].quarantined,
-                pipe.metrics.workers[w].quarantined)
-          << spec << " worker=" << w;
-    }
-  }
-}
-
-TEST(TcpTransportDifferential, SocketDropRedialsAndConvergesIdentically) {
-  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/53), kSegments);
-  DistOptions clean_opt = TcpOptions(4);
-  ScopedWorkerHarness::Result clean = harness.RunDist(clean_opt);
-
-  MetricsRegistry registry;
-  FaultInjector injector(FaultPlan::ParseOrDie("seed=7,socket-drop=1"),
-                         &registry);
-  DistOptions opt = TcpOptions(4);
-  opt.fault_injector = &injector;
-  ScopedWorkerHarness::Result dropped = harness.RunDist(opt);
-
-  EXPECT_EQ(dropped.state_blob, clean.state_blob);
-  EXPECT_EQ(dropped.metrics.socket_drops, 1u);
-  // The redial is recovery, not failure: the dropped dial lands in
-  // socket_drops (never acked, so never "accepted"), the retry is charged
-  // to worker 1, and nobody is respawned or quarantined.
-  EXPECT_EQ(dropped.metrics.connections_accepted, 4u);
-  EXPECT_EQ(dropped.metrics.workers[1].counters.connect_retries, 1u);
-  EXPECT_EQ(dropped.metrics.TotalConnectRetries(), 1u);
-  EXPECT_EQ(dropped.metrics.TotalRespawns(), 0u);
-  EXPECT_EQ(dropped.metrics.WorkersQuarantined(), 0u);
-  EXPECT_EQ(registry
-                .GetCounter(LabeledName("faults_injected_total", "kind",
-                                        FaultInjector::kFaultSocketDrop))
-                ->Value(),
-            1u);
-}
-
-TEST(TcpTransportDifferential, SocketDropWithZeroBudgetQuarantinesCleanly) {
-  // With the dial budget at zero, a dropped connection is a permanent
-  // transport failure: the worker must exit kWorkerPermanentErrorExit (not
-  // die by SIGPIPE writing into the closed socket) and be quarantined
-  // without burning a single respawn.
-  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/54), kSegments);
-  FaultInjector injector(FaultPlan::ParseOrDie("seed=7,socket-drop=2"));
-  DistOptions opt = TcpOptions(4);
-  opt.degradation.max_stream_retries = 0;
-  opt.fault_injector = &injector;
-  ScopedWorkerHarness::Result dist = harness.RunDist(opt);
-  const DistWorkerRow& w2 = dist.metrics.workers[2];
-  EXPECT_TRUE(w2.quarantined);
-  EXPECT_EQ(w2.respawns, 0u);  // permanent error, not a crash
-  EXPECT_EQ(dist.metrics.WorkersQuarantined(), 1u);
-  EXPECT_EQ(dist.metrics.frames_received, 3u);
-  EXPECT_EQ(dist.metrics.socket_drops, 1u);
-}
-
-TEST(TcpTransportDifferential, ExplicitListenAddressAndPollTimeoutWork) {
-  ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/55), kSegments);
-  DistOptions opt = TcpOptions(2);
-  opt.transport.listen_addr = "127.0.0.1:0";  // ephemeral, loopback
-  opt.poll_timeout_ms = 50;                   // finite timeout still drains
-  ScopedWorkerHarness::Result tcp = harness.RunDist(opt);
-  EXPECT_EQ(tcp.state_blob, harness.RunInline().state_blob);
-  EXPECT_GE(tcp.metrics.poll_wakeups, 1u);
-}
 
 // ---- The host's SIGCHLD disposition -------------------------------------
 
@@ -360,34 +189,29 @@ void CountSigchld(int) { g_sigchld_count = g_sigchld_count + 1; }
 TEST(TransportExitPath, HostSigchldHandlerIsLeftAloneOnBothTransports) {
   // A worker's exit reaches the coordinator as EOF on its exit pipe, so
   // Run() needs no signal handler: the host's own SIGCHLD handler stays
-  // installed for the whole run and sees the workers exit, over TCP as
-  // over pipes (pre-fix the TCP transport swapped it out and it counted 0).
+  // installed for the whole run and sees the workers exit.
   ScopedWorkerHarness harness(SyntheticEdges(kEdges, /*seed=*/56), kSegments);
   const std::string inline_blob = harness.RunInline().state_blob;
-  for (TransportKind kind : {TransportKind::kPipe, TransportKind::kTcp}) {
-    const char* name = TransportKindName(kind);
-    struct sigaction counting;
-    std::memset(&counting, 0, sizeof(counting));
-    counting.sa_handler = CountSigchld;
-    counting.sa_flags = SA_RESTART;
-    ::sigemptyset(&counting.sa_mask);
-    struct sigaction host;
-    ASSERT_EQ(::sigaction(SIGCHLD, &counting, &host), 0);
-    g_sigchld_count = 0;
+  struct sigaction counting;
+  std::memset(&counting, 0, sizeof(counting));
+  counting.sa_handler = CountSigchld;
+  counting.sa_flags = SA_RESTART;
+  ::sigemptyset(&counting.sa_mask);
+  struct sigaction host;
+  ASSERT_EQ(::sigaction(SIGCHLD, &counting, &host), 0);
+  g_sigchld_count = 0;
 
-    DistOptions opt;
-    opt.num_workers = 3;
-    opt.transport.kind = kind;
-    ScopedWorkerHarness::Result dist = harness.RunDist(opt);
+  DistOptions opt;
+  opt.num_workers = 3;
+  ScopedWorkerHarness::Result dist = harness.RunDist(opt);
 
-    const int counted = g_sigchld_count;
-    struct sigaction after;
-    ASSERT_EQ(::sigaction(SIGCHLD, &host, &after), 0);
-    EXPECT_GE(counted, 1) << name;  // signals coalesce: at least one lands
-    EXPECT_EQ(after.sa_handler, &CountSigchld) << name;
-    EXPECT_TRUE(dist.state_blob == inline_blob) << name;
-    EXPECT_EQ(dist.metrics.frames_received, 3u) << name;
-  }
+  const int counted = g_sigchld_count;
+  struct sigaction after;
+  ASSERT_EQ(::sigaction(SIGCHLD, &host, &after), 0);
+  EXPECT_GE(counted, 1);  // signals coalesce: at least one lands
+  EXPECT_EQ(after.sa_handler, &CountSigchld);
+  EXPECT_TRUE(dist.state_blob == inline_blob);
+  EXPECT_EQ(dist.metrics.frames_received, 3u);
 }
 
 }  // namespace

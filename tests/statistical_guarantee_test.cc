@@ -27,14 +27,17 @@ namespace {
 class StatisticalSweep
     : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
-TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
-  const std::string family = std::get<0>(GetParam());
-  const double alpha = std::get<1>(GetParam());
-  const uint64_t m = 256, n = 1024, k = 16;
+// Sweeps one cell at instance shape (m, n, k = 16). With `retiring`, every
+// answer must also be the unretired estimator's (AnswerExact) and the cell's
+// states must retire at least one level in all.
+void SweepCell(const std::string& family, double alpha, uint64_t m,
+               uint64_t n, bool retiring) {
+  const uint64_t k = 16;
   const uint64_t num_seeds = EnvScaledU64("STREAMKC_SWEEP_SEEDS", 8);
   const uint64_t base_seed = EnvScaledU64("STREAMKC_SWEEP_BASE_SEED", 5000);
 
   uint64_t failures = 0;
+  uint64_t retired = 0;
   std::string failing_seeds;
   for (uint64_t i = 0; i < num_seeds; ++i) {
     const uint64_t seed = base_seed + i;
@@ -51,13 +54,19 @@ TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
     if (!ok) {
       ++failures;
       failing_seeds += std::to_string(seed) + " ";
-      std::printf("[ sweep ] FAIL cell(%s, alpha=%.0f) seed=%llu "
+      std::printf("[ sweep ] FAIL cell(%s, alpha=%.0f, m=%llu) seed=%llu "
                   "estimate=%.0f greedy=%.0f feasible=%d "
                   "(replay: STREAMKC_SWEEP_BASE_SEED=%llu "
                   "STREAMKC_SWEEP_SEEDS=1)\n",
-                  family.c_str(), alpha, (unsigned long long)seed,
-                  out.estimate, greedy, out.feasible ? 1 : 0,
-                  (unsigned long long)seed);
+                  family.c_str(), alpha, (unsigned long long)m,
+                  (unsigned long long)seed, out.estimate, greedy,
+                  out.feasible ? 1 : 0, (unsigned long long)seed);
+    }
+    if (retiring) {
+      EXPECT_TRUE(est.AnswerExact(out.estimate))
+          << "seed " << seed << ": estimate " << out.estimate
+          << " < retired guess " << est.largest_retired_guess();
+      retired += est.num_retired();
     }
   }
   // The guarantee is with-high-probability, not almost-sure: a sweep is
@@ -65,9 +74,25 @@ TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
   // the estimator misses its α-factor systematically, not unluckily.
   const uint64_t allowed = num_seeds / 10 + 1;
   EXPECT_LE(failures, allowed)
-      << "cell(" << family << ", alpha=" << alpha << "): " << failures << "/"
-      << num_seeds << " seeds broke the alpha-bound; failing seeds: "
-      << failing_seeds;
+      << "cell(" << family << ", alpha=" << alpha << ", m=" << m
+      << "): " << failures << "/" << num_seeds
+      << " seeds broke the alpha-bound; failing seeds: " << failing_seeds;
+  if (retiring) {
+    EXPECT_GE(retired, 1u) << "cell(" << family << ", alpha=" << alpha
+                           << ", m=" << m << "): no level retired";
+  }
+}
+
+TEST_P(StatisticalSweep, AlphaBoundHoldsAcrossSeeds) {
+  // Streams of 1952-3072 edges: below the first retirement check (2^12).
+  SweepCell(std::get<0>(GetParam()), std::get<1>(GetParam()), 256, 1024,
+            /*retiring=*/false);
+}
+
+TEST_P(StatisticalSweep, AlphaBoundHoldsOnRetiringStreams) {
+  // The shape where Retirement.SweepCellsAnswerExactly retires guesses.
+  SweepCell(std::get<0>(GetParam()), std::get<1>(GetParam()), 2048, 8192,
+            /*retiring=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -227,17 +227,8 @@ class ScopedWorkerHarness {
 
   Result RunDist(const DistOptions& options,
                  CoverageSketchState::Config config = {}) {
-    DistOptions opts = options;
-    // STREAMKC_DIST_TRANSPORT=tcp re-runs the whole dist battery over the
-    // socket transport (the CI loopback-TCP leg) without touching each
-    // test; a test that sets the transport explicitly keeps its choice.
-    const char* env = std::getenv("STREAMKC_DIST_TRANSPORT");
-    if (env != nullptr && *env != '\0' &&
-        opts.transport.kind == TransportKind::kPipe) {
-      CHECK(ParseTransportKind(env, &opts.transport.kind));
-    }
     ProcessReductionTree<CoverageSketchState> tree(
-        opts, [config](uint32_t) { return CoverageSketchState(config); });
+        options, [config](uint32_t) { return CoverageSketchState(config); });
     CoverageSketchState state =
         tree.Run(num_segments_, MakeOpener(options.fault_injector));
     Result r;

@@ -55,9 +55,9 @@
 // `sketch` is the multi-process mode (src/dist): --workers W forks W
 // worker processes, each ingesting a disjoint block of the file's
 // newline-aligned segments into a CoverageSketchState and shipping its
-// serialized state over a pipe (CRC-framed); the coordinator reduces the
-// states through a merge tree of --merge-arity. The merged result is
-// byte-identical to --workers 0 (the inline pass). --checkpoint-every N
+// serialized state over a pipe (CRC-framed); the coordinator folds the
+// states in worker order. The merged result is byte-identical to
+// --workers 0 (the inline pass). --checkpoint-every N
 // (with --checkpoint-dir) makes workers checkpoint every N committed
 // segments, so a worker killed mid-stream (crash or kill-shard fault)
 // respawns and resumes instead of re-ingesting its block. --fault-plan
@@ -131,20 +131,12 @@ struct Args {
   bool metrics_format_set = false;
   // Sketch-mode (multi-process) knobs; rejected outside the sketch command.
   uint64_t workers = 0;          // 0 = inline pass, W >= 1 = W processes
-  uint64_t merge_arity = 4;      // reduction-tree fan-in
   uint64_t checkpoint_every = 0; // committed segments per checkpoint; 0 = off
   std::string checkpoint_dir;
   uint64_t segments = 0;         // file segments; 0 = 4 per worker
-  std::string transport = "pipe";  // pipe | tcp (frame transport)
-  std::string listen_addr;         // tcp: coordinator bind address
-  std::string connect_addr;        // tcp: address workers dial
-  int64_t poll_timeout_ms = 0;     // 0 = auto (infinite), -1 = infinite
   bool workers_set = false;
-  bool merge_arity_set = false;
   bool checkpoint_every_set = false;
   bool segments_set = false;
-  bool transport_set = false;
-  bool poll_timeout_set = false;
 };
 
 [[noreturn]] void Usage(const char* msg) {
@@ -178,15 +170,9 @@ struct Args {
                "           [--metrics-format json|prometheus]"
                " [--fault-plan SPEC] [--fault-strict]\n"
                "  streamkc_cli sketch  FILE [--seed S] [--workers W]"
-               " [--merge-arity A] [--segments G]\n"
+               " [--segments G]\n"
                "           [--checkpoint-every N --checkpoint-dir DIR]"
                " [--batch-size B] [--lenient]\n"
-               "           [--transport pipe|tcp] [--listen HOST:PORT]"
-               " [--connect HOST:PORT]\n"
-               "           [--poll-timeout-ms MS]"
-               "   (MS=0 auto, -1 infinite; tcp: workers dial the\n"
-               "            coordinator and ship frames over loopback"
-               " sockets instead of pipes)\n"
                "           [--metrics-out FILE|-]"
                " [--metrics-format json|prometheus]\n"
                "           [--fault-plan SPEC] [--fault-strict]"
@@ -197,13 +183,6 @@ struct Args {
 uint64_t ParseU64(const char* s) {
   char* end = nullptr;
   uint64_t v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') Usage("bad integer argument");
-  return v;
-}
-
-int64_t ParseI64(const char* s) {
-  char* end = nullptr;
-  int64_t v = std::strtoll(s, &end, 10);
   if (end == s || *end != '\0') Usage("bad integer argument");
   return v;
 }
@@ -270,10 +249,6 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--workers") {
       a.workers = ParseU64(next());
       a.workers_set = true;
-    } else if (flag == "--merge-arity") {
-      a.merge_arity = ParseU64(next());
-      a.merge_arity_set = true;
-      if (a.merge_arity < 2) Usage("--merge-arity must be >= 2");
     } else if (flag == "--checkpoint-every") {
       a.checkpoint_every = ParseU64(next());
       a.checkpoint_every_set = true;
@@ -283,26 +258,6 @@ Args Parse(int argc, char** argv) {
       a.segments = ParseU64(next());
       a.segments_set = true;
       if (a.segments == 0) Usage("--segments must be >= 1");
-    } else if (flag == "--transport" ||
-               flag.rfind("--transport=", 0) == 0) {
-      a.transport = flag == "--transport"
-                        ? next()
-                        : flag.substr(std::strlen("--transport="));
-      a.transport_set = true;
-      if (a.transport != "pipe" && a.transport != "tcp") {
-        Usage("--transport must be pipe or tcp");
-      }
-    } else if (flag == "--listen") {
-      a.listen_addr = next();
-    } else if (flag == "--connect") {
-      a.connect_addr = next();
-    } else if (flag == "--poll-timeout-ms") {
-      a.poll_timeout_ms = ParseI64(next());
-      a.poll_timeout_set = true;
-      if (a.poll_timeout_ms < -1 || a.poll_timeout_ms > INT32_MAX) {
-        Usage("--poll-timeout-ms must be -1 (infinite), 0 (auto), or a "
-              "positive millisecond count");
-      }
     } else if (flag == "--lenient") {
       a.lenient = true;
     } else if (flag == "--fault-plan") {
@@ -359,31 +314,12 @@ void ValidateFlags(const Args& a) {
     if (a.segments_set && a.workers > 0 && a.segments < a.workers) {
       Usage("--segments must be >= --workers");
     }
-    if (a.transport_set && a.workers == 0) {
-      Usage("--transport needs --workers >= 1 (the inline pass has no "
-            "frames to ship)");
-    }
-    if ((!a.listen_addr.empty() || !a.connect_addr.empty()) &&
-        a.transport != "tcp") {
-      Usage("--listen/--connect need --transport tcp");
-    }
-    if (a.poll_timeout_set && a.workers == 0) {
-      Usage("--poll-timeout-ms needs --workers >= 1");
-    }
   } else {
     if (a.workers_set) Usage("--workers only applies to the sketch command");
-    if (a.merge_arity_set) {
-      Usage("--merge-arity only applies to the sketch command");
-    }
     if (a.checkpoint_every_set || !a.checkpoint_dir.empty()) {
       Usage("--checkpoint-every/--checkpoint-dir only apply to sketch");
     }
     if (a.segments_set) Usage("--segments only applies to the sketch command");
-    if (a.transport_set || !a.listen_addr.empty() || !a.connect_addr.empty() ||
-        a.poll_timeout_set) {
-      Usage("--transport/--listen/--connect/--poll-timeout-ms only apply to "
-            "the sketch command");
-    }
   }
   if (a.metrics_format_set && a.metrics_out.empty()) {
     Usage("--metrics-format needs --metrics-out");
@@ -694,15 +630,13 @@ int CmdEstimate(const Args& a) {
   EstimateMaxCover est = RunPass<EstimateMaxCover>(
       a, [&] { return EstimateMaxCover(c); }, &stats);
   EstimateOutcome out = est.Finalize();
-  out.shards_quarantined = stats.shards_quarantined;
-  out.quarantined_fraction = stats.quarantined_fraction;
   std::printf("coverage estimate  : %.0f\n", out.estimate);
   std::printf("winning subroutine : %s\n", out.source.c_str());
   PrintRetirement(est, out.estimate);
-  if (out.shards_quarantined > 0) {
+  if (stats.shards_quarantined > 0) {
     std::printf("confidence         : degraded — %u shards quarantined "
                 "(%.1f%% of substreams unseen)\n",
-                out.shards_quarantined, out.quarantined_fraction * 100.0);
+                stats.shards_quarantined, stats.quarantined_fraction * 100.0);
   }
   std::printf("sketch memory      : %zu KiB (peak %zu KiB)\n",
               est.MemoryBytes() >> 10, stats.peak_bytes >> 10);
@@ -889,7 +823,7 @@ void PrintSketch(const CoverageSketchState& state) {
 }
 
 // Multi-process coverage-sketch pass: forks --workers processes over the
-// file's segment split and tree-merges their serialized states. With
+// file's segment split and folds their serialized states. With
 // --workers 0 the same state ingests inline — the differential reference
 // (identical bytes, printed as the same fingerprint + estimates).
 int CmdSketch(const Args& a) {
@@ -914,15 +848,10 @@ int CmdSketch(const Args& a) {
 
   DistOptions opt;
   opt.num_workers = static_cast<uint32_t>(a.workers);
-  opt.merge_arity = static_cast<uint32_t>(a.merge_arity);
   opt.batch_size = a.batch_size;
   opt.checkpoint_every = static_cast<uint32_t>(a.checkpoint_every);
   opt.checkpoint_dir = a.checkpoint_dir;
   opt.degradation.strict = a.fault_strict;
-  CHECK(ParseTransportKind(a.transport, &opt.transport.kind));
-  if (!a.listen_addr.empty()) opt.transport.listen_addr = a.listen_addr;
-  opt.transport.connect_addr = a.connect_addr;
-  opt.poll_timeout_ms = static_cast<int>(a.poll_timeout_ms);
   std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
   opt.fault_injector = injector.get();
 
@@ -939,21 +868,14 @@ int CmdSketch(const Args& a) {
         return stream;
       });
   const DistMetrics& dm = tree.metrics();
-  std::printf("sketch             : %u workers -> %u segments "
-              "(arity-%u merge tree, depth %u), %.2fM edges/s\n",
-              dm.num_workers, dm.num_segments, dm.merge_arity, dm.tree.depth,
-              dm.EdgesPerSecond() / 1e6);
+  std::printf("sketch             : %u workers -> %u segments, "
+              "%.2fM edges/s\n",
+              dm.num_workers, dm.num_segments, dm.EdgesPerSecond() / 1e6);
   std::printf("dist               : %llu edges across %llu frames, "
               "%llu bytes shipped in %.2fs\n",
               (unsigned long long)dm.TotalEdgesProcessed(),
               (unsigned long long)dm.frames_received,
               (unsigned long long)dm.TotalBytesShipped(), sw.ElapsedSeconds());
-  std::printf("transport          : %s (%llu connections, %llu dial "
-              "retries, %llu poll wakeups)\n",
-              dm.transport.c_str(),
-              (unsigned long long)dm.connections_accepted,
-              (unsigned long long)dm.TotalConnectRetries(),
-              (unsigned long long)dm.poll_wakeups);
   if (opt.checkpoint_every > 0) {
     std::printf("checkpoints        : %llu written, %llu loaded "
                 "(every %u segments in %s)\n",

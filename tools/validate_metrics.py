@@ -282,7 +282,6 @@ def check_invariants(dump, errors):
                 ("checkpoints_written", "checkpoints_written"),
                 ("checkpoints_loaded", "checkpoints_loaded"),
                 ("checkpoints_rejected", "checkpoints_rejected"),
-                ("connect_retries", "connect_retries"),
                 ("workers_respawned", "respawns"),
                 ("crc_rejections", "crc_rejections")):
             row_sum = sum(row[row_key] for row in workers)
@@ -290,18 +289,6 @@ def check_invariants(dump, errors):
                 errors.append(
                     f"$.dist.{total_key}: {dist[total_key]} != "
                     f"worker row sum {row_sum}")
-        # Transport sanity: the pipe transport never accepts connections or
-        # drops sockets, and retries only exist where a dial can fail.
-        if dist["transport"] not in ("pipe", "tcp"):
-            errors.append(f"$.dist.transport: {dist['transport']!r} is not "
-                          f"pipe/tcp")
-        if dist["transport"] == "pipe":
-            for key in ("connections_accepted", "socket_drops",
-                        "connect_retries"):
-                if dist[key]:
-                    errors.append(
-                        f"$.dist.{key}: {dist[key]} nonzero on the pipe "
-                        f"transport")
         quarantined = sum(1 for row in workers if row["quarantined"])
         if dist["workers_quarantined"] != quarantined:
             errors.append(
@@ -312,17 +299,13 @@ def check_invariants(dump, errors):
             errors.append(
                 f"$.dist.num_segments: {dist['num_segments']} != "
                 f"sum of segments_assigned {assigned}")
-        # The merge tree's depth is fully determined by its leaf count (the
-        # non-quarantined workers) and arity: ceil(log_arity(leaves)).
-        leaves = len(workers) - quarantined
-        depth, span = 0, 1
-        while span < leaves:
-            span *= dist["merge_arity"]
-            depth += 1
-        if leaves > 0 and dist["merge_depth"] != depth:
+        # The flat fold merges every surviving (non-quarantined) worker but
+        # the root into the root: one Merge() per survivor after the first.
+        survivors = len(workers) - quarantined
+        if survivors > 0 and dist["merges"] != survivors - 1:
             errors.append(
-                f"$.dist.merge_depth: {dist['merge_depth']} != "
-                f"ceil(log_{dist['merge_arity']}({leaves})) = {depth}")
+                f"$.dist.merges: {dist['merges']} != {survivors} "
+                f"survivors - 1")
         # PublishTo mirrors the section into the registry; the dump must be
         # one coherent snapshot, not two.
         reg = dump.get("registry", {})
@@ -336,12 +319,8 @@ def check_invariants(dump, errors):
                  dist["checkpoints_written"]),
                 ("dist_checkpoints_rejected_total",
                  dist["checkpoints_rejected"]),
-                ("dist_connect_retries_total", dist["connect_retries"]),
                 ("dist_poll_wakeups_total", dist["poll_wakeups"]),
-                ("dist_connections_accepted_total",
-                 dist["connections_accepted"]),
-                ("dist_socket_drops_total", dist["socket_drops"]),
-                ("dist_merge_depth", dist["merge_depth"])):
+                ("dist_merges_total", dist["merges"])):
             have = reg.get(gauge, want)
             if have != want:
                 errors.append(
