@@ -56,7 +56,7 @@ if(Python3_Interpreter_FOUND)
 endif()
 
 # Serving perf smoke mirrors the runtime one: the bench itself hard-fails on
-# any correctness break (staleness differential, sharded/inline divergence);
+# any correctness break (staleness differential, parallel/inline divergence);
 # the comparator then hard-gates shape + the deterministic flag and warns on
 # throughput drift.
 add_test(NAME bench_serving_perf_smoke

@@ -5,8 +5,9 @@
 // no-query baseline; (B) the same ingest with N reader threads hammering
 // Estimate/SetCoverage/Report against the live SnapshotStore — the
 // acceptance criterion is that ingest throughput stays within 10% of (A),
-// since readers only touch immutable published snapshots; (C) sharded
-// ingest, whose final snapshot must equal (A)'s exactly. The deterministic
+// since readers only touch immutable published snapshots; (C) parallel
+// ingest, 4 threads running the estimator's levels, whose final snapshot
+// must equal (A)'s exactly. The deterministic
 // flag also covers the staleness differential: a sampled set of published
 // epochs from (A) is re-derived by fresh inline prefix passes and must
 // match answer-for-answer.
@@ -194,21 +195,22 @@ int Main(int argc, char** argv) {
   double query_eps = static_cast<double>(sum_b.edges) / query_s;
   double qps = static_cast<double>(served) / query_s;
 
-  // (C) sharded ingest must converge to the identical final answers.
-  SnapshotStore store_c("sharded", reg);
+  // (C) level-parallel ingest must reach the identical final answers.
+  SnapshotStore store_c("parallel", reg);
   ServingRuntimeOptions opts_c;
   opts_c.snapshot_every_edges = kCadence;
   opts_c.threads = 4;
   opts_c.registry = reg;
-  double shard_s = 0;
-  uint64_t shard_served = 0, shard_rejected = 0;
-  IngestSummary sum_c = TimedIngest(edges, opts_c, &store_c, 0, &shard_s,
-                                    &shard_served, &shard_rejected);
-  double shard_eps = static_cast<double>(sum_c.edges) / shard_s;
-  bool sharded_ok = store_a.Current() != nullptr &&
-                    store_c.Current() != nullptr &&
-                    AnswersMatch(*store_a.Current(), *store_c.Current());
-  if (!sharded_ok) std::printf("SHARDED/INLINE ANSWER DIVERGENCE\n");
+  double parallel_s = 0;
+  uint64_t parallel_served = 0, parallel_rejected = 0;
+  IngestSummary sum_c =
+      TimedIngest(edges, opts_c, &store_c, 0, &parallel_s, &parallel_served,
+                  &parallel_rejected);
+  double parallel_eps = static_cast<double>(sum_c.edges) / parallel_s;
+  bool parallel_ok = store_a.Current() != nullptr &&
+                     store_c.Current() != nullptr &&
+                     AnswersMatch(*store_a.Current(), *store_c.Current());
+  if (!parallel_ok) std::printf("PARALLEL/INLINE ANSWER DIVERGENCE\n");
 
   Table table({"mode", "edges/s", "snapshots", "queries/s", "served",
                "rejected"});
@@ -220,7 +222,7 @@ int Main(int argc, char** argv) {
                 Fmt("%llu", (unsigned long long)sum_b.snapshots_published),
                 Fmt("%.2fM", qps / 1e6), Fmt("%llu", (unsigned long long)served),
                 Fmt("%llu", (unsigned long long)rejected)});
-  table.AddRow({"sharded x4, no queries", Fmt("%.2fM", shard_eps / 1e6),
+  table.AddRow({"parallel x4, no queries", Fmt("%.2fM", parallel_eps / 1e6),
                 Fmt("%llu", (unsigned long long)sum_c.snapshots_published),
                 "-", "-", "-"});
   table.Print();
@@ -231,18 +233,18 @@ int Main(int argc, char** argv) {
       "within-10%% criterion%s)\n",
       ratio * 100.0, ratio >= 0.9 ? "meets" : "BELOW",
       ratio >= 0.9 ? "" : " — expected on oversubscribed cores, see header");
-  std::printf("staleness differential: %s; sharded/inline answers: %s\n",
+  std::printf("staleness differential: %s; parallel/inline answers: %s\n",
               differential_ok ? "exact" : "VIOLATED",
-              sharded_ok ? "identical" : "DIVERGED");
+              parallel_ok ? "identical" : "DIVERGED");
 
   report.SetMetric("ingest_noquery_eps", base_eps);
   report.SetMetric("ingest_withquery_eps", query_eps);
-  report.SetMetric("sharded_4_eps", shard_eps);
+  report.SetMetric("parallel_4_eps", parallel_eps);
   report.SetMetric("query_qps", qps);
   report.SetMetric("ingest_query_ratio", ratio);
   report.SetMetric("snapshots_published",
                    static_cast<double>(sum_a.snapshots_published));
-  if (!differential_ok || !sharded_ok) return 1;
+  if (!differential_ok || !parallel_ok) return 1;
   report.SetMetric("deterministic", 1);
   bench::DumpMetricsJson(metrics_out);
   report.Write(bench_out);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 
+#include "core/level_executor.h"
 #include "core/set_index.h"
 #include "hash/mersenne.h"
 #include "util/check.h"
@@ -125,6 +126,20 @@ void EstimateMaxCover::ProcessBatch(const PrefoldedEdges& batch) {
 }
 
 void EstimateMaxCover::ProcessLevels(const PrefoldedEdges& slice) {
+  if (executor_ == nullptr) {
+    for (Level& level : oracles_) {
+      if (level.oracle) ProcessLevel(level, slice);
+    }
+    return;
+  }
+  // The slice and its set index are shared read-only; each level's
+  // remapped edges and its components' scratch are per thread.
+  executor_->Run(NumLive(),
+                 [&](size_t i) { ProcessLevel(oracles_[i], slice); });
+}
+
+void EstimateMaxCover::ProcessLevel(Level& level,
+                                    const PrefoldedEdges& slice) {
   struct Scratch {
     std::vector<Edge> edges;
     std::vector<uint64_t> folded;
@@ -135,18 +150,21 @@ void EstimateMaxCover::ProcessLevels(const PrefoldedEdges& slice) {
   uint64_t* folded = GrowTo(s.folded, slice.size);
   mapped.edges = edges;
   mapped.element_folded = folded;
-  for (Level& level : oracles_) {
-    if (!level.oracle) continue;
-    // Batched universe reduction; the mapped pseudo-element ids then get
-    // their own fold (they are fresh hash inputs downstream — a guess
-    // z > 2^61 - 1 would otherwise leak out-of-field values).
-    level.reduction.MapFoldedBatch(slice.element_folded, folded, slice.size);
-    for (size_t i = 0; i < slice.size; ++i) {
-      edges[i] = Edge{slice.edges[i].set, folded[i]};
-      folded[i] = MersenneFold(folded[i]);
-    }
-    level.oracle->ProcessBatch(mapped);
+  // Batched universe reduction; the mapped pseudo-element ids then get
+  // their own fold (they are fresh hash inputs downstream — a guess
+  // z > 2^61 - 1 would otherwise leak out-of-field values).
+  level.reduction.MapFoldedBatch(slice.element_folded, folded, slice.size);
+  for (size_t i = 0; i < slice.size; ++i) {
+    edges[i] = Edge{slice.edges[i].set, folded[i]};
+    folded[i] = MersenneFold(folded[i]);
   }
+  level.oracle->ProcessBatch(mapped);
+}
+
+size_t EstimateMaxCover::NumLive() const {
+  size_t live = 0;
+  while (live < oracles_.size() && oracles_[live].oracle) ++live;
+  return live;
 }
 
 void EstimateMaxCover::AdvanceEdges(uint64_t edges) {
@@ -245,11 +263,22 @@ void EstimateMaxCover::Merge(const EstimateMaxCover& other) {
 std::optional<EstimateMaxCover::Winner> EstimateMaxCover::BestLevel() const {
   const Params& p = config_.params;
   // est_z = max over the repetitions of guess z; then keep guesses passing
-  // est_z ≥ z/(4α) and return the largest estimate.
+  // est_z ≥ z/(4α) and return the largest estimate. With an executor the
+  // live levels finalize on its threads into per-level slots first; the
+  // winner is picked in level order either way, so ties break alike.
+  std::vector<Oracle::Finalized> slots;
+  if (executor_ != nullptr) {
+    slots.resize(NumLive());
+    executor_->Run(slots.size(), [&](size_t i) {
+      slots[i] = oracles_[i].oracle->FinalizeForReport();
+    });
+  }
   std::optional<Winner> best;
   for (size_t i = 0; i < oracles_.size(); ++i) {
     if (!oracles_[i].oracle) continue;
-    Oracle::Finalized fin = oracles_[i].oracle->FinalizeForReport();
+    Oracle::Finalized fin = executor_ != nullptr
+                                ? std::move(slots[i])
+                                : oracles_[i].oracle->FinalizeForReport();
     const EstimateOutcome& out = fin.outcome;
     if (!PassesThreshold(out, oracles_[i].z, p.alpha)) continue;
     if (!best || out.estimate > best->finalized.outcome.estimate) {

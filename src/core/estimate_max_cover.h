@@ -26,6 +26,12 @@
 // F ≥ the largest retired z (AnswerExact); in theory mode that holds
 // w.h.p. by the paper's guarantees, in practical mode it is checked per
 // answer.
+//
+// Threads (DESIGN.md §6): the oracles are independent, so with a
+// LevelExecutor attached every slice goes to the live levels on the
+// executor's threads, one thread per level, and a publish finalizes them
+// there too. Each level still reads every edge in stream order, so the
+// state and every answer are the single-threaded ones.
 
 #ifndef STREAMKC_CORE_ESTIMATE_MAX_COVER_H_
 #define STREAMKC_CORE_ESTIMATE_MAX_COVER_H_
@@ -42,6 +48,8 @@
 #include "sketch/l0_estimator.h"
 
 namespace streamkc {
+
+class LevelExecutor;
 
 class EstimateMaxCover : public StreamingEstimator {
  public:
@@ -68,8 +76,15 @@ class EstimateMaxCover : public StreamingEstimator {
   // index included, to the oracle. A block that straddles a retirement
   // check is split at that edge, and each part is indexed on its own.
   // Bit-identical to a Process() loop (levels are independent; per-level
-  // edge order and the check points are preserved).
+  // edge order and the check points are preserved), with or without an
+  // executor.
   void ProcessBatch(const PrefoldedEdges& batch) override;
+
+  // Runs the live levels of every later batch, and of every finalize, on
+  // `executor`'s threads; nullptr detaches it. The executor is not state:
+  // Merge, MergeFingerprint and MemoryBytes ignore it, and the owner
+  // detaches it before the executor goes away.
+  void AttachExecutor(LevelExecutor* executor) { executor_ = executor; }
 
   // The final coverage estimate. Always feasible: the trivial branch and the
   // z-threshold rule guarantee an answer (0 only for an empty stream).
@@ -149,6 +164,11 @@ class EstimateMaxCover : public StreamingEstimator {
 
   // Feeds `slice` (an indexed view) to every live level.
   void ProcessLevels(const PrefoldedEdges& slice);
+  // Feeds `slice` to one live level, through its universe reduction.
+  static void ProcessLevel(Level& level, const PrefoldedEdges& slice);
+  // The live levels are oracles_[0, NumLive()): retirement takes the
+  // smallest guesses, and the levels run from the largest guess down.
+  size_t NumLive() const;
   // Counts `edges` more edges of this state's stream and runs the
   // retirement check when the count lands on a check point.
   void AdvanceEdges(uint64_t edges);
@@ -173,6 +193,7 @@ class EstimateMaxCover : public StreamingEstimator {
   // Edges of this state's stream (merged operands' edges included); the
   // retirement checks run right after edge 2^j, j ≥ 12.
   uint64_t edges_seen_ = 0;
+  LevelExecutor* executor_ = nullptr;  // not state; see AttachExecutor
 };
 
 }  // namespace streamkc

@@ -66,6 +66,10 @@ class ReportMaxCover : public StreamingEstimator {
   // The wrapped estimator, for its retirement accessors
   // (EstimateMaxCover::AnswerExact and friends).
   const EstimateMaxCover& estimator() const { return estimator_; }
+  // See EstimateMaxCover::AttachExecutor.
+  void AttachExecutor(LevelExecutor* executor) {
+    estimator_.AttachExecutor(executor);
+  }
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "report_max_cover"; }

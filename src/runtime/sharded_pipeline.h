@@ -123,11 +123,6 @@ struct ShardedPipelineOptions {
   // coordinator, which is safe because its decisions are stateless.
   const FaultInjector* fault_injector = nullptr;
   DegradationPolicy degradation;
-  // Runs on the coordinator right before the pipeline exits the process (a
-  // strict-mode degradation, or every shard quarantined), after its own
-  // threads are joined. An owner that runs threads of its own joins them
-  // here, so process teardown never races those either.
-  std::function<void()> before_exit;
 };
 
 template <PipelineState State>
@@ -474,7 +469,7 @@ class ShardedPipeline {
                        "[streamkc] strict: stream error persisted after %u "
                        "retries: %s\n",
                        st.retries_used, st.message.c_str());
-          Exit();
+          std::exit(1);
         }
       }
     }
@@ -526,13 +521,13 @@ class ShardedPipeline {
     if (num_quarantined > 0 && deg.strict) {
       std::fprintf(stderr, "[streamkc] strict: %u/%u shards quarantined\n",
                    num_quarantined, n);
-      Exit();
+      std::exit(1);
     }
     if (num_quarantined == n) {
       // No healthy replica survives; a fabricated answer would be worse
       // than none, strict mode or not.
       std::fprintf(stderr, "[streamkc] all %u shards quarantined\n", n);
-      Exit();
+      std::exit(1);
     }
 
     // Merge coordinator: fold the healthy shards in fixed shard order (root
@@ -561,12 +556,6 @@ class ShardedPipeline {
             .count(),
         std::memory_order_relaxed);
     return std::move(states[root]);
-  }
-
-  // Every process exit the pipeline takes goes through here.
-  [[noreturn]] void Exit() const {
-    if (options_.before_exit) options_.before_exit();
-    std::exit(1);
   }
 
   ShardedPipelineOptions options_;

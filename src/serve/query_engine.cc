@@ -64,7 +64,6 @@ QueryStaleness QueryEngine::StalenessOf(const CoverageSnapshot& snap,
   s.epoch = snap.meta().epoch;
   s.edges_ingested = snap.meta().edges_ingested;
   s.batches_ingested = snap.meta().batches_ingested;
-  s.quarantined_fraction = snap.meta().quarantined_fraction;
   s.age_ns = snap.AgeNs(now_steady_ns);
   return s;
 }

@@ -1,10 +1,9 @@
 // QueryEngine: answers coverage queries against the current snapshot.
 //
 // Every answer carries staleness metadata (snapshot epoch, edges ingested,
-// quarantined-shard fraction, snapshot age) so callers can decide whether a
-// bounded-stale answer is acceptable — the serving layer's consistency
-// contract is "reads see the latest published batch boundary", never
-// read-your-ingest.
+// snapshot age) so callers can decide whether a bounded-stale answer is
+// acceptable — the serving layer's consistency contract is "reads see the
+// latest published batch boundary", never read-your-ingest.
 //
 // All three query types are pure reads over an immutable snapshot:
 // EstimateMaxCover / ReportMaxCover return answers precomputed at publish
@@ -35,7 +34,6 @@ struct QueryStaleness {
   uint64_t epoch = 0;
   uint64_t edges_ingested = 0;
   uint64_t batches_ingested = 0;
-  double quarantined_fraction = 0.0;
   uint64_t age_ns = 0;  // now - snapshot publish time
 };
 

@@ -2,13 +2,10 @@
 
 #include <chrono>
 #include <optional>
-#include <thread>
-#include <utility>
 
+#include "core/level_executor.h"
 #include "runtime/edge_batch.h"
 #include "runtime/feed_stream.h"
-#include "runtime/runtime_metrics.h"
-#include "runtime/sharded_pipeline.h"
 #include "util/check.h"
 
 namespace streamkc {
@@ -27,10 +24,7 @@ uint64_t NowSteadyNs() {
 ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
                                const ServingRuntimeOptions& options,
                                SnapshotStore* store)
-    : state_config_(state_config),
-      options_(options),
-      store_(store),
-      state_(state_config) {
+    : options_(options), store_(store), state_(state_config) {
   CHECK(store != nullptr);
   CHECK_GE(options_.snapshot_every_edges, 1u);
   CHECK_GE(options_.batch_size, 1u);
@@ -41,7 +35,6 @@ ServingRuntime::ServingRuntime(const ServingState::Config& state_config,
   publish_ns_ = reg->GetHistogram("serve_publish_ns");
   publish_finalize_ns_ = reg->GetHistogram("serve_publish_finalize_ns");
   publish_build_ns_ = reg->GetHistogram("serve_publish_build_ns");
-  publish_wait_ns_ = reg->GetHistogram("serve_publish_wait_ns");
   retry_backoff_ns_ = reg->GetHistogram("runtime_retry_backoff_ns");
   guesses_retired_ = reg->GetGauge("serve_guesses_retired");
   answers_inexact_ = reg->GetCounter("serve_answers_inexact_total");
@@ -53,7 +46,6 @@ void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
   meta.epoch = ++epoch_;
   meta.edges_ingested = progress.edges;
   meta.batches_ingested = progress.segments;
-  meta.quarantined_fraction = progress.quarantined_fraction;
   meta.shards = options_.threads;
   meta.publish_steady_ns = t0;
   const MaxCoverSolution solution = state_.FinalizeSolution();
@@ -74,80 +66,35 @@ void ServingRuntime::PublishSnapshot(const IngestSummary& progress) {
 IngestSummary ServingRuntime::Ingest(EdgeStream& stream) {
   const uint64_t t0 = NowSteadyNs();
   IngestSummary summary;
-  // Sharded only: segment e's publish (its merge into the cumulative state,
-  // finalize and snapshot) runs on this thread while segment e+1 ingests.
-  // At most one is in flight: it is joined before the next hand-off, before
-  // returning, and before a pipeline exits the process.
-  std::jthread publisher;
-  ShardedPipelineOptions popts;
-  popts.num_shards = options_.threads;
-  popts.batch_size = options_.batch_size;
-  popts.policy = options_.policy;
-  popts.registry = options_.registry;
-  popts.fault_injector = options_.fault_injector;
-  popts.degradation = options_.degradation;
-  popts.before_exit = [&publisher] {
-    if (publisher.joinable()) publisher.join();
-  };
-  const ServingState::Config config = state_config_;
-  ShardedPipeline<ServingState>::Factory factory =
-      [config](uint32_t) { return ServingState(config); };
-
+  // threads >= 2: this call's helpers, attached to the state until it
+  // returns.
+  std::optional<LevelExecutor> executor;
+  if (options_.threads >= 2) {
+    executor.emplace(options_.threads);
+    state_.AttachExecutor(&*executor);
+  }
   // One segment per snapshot: the bounded view ends every segment exactly
   // on the cadence, which the epoch-E differential guarantee depends on.
   BoundedEdgeStream bounded(&stream, options_.snapshot_every_edges);
   EdgeBatch batch(options_.batch_size);
-  uint32_t shard_runs_total = 0;
   for (;;) {
     bounded.Rearm();
-    uint64_t got = 0;
-    // Inline, the segment's batches go straight into the cumulative state;
-    // sharded, one pipeline run (with its own readers, quarantine and
-    // fingerprint vote) folds the segment into its own state.
-    std::optional<ServingState> segment;
-    if (options_.threads == 0) {
-      got = FeedStream(bounded, state_, batch, options_.batch_size,
-                       options_.degradation, retry_backoff_ns_)
-                .edges;
-    } else {
-      ShardedPipeline<ServingState> pipeline(popts, factory);
-      segment.emplace(pipeline.Run(bounded));
-      const RuntimeMetrics& rm = pipeline.metrics();
-      got = rm.edges_ingested.load(std::memory_order_relaxed);
-      // Only segments that saw edges count toward the quarantine fraction —
-      // an empty trailing run has no substreams to lose.
-      if (got > 0) {
-        shard_runs_total += options_.threads;
-        summary.shard_runs_quarantined += static_cast<uint32_t>(
-            rm.shards_quarantined.load(std::memory_order_relaxed));
-        summary.quarantined_fraction =
-            static_cast<double>(summary.shard_runs_quarantined) /
-            static_cast<double>(shard_runs_total);
-      }
-    }
+    const uint64_t got = FeedStream(bounded, state_, batch,
+                                    options_.batch_size, options_.degradation,
+                                    retry_backoff_ns_)
+                             .edges;
     if (got == 0) break;  // end of stream, or an unrecoverable error
     edges_ingested_->Increment(got);
     summary.edges += got;
     ++summary.segments;
     segments_total_->Increment();
     ++summary.snapshots_published;
-    if (!segment) {
-      PublishSnapshot(summary);
-    } else {
-      const uint64_t wait_start = NowSteadyNs();
-      if (publisher.joinable()) publisher.join();
-      publish_wait_ns_->Observe(NowSteadyNs() - wait_start);
-      publisher = std::jthread(
-          [this, segment = std::move(*segment), progress = summary] {
-            state_.Merge(segment);
-            PublishSnapshot(progress);
-          });
-    }
+    PublishSnapshot(summary);
     // A truncated segment still published, so the last snapshot covers
     // every edge read; the error surfaces through the summary.
     if (!stream.ok()) break;
   }
-  if (publisher.joinable()) publisher.join();
+  state_.AttachExecutor(nullptr);
   summary.ingest_ns = NowSteadyNs() - t0;
   summary.stream_ok = stream.ok();
   if (!summary.stream_ok) summary.stream_error = stream.StatusMessage();

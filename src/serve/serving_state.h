@@ -14,8 +14,10 @@
 //     so their answers must be precomputed at snapshot-publish time — see
 //     serve/snapshot.h);
 //   * the ShardedPipeline State contract (PipelineState: ProcessBatch/
-//     Merge/MergeFingerprint/SpaceMetered) — so serving instances shard
-//     exactly like one-shot passes.
+//     Merge/MergeFingerprint/SpaceMetered) — so a serving state runs
+//     through the edge-sharded pipeline like the one-shot states (the
+//     serving runtime itself parallelizes across guesses instead, through
+//     AttachExecutor).
 
 #ifndef STREAMKC_SERVE_SERVING_STATE_H_
 #define STREAMKC_SERVE_SERVING_STATE_H_
@@ -59,6 +61,11 @@ class ServingState : public SpaceMetered {
 
   // The reporter's estimator, for its retirement accessors.
   const EstimateMaxCover& estimator() const { return reporter_.estimator(); }
+  // Runs the estimator's levels on `executor`'s threads until detached
+  // with nullptr (EstimateMaxCover::AttachExecutor).
+  void AttachExecutor(LevelExecutor* executor) {
+    reporter_.AttachExecutor(executor);
+  }
   const CountSketch& set_coverage() const { return set_coverage_; }
   const Config& config() const { return config_; }
 

@@ -11,7 +11,8 @@ namespace {
 
 // 'K''C''S''N' — streamkc coverage snapshot.
 constexpr uint32_t kSnapshotMagic = 0x4B43534E;
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 2 dropped the quarantined-shard fraction from the metadata.
+constexpr uint32_t kSnapshotVersion = 2;
 
 void WriteString(std::ostream& os, const std::string& s) {
   WriteU64(os, s.size());
@@ -53,7 +54,6 @@ std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::Build(
   WriteU64(payload, meta.epoch);
   WriteU64(payload, meta.edges_ingested);
   WriteU64(payload, meta.batches_ingested);
-  WriteDouble(payload, meta.quarantined_fraction);
   WriteU32(payload, meta.shards);
   WriteU64(payload, meta.publish_steady_ns);
   WriteDouble(payload, solution.estimate);
@@ -86,7 +86,6 @@ std::shared_ptr<const CoverageSnapshot> CoverageSnapshot::FromBlob(
   snap->meta_.epoch = ReadU64(is);
   snap->meta_.edges_ingested = ReadU64(is);
   snap->meta_.batches_ingested = ReadU64(is);
-  snap->meta_.quarantined_fraction = ReadDouble(is);
   snap->meta_.shards = ReadU32(is);
   snap->meta_.publish_steady_ns = ReadU64(is);
   snap->solution_.estimate = ReadDouble(is);

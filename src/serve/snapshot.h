@@ -1,9 +1,9 @@
 // CoverageSnapshot: an immutable, self-contained view of a serving
 // instance's state at one publish boundary.
 //
-// Consistency model: a snapshot is built single-threaded at a batch
-// boundary (after a whole ingest segment has been processed and merged), so
-// it never exposes a partial merge. It shares NO storage with the live
+// Consistency model: a snapshot is built on the ingest thread at a segment
+// boundary (after a whole ingest segment has been processed), so it never
+// exposes a partial segment. It shares NO storage with the live
 // estimator: the query sketch travels through a serialized blob (the
 // existing CountSketch Save/Load format) and is restored from those bytes,
 // and the max-cover answers are finalized once at build time — the core
@@ -37,11 +37,8 @@ struct SnapshotMeta {
   uint64_t epoch = 0;            // 1-based publish sequence number
   uint64_t edges_ingested = 0;   // edges the snapshot's state has seen
   uint64_t batches_ingested = 0; // ingest segments folded in
-  // Fraction of shard substreams quarantined out of the merges feeding this
-  // snapshot (0 for inline ingest / clean sharded runs): the confidence
-  // discount every answer inherits.
-  double quarantined_fraction = 0.0;
-  uint32_t shards = 0;           // ingest shard count (0 = inline)
+  // Ingest threads, as ServingRuntimeOptions::threads (0 = inline).
+  uint32_t shards = 0;
   // steady_clock nanoseconds at publish; age = now - publish_steady_ns.
   uint64_t publish_steady_ns = 0;
 };

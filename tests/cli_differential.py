@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Differential check of streamkc_cli's answers across ingest drivers.
 
-Runs `estimate`, `report` and `sketch` on one edge file inline and through
-the sharded (--threads, --producers) and multi-process (--workers) drivers,
-and fails unless every driver prints the inline run's answer lines. Only
-answer lines are compared: memory lines may differ for a legitimate reason
-(a merged state accounts for capacity differently from an inline one).
+Runs `estimate`, `report`, `serve` and `sketch` on one edge file inline and
+sharded (--threads, --producers), level-parallel (`serve --threads`) and
+multi-process (--workers), and fails unless every such run prints the
+inline run's answer lines. Only answer lines are compared: memory lines may
+differ for a legitimate reason (a merged state accounts for capacity
+differently from an inline one). `serve` publishes at a cadence of a
+quarter of the file, so its answer is the last of at least 4 snapshots.
 
 usage: cli_differential.py CLI EDGES [--m M] [--n N] [--k K] [--alpha A]
                                      [--seed S]
@@ -23,9 +25,17 @@ CHECKS = [
       ["--threads", "4", "--producers", "2"]]),
     ("report", ("coverage estimate", "selected sets"),
      [[], ["--threads", "4", "--partition", "set"]]),
+    ("serve", ("coverage estimate", "selected sets"),
+     [[], ["--threads", "2"], ["--threads", "4"]]),
     ("sketch", ("distinct covered", "element F2", "merge fingerprint"),
      [[], ["--workers", "4"], ["--workers", "2", "--segments", "5"]]),
 ]
+
+
+def count_edges(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return sum(1 for line in f if line.strip() and
+                   not line.lstrip().startswith("#"))
 
 
 def answer_lines(cmd, prefixes):
@@ -49,12 +59,15 @@ def main():
     args = parser.parse_args()
     shape = ["--m", args.m, "--n", args.n, "--k", args.k,
              "--alpha", args.alpha]
+    cadence = str(max(1, count_edges(args.edges) // 4))
 
     failures = 0
     for command, prefixes, variants in CHECKS:
         base = [args.cli, command, args.edges, "--seed", args.seed]
         if command != "sketch":
             base += shape
+        if command == "serve":
+            base += ["--snapshot-every", cadence, "--query-threads", "1"]
         want = answer_lines(base, prefixes)
         if len(want) != len(prefixes):
             print("FAIL: inline %s printed %d of the %d answer lines: %s" %

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/level_executor.h"
 #include "obs/space_accountant.h"
 #include "runtime/edge_batch.h"
 #include "test_util.h"
@@ -368,6 +371,100 @@ TEST(Retirement, MarginFollowsTheMode) {
   const EstimateOutcome out = est.Finalize();
   EXPECT_TRUE(est.AnswerExact(out.estimate));
   EXPECT_EQ(out.estimate, Unretired(c, edges).Finalize().estimate);
+}
+
+// ---- Level-parallel ingest -------------------------------------------------
+
+// Feeds `edges` in batches ending at `ends` to an inline estimator and, for
+// each of `thread_counts`, to one with a LevelExecutor of that many threads
+// attached. After every batch num_retired() must agree with the inline
+// estimator's, and Observe() too once `observe_gap` edges have passed since
+// the last comparison, and after the last batch. Returns the fewest live
+// levels the inline estimator had.
+uint32_t ExpectLevelParallelMatchesInline(
+    const EstimateMaxCover::Config& c, const std::vector<Edge>& edges,
+    const std::vector<size_t>& ends, size_t observe_gap,
+    const std::string& label) {
+  const std::vector<uint32_t> thread_counts = {2, 3, 4, 8};
+  EstimateMaxCover inline_pass(c);
+  std::vector<std::unique_ptr<LevelExecutor>> executors;
+  std::vector<std::unique_ptr<EstimateMaxCover>> parallel;
+  for (uint32_t threads : thread_counts) {
+    executors.push_back(std::make_unique<LevelExecutor>(threads));
+    parallel.push_back(std::make_unique<EstimateMaxCover>(c));
+    parallel.back()->AttachExecutor(executors.back().get());
+  }
+  uint32_t fewest_live = inline_pass.num_oracles();
+  size_t begin = 0, observed = 0;
+  for (size_t end : ends) {
+    FeedRange(inline_pass, edges, begin, end, end - begin);
+    const uint32_t retired = inline_pass.num_retired();
+    fewest_live = std::min(fewest_live, inline_pass.num_oracles() - retired);
+    const bool observe = end - observed >= observe_gap || end == edges.size();
+    const std::string want = observe ? Observe(inline_pass) : std::string();
+    for (size_t t = 0; t < parallel.size(); ++t) {
+      FeedRange(*parallel[t], edges, begin, end, end - begin);
+      EXPECT_EQ(parallel[t]->num_retired(), retired)
+          << label << " threads " << thread_counts[t] << " after edge "
+          << end;
+      if (observe) {
+        EXPECT_EQ(Observe(*parallel[t]), want)
+            << label << " threads " << thread_counts[t] << " after edge "
+            << end;
+      }
+    }
+    if (observe) observed = end;
+    begin = end;
+  }
+  for (auto& est : parallel) est->AttachExecutor(nullptr);
+  return fewest_live;
+}
+
+// Ends of a first batch of `first` edges and then batches of `size`.
+std::vector<size_t> BatchEnds(size_t total, size_t first, size_t size) {
+  std::vector<size_t> ends = {std::min(first, total)};
+  while (ends.back() < total) {
+    ends.push_back(std::min(ends.back() + size, total));
+  }
+  return ends;
+}
+
+// Every level reads every edge in stream order on whichever thread runs
+// it, so a level-parallel estimator is the inline one after every batch, at
+// the batch sizes of Retirement.BatchesRetireLikeAProcessLoop: the state,
+// the retirements, and the parallel finalize's winner and witness. On the
+// planted stream retirement leaves fewer live levels than 8 threads.
+TEST(LevelParallel, BatchesMatchInlineAtEveryBatchSize) {
+  const uint64_t m = 1024, n = 1 << 14;
+  const std::vector<std::pair<std::string, std::vector<Edge>>> streams = {
+      {"planted", InstanceEdges(PlantedCover(m, n, 16, 0.5, 6, 41), 3)},
+      {"zipf", InstanceEdges(ZipfFrequency(m, n, 12, 1.1, 43), 4)}};
+  const EstimateMaxCover::Config c = RetireConfig(m, n, 16, 8, 57);
+  uint32_t fewest_live = UINT32_MAX;
+  for (const auto& [name, edges] : streams) {
+    ASSERT_GT(edges.size(), size_t{1} << 13);
+    for (size_t size : {size_t{1}, size_t{1000}, size_t{4096}, size_t{5000},
+                        edges.size()}) {
+      fewest_live = std::min(
+          fewest_live, ExpectLevelParallelMatchesInline(
+                           c, edges, BatchEnds(edges.size(), size, size),
+                           1000, name + " batch " + std::to_string(size)));
+    }
+  }
+  EXPECT_LT(fewest_live, 8u);
+}
+
+// The 96-edge slice before edge 2^12 of a wide batch, on the stream of
+// Retirement.StraddlingSliceOfAWideBatchMatchesAProcessLoop, indexed on
+// its own and fed to the levels on several threads.
+TEST(LevelParallel, StraddlingSliceOfAWideBatchMatchesInline) {
+  const uint64_t m = 8192, n = 1 << 15;
+  const std::vector<Edge> edges =
+      InstanceEdges(PlantedCover(m, n, 16, 0.5, 6, 17), 5);
+  ASSERT_GT(edges.size(), size_t{4000 + 8192});
+  const EstimateMaxCover::Config c = RetireConfig(m, n, 16, 8, 23);
+  ExpectLevelParallelMatchesInline(
+      c, edges, BatchEnds(edges.size(), 4000, 8192), 1, "straddling");
 }
 
 }  // namespace

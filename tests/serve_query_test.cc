@@ -40,7 +40,6 @@ std::shared_ptr<const CoverageSnapshot> Snap(const ServingState& state,
   meta.epoch = epoch;
   meta.edges_ingested = 100 * epoch;
   meta.batches_ingested = epoch;
-  meta.quarantined_fraction = 0.125;
   meta.shards = 8;
   meta.publish_steady_ns = 42;
   return CoverageSnapshot::Build(state, meta);
@@ -85,7 +84,6 @@ TEST(QueryEngine, AnswersMatchSnapshotAndCarryStaleness) {
   EXPECT_EQ(est.staleness.epoch, 2u);
   EXPECT_EQ(est.staleness.edges_ingested, 200u);
   EXPECT_EQ(est.staleness.batches_ingested, 2u);
-  EXPECT_DOUBLE_EQ(est.staleness.quarantined_fraction, 0.125);
 
   ReportAnswer rep = engine.Report();
   ASSERT_TRUE(rep.ok);

@@ -1,28 +1,23 @@
 // ServingRuntime contract — including the subsystem's acceptance
 // criterion: querying a snapshot at epoch E returns exactly what a one-shot
 // inline pass over the first E ingest segments would have returned. Plus:
-// sharded segment ingest, whose publishes overlap the next segment's
-// ingest, matches inline at every epoch; a strict-mode exit with a publish
-// in flight exits cleanly; a trailing partial segment still publishes; and
-// pipeline quarantine propagates into every later snapshot's staleness
-// metadata.
+// threaded ingest (the estimator's levels on several threads) matches
+// inline at every epoch, publishes one snapshot at a time, and ends on a
+// dead source exactly like inline; a trailing partial segment still
+// publishes; and retried read errors move no segment boundary.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/params.h"
-#include "fault/fault_injector.h"
-#include "fault/fault_plan.h"
 #include "obs/metrics.h"
-#include "serve/query_engine.h"
 #include "serve/serving_runtime.h"
 #include "serve/serving_state.h"
 #include "serve/snapshot_store.h"
@@ -101,12 +96,10 @@ TEST(ServingRuntime, SnapshotAtEpochEMatchesInlinePrefixPass) {
   }
 }
 
-// Every epoch of a sharded serve equals the inline serve's snapshot at the
-// same epoch: seed-coordinated shard replicas merge to the single-threaded
-// state, and overlapping a segment's publish with the next segment's
-// ingest changes nothing. The publisher hands snapshots over one at a
-// time, in epoch order, and each hand-off waits for the previous publish
-// exactly once.
+// Every epoch of a threaded serve equals the inline serve's snapshot at the
+// same epoch: every level reads every edge in stream order on whichever
+// thread runs it, so the state is the inline state. Publishes come one at
+// a time, in epoch order.
 TEST(ServingRuntime, ShardedSegmentsMatchInlineIngest) {
   const std::vector<Edge> edges = TestEdges();
   const uint64_t kCadence = 512;
@@ -125,55 +118,53 @@ TEST(ServingRuntime, ShardedSegmentsMatchInlineIngest) {
   VectorEdgeStream inline_stream(edges);
   IngestSummary inline_sum = inline_runtime.Ingest(inline_stream);
 
-  MetricsRegistry sharded_registry;
-  SnapshotStore sharded_store("rt1b", &sharded_registry);
-  ServingRuntimeOptions sharded_opts;
-  sharded_opts.snapshot_every_edges = kCadence;
-  sharded_opts.threads = 3;
-  sharded_opts.batch_size = 64;
-  sharded_opts.registry = &sharded_registry;
-  std::atomic<bool> in_flight{false};
-  std::atomic<uint32_t> overlapping_calls{0};
-  std::vector<std::shared_ptr<const CoverageSnapshot>> sharded_snaps;
-  sharded_opts.on_publish =
-      [&](const std::shared_ptr<const CoverageSnapshot>& snap) {
-        if (in_flight.exchange(true)) overlapping_calls.fetch_add(1);
-        sharded_snaps.push_back(snap);
-        // Hold the publish open so the next segment ingests under it.
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        in_flight.store(false);
-      };
-  ServingRuntime sharded_runtime(TestConfig(), sharded_opts, &sharded_store);
-  VectorEdgeStream sharded_stream(edges);
-  IngestSummary sharded_sum = sharded_runtime.Ingest(sharded_stream);
+  for (uint32_t threads : {2u, 3u, 8u}) {
+    MetricsRegistry sharded_registry;
+    SnapshotStore sharded_store("rt1b", &sharded_registry);
+    ServingRuntimeOptions sharded_opts;
+    sharded_opts.snapshot_every_edges = kCadence;
+    sharded_opts.threads = threads;
+    sharded_opts.batch_size = 64;
+    sharded_opts.registry = &sharded_registry;
+    std::atomic<bool> in_flight{false};
+    std::atomic<uint32_t> overlapping_calls{0};
+    std::vector<std::shared_ptr<const CoverageSnapshot>> sharded_snaps;
+    sharded_opts.on_publish =
+        [&](const std::shared_ptr<const CoverageSnapshot>& snap) {
+          if (in_flight.exchange(true)) overlapping_calls.fetch_add(1);
+          sharded_snaps.push_back(snap);
+          // Hold the publish open: nothing may publish under it.
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          in_flight.store(false);
+        };
+    ServingRuntime sharded_runtime(TestConfig(), sharded_opts,
+                                   &sharded_store);
+    VectorEdgeStream sharded_stream(edges);
+    IngestSummary sharded_sum = sharded_runtime.Ingest(sharded_stream);
 
-  EXPECT_EQ(sharded_sum.edges, inline_sum.edges);
-  EXPECT_EQ(sharded_sum.segments, inline_sum.segments);
-  EXPECT_EQ(sharded_sum.snapshots_published, inline_sum.snapshots_published);
-  EXPECT_DOUBLE_EQ(sharded_sum.quarantined_fraction, 0.0);
-  EXPECT_EQ(overlapping_calls.load(), 0u);
-  ASSERT_EQ(sharded_snaps.size(), inline_snaps.size());
-  for (size_t i = 0; i < sharded_snaps.size(); ++i) {
-    const CoverageSnapshot& got = *sharded_snaps[i];
-    const CoverageSnapshot& want = *inline_snaps[i];
-    EXPECT_EQ(got.meta().epoch, i + 1);
-    EXPECT_EQ(got.meta().edges_ingested, want.meta().edges_ingested);
-    EXPECT_DOUBLE_EQ(got.solution().estimate, want.solution().estimate)
-        << "epoch " << i + 1;
-    EXPECT_EQ(got.solution().source, want.solution().source)
-        << "epoch " << i + 1;
-    EXPECT_EQ(got.solution().sets, want.solution().sets) << "epoch " << i + 1;
-    for (SetId s = 0; s < 16; ++s) {
-      EXPECT_DOUBLE_EQ(got.SetCoverage(s), want.SetCoverage(s))
-          << "epoch " << i + 1 << " set " << s;
+    EXPECT_EQ(sharded_sum.edges, inline_sum.edges) << "threads " << threads;
+    EXPECT_EQ(sharded_sum.segments, inline_sum.segments);
+    EXPECT_EQ(sharded_sum.snapshots_published,
+              inline_sum.snapshots_published);
+    EXPECT_EQ(overlapping_calls.load(), 0u) << "threads " << threads;
+    ASSERT_EQ(sharded_snaps.size(), inline_snaps.size());
+    for (size_t i = 0; i < sharded_snaps.size(); ++i) {
+      const CoverageSnapshot& got = *sharded_snaps[i];
+      const CoverageSnapshot& want = *inline_snaps[i];
+      EXPECT_EQ(got.meta().epoch, i + 1);
+      EXPECT_EQ(got.meta().edges_ingested, want.meta().edges_ingested);
+      EXPECT_DOUBLE_EQ(got.solution().estimate, want.solution().estimate)
+          << "threads " << threads << " epoch " << i + 1;
+      EXPECT_EQ(got.solution().source, want.solution().source)
+          << "threads " << threads << " epoch " << i + 1;
+      EXPECT_EQ(got.solution().sets, want.solution().sets)
+          << "threads " << threads << " epoch " << i + 1;
+      for (SetId s = 0; s < 16; ++s) {
+        EXPECT_DOUBLE_EQ(got.SetCoverage(s), want.SetCoverage(s))
+            << "threads " << threads << " epoch " << i + 1 << " set " << s;
+      }
     }
   }
-  // One wait per sharded hand-off, none inline.
-  EXPECT_EQ(
-      sharded_registry.GetHistogram("serve_publish_wait_ns")->Count(),
-      sharded_sum.snapshots_published);
-  EXPECT_EQ(inline_registry.GetHistogram("serve_publish_wait_ns")->Count(),
-            0u);
 }
 
 // Serves its first `good` edges, then fails every read with a transient
@@ -210,37 +201,58 @@ class OutageEdgeStream : public EdgeStream {
   bool failing_ = false;
 };
 
-// Strict mode exits from inside segment 2's pipeline run while segment 1's
-// publish is still in flight on the publisher thread (its on_publish
-// sleeps). The process must exit with status 1, not hang or crash, and the
-// exit must first let that publish finish: its line follows the strict one.
-TEST(ServingRuntimeDeathTest, StrictFaultDuringInFlightPublishExits) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+// A source that goes down for good inside the third segment: the threaded
+// serve stops where the inline one does, reports the stream's error, and
+// publishes the same snapshots, the truncated last segment included.
+TEST(ServingRuntime, OutageEndsParallelIngestLikeInline) {
   const std::vector<Edge> edges = TestEdges();
-  const uint64_t kCadence = 512;
-  ASSERT_GT(edges.size(), 2 * kCadence);
-  auto serve = [&] {
+  const uint64_t kCadence = 512, kGood = 2 * kCadence + kCadence / 2;
+  ASSERT_GT(edges.size(), kGood);
+  auto serve = [&](uint32_t threads, IngestSummary* sum) {
     MetricsRegistry registry;
     SnapshotStore store("rt7", &registry);
     ServingRuntimeOptions opts;
     opts.snapshot_every_edges = kCadence;
-    opts.threads = 3;
+    opts.threads = threads;
     opts.batch_size = 64;
     opts.registry = &registry;
-    opts.degradation.strict = true;
-    opts.degradation.max_stream_retries = 1;
+    opts.degradation.max_stream_retries = 2;
     opts.degradation.initial_backoff_ns = 1000;
-    opts.on_publish = [](const std::shared_ptr<const CoverageSnapshot>& s) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      std::fprintf(stderr, "epoch %llu published\n",
-                   static_cast<unsigned long long>(s->meta().epoch));
+    std::vector<std::shared_ptr<const CoverageSnapshot>> snaps;
+    opts.on_publish = [&](const std::shared_ptr<const CoverageSnapshot>& s) {
+      snaps.push_back(s);
     };
     ServingRuntime runtime(TestConfig(), opts, &store);
-    OutageEdgeStream stream(edges, kCadence + kCadence / 2);
-    runtime.Ingest(stream);
+    OutageEdgeStream stream(edges, kGood);
+    *sum = runtime.Ingest(stream);
+    return snaps;
   };
-  EXPECT_EXIT(serve(), ::testing::ExitedWithCode(1),
-              "strict: stream error persisted.*epoch 1 published");
+  IngestSummary inline_sum, threaded_sum;
+  const auto want = serve(0, &inline_sum);
+  const auto got = serve(3, &threaded_sum);
+  EXPECT_FALSE(inline_sum.stream_ok);
+  EXPECT_FALSE(threaded_sum.stream_ok);
+  EXPECT_EQ(threaded_sum.stream_error, "outage: read failed");
+  EXPECT_EQ(threaded_sum.edges, kGood);
+  EXPECT_EQ(threaded_sum.edges, inline_sum.edges);
+  EXPECT_EQ(threaded_sum.segments, inline_sum.segments);
+  ASSERT_EQ(want.size(), 3u);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const CoverageSnapshot& g = *got[i];
+    const CoverageSnapshot& w = *want[i];
+    EXPECT_EQ(g.meta().epoch, w.meta().epoch);
+    EXPECT_EQ(g.meta().edges_ingested, w.meta().edges_ingested)
+        << "epoch " << i + 1;
+    EXPECT_DOUBLE_EQ(g.solution().estimate, w.solution().estimate)
+        << "epoch " << i + 1;
+    EXPECT_EQ(g.solution().source, w.solution().source) << "epoch " << i + 1;
+    EXPECT_EQ(g.solution().sets, w.solution().sets) << "epoch " << i + 1;
+    for (SetId s = 0; s < 16; ++s) {
+      EXPECT_DOUBLE_EQ(g.SetCoverage(s), w.SetCoverage(s))
+          << "epoch " << i + 1 << " set " << s;
+    }
+  }
 }
 
 TEST(ServingRuntime, TrailingPartialSegmentStillPublishes) {
@@ -262,36 +274,6 @@ TEST(ServingRuntime, TrailingPartialSegmentStillPublishes) {
   EXPECT_EQ(last->meta().edges_ingested, edges.size());
   EXPECT_EQ(last->meta().epoch, (edges.size() + kCadence - 1) / kCadence);
   EXPECT_EQ(sum.snapshots_published, last->meta().epoch);
-}
-
-TEST(ServingRuntime, QuarantinePropagatesIntoStaleness) {
-  const std::vector<Edge> edges = TestEdges();
-  MetricsRegistry registry;
-  SnapshotStore store("rt3", &registry);
-  FaultPlan plan;
-  std::string err;
-  ASSERT_TRUE(FaultPlan::Parse("seed=7,kill-shard=1@0", &plan, &err)) << err;
-  FaultInjector injector(plan, &registry);
-  ServingRuntimeOptions opts;
-  opts.snapshot_every_edges = 1024;
-  opts.threads = 2;
-  opts.batch_size = 64;
-  opts.registry = &registry;
-  opts.fault_injector = &injector;
-  ServingRuntime runtime(TestConfig(), opts, &store);
-  VectorEdgeStream stream(edges);
-  IngestSummary sum = runtime.Ingest(stream);
-
-  EXPECT_GT(sum.shard_runs_quarantined, 0u);
-  EXPECT_GT(sum.quarantined_fraction, 0.0);
-  auto snap = store.Current();
-  ASSERT_NE(snap, nullptr);
-  // The confidence discount rides the snapshot into every served answer.
-  EXPECT_GT(snap->meta().quarantined_fraction, 0.0);
-  QueryEngine engine(&store, &registry);
-  EstimateAnswer ans = engine.Estimate();
-  ASSERT_TRUE(ans.ok);
-  EXPECT_GT(ans.staleness.quarantined_fraction, 0.0);
 }
 
 // Fails its first `failures` reads with a transient error, then serves
@@ -387,8 +369,8 @@ TEST(ServingRuntime, InlineFirstBackoffHonorsTheCap) {
 
 TEST(ServingRuntime, TransientOutageInsideASegmentChangesNoEpoch) {
   // Three consecutive reads fail at edge 1500, inside the second segment.
-  // Retried, the outage moves no segment boundary: inline and sharded, every
-  // snapshot equals the clean inline run's.
+  // Retried, the outage moves no segment boundary: inline and threaded,
+  // every snapshot equals the clean inline run's.
   const std::vector<Edge> edges = TestEdges();
   const uint64_t kCadence = 1024, kAt = 1500;
   ASSERT_GT(edges.size(), kAt);

@@ -44,7 +44,6 @@ SnapshotMeta TestMeta() {
   meta.epoch = 3;
   meta.edges_ingested = 12345;
   meta.batches_ingested = 3;
-  meta.quarantined_fraction = 0.25;
   meta.shards = 4;
   meta.publish_steady_ns = 999;
   return meta;
@@ -60,7 +59,6 @@ TEST(CoverageSnapshot, BuildCarriesMetaAndFinalizedAnswer) {
   EXPECT_EQ(snap->meta().epoch, 3u);
   EXPECT_EQ(snap->meta().edges_ingested, 12345u);
   EXPECT_EQ(snap->meta().batches_ingested, 3u);
-  EXPECT_DOUBLE_EQ(snap->meta().quarantined_fraction, 0.25);
   EXPECT_EQ(snap->meta().shards, 4u);
   EXPECT_EQ(snap->meta().publish_steady_ns, 999u);
   EXPECT_DOUBLE_EQ(snap->solution().estimate, expect.estimate);
@@ -114,6 +112,20 @@ TEST(CoverageSnapshotDeathTest, WrongVersionAborts) {
   std::string blob = CoverageSnapshot::Build(state, TestMeta())->blob();
   uint32_t bad_version = 99;
   std::memcpy(blob.data() + 4, &bad_version, sizeof(bad_version));
+  EXPECT_DEATH(CoverageSnapshot::FromBlob(blob), "CHECK failed");
+}
+
+// Version 1 carried a quarantined-shard fraction that version 2 dropped:
+// its payload no longer parses as this build's, so it must be rejected by
+// its version.
+TEST(CoverageSnapshotDeathTest, VersionOneBlobIsRejectedByItsVersion) {
+  ServingState state = FedState(TestEdges());
+  std::string blob = CoverageSnapshot::Build(state, TestMeta())->blob();
+  uint32_t version = 0;
+  std::memcpy(&version, blob.data() + 4, sizeof(version));
+  ASSERT_EQ(version, 2u);
+  version = 1;
+  std::memcpy(blob.data() + 4, &version, sizeof(version));
   EXPECT_DEATH(CoverageSnapshot::FromBlob(blob), "CHECK failed");
 }
 

@@ -44,13 +44,17 @@
 //
 // `serve` is the long-running mode (src/serve): the pass ingests the file
 // in segments of --snapshot-every edges, publishing an immutable coverage
-// snapshot into a double-buffered store at every boundary, while
-// --query-threads reader threads answer EstimateMaxCover / ReportMaxCover /
-// per-set coverage queries against the current snapshot the whole time.
-// Every answer carries staleness metadata (epoch, edges ingested,
-// quarantined fraction, snapshot age). --threads >= 1 runs each segment
-// through the sharded runtime (and is required for --fault-plan, exactly as
-// in estimate/report). --metrics-out gains a "serving" section.
+// snapshot into a one-slot store at every boundary, while --query-threads
+// reader threads answer EstimateMaxCover / ReportMaxCover / per-set
+// coverage queries against the current snapshot the whole time. Every
+// answer carries staleness metadata (epoch, edges ingested, snapshot age).
+// --threads T >= 2 runs the estimator's (guess, repetition) levels on T
+// threads, the ingest thread plus T - 1 helpers; every level still reads
+// every edge in order, so the answers are the inline ones. --fault-plan
+// takes stream faults only (read-error, dup, reorder, garbage), at any
+// --threads: a stream that spends its retry budget prints "fault: stream
+// truncated", or exits 1 under --fault-strict. --partition does not apply.
+// --metrics-out gains a "serving" section.
 //
 // `sketch` is the multi-process mode (src/dist): --workers W forks W
 // worker processes, each ingesting a disjoint block of the file's
@@ -111,7 +115,8 @@ struct Args {
   size_t budget_kb = 0;
   std::string family = "planted";
   std::string out;
-  uint64_t threads = 0;  // 0 = classic in-line pass, N ≥ 1 = sharded runtime
+  // 0 = in-line pass; N ≥ 1 = sharded runtime (serve: N ≥ 2 ingest threads)
+  uint64_t threads = 0;
   uint64_t producers = 1;  // parallel ingest front-end width (needs --threads)
   bool producers_set = false;
   size_t batch_size = 4096;
@@ -165,10 +170,10 @@ struct Args {
                " (--alpha A | --budget-kb B) [--seed S]\n"
                "           [--snapshot-every E] [--query-threads Q]"
                " [--threads T] [--batch-size B]\n"
-               "           [--partition element|set] [--lenient]"
-               " [--metrics-out FILE|-]\n"
-               "           [--metrics-format json|prometheus]"
-               " [--fault-plan SPEC] [--fault-strict]\n"
+               "           [--lenient] [--metrics-out FILE|-]"
+               " [--metrics-format json|prometheus]\n"
+               "           [--fault-plan SPEC] [--fault-strict]"
+               "   (stream faults only)\n"
                "  streamkc_cli sketch  FILE [--seed S] [--workers W]"
                " [--segments G]\n"
                "           [--checkpoint-every N --checkpoint-dir DIR]"
@@ -289,6 +294,18 @@ void ValidateFlags(const Args& a) {
   if (a.command == "serve") {
     if (a.snapshot_every == 0) Usage("--snapshot-every must be >= 1");
     if (a.query_threads == 0) Usage("--query-threads must be >= 1");
+    // Serving threads split the estimator's guesses, not the edges: there
+    // is no routing key, and no shard to slow, kill or corrupt.
+    if (a.partition_set) Usage("--partition does not apply to serve");
+    if (!a.fault_plan.empty()) {
+      FaultPlan plan;
+      std::string err;
+      if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
+      if (plan.HasRuntimeFaults()) {
+        Usage("serve takes stream faults only (read-error, dup, reorder, "
+              "garbage)");
+      }
+    }
   } else {
     if (a.snapshot_every_set) {
       Usage("--snapshot-every only applies to the serve command");
@@ -327,7 +344,8 @@ void ValidateFlags(const Args& a) {
   if (a.fault_strict && a.fault_plan.empty()) {
     Usage("--fault-strict needs --fault-plan");
   }
-  if (!a.fault_plan.empty() && a.threads == 0 && a.command != "sketch") {
+  if (!a.fault_plan.empty() && a.threads == 0 && a.command != "sketch" &&
+      a.command != "serve") {
     Usage("--fault-plan needs --threads >= 1");
   }
   if (a.producers_set) {
@@ -707,13 +725,9 @@ int CmdServe(const Args& a) {
   opts.snapshot_every_edges = a.snapshot_every;
   opts.threads = static_cast<uint32_t>(a.threads);
   opts.batch_size = a.batch_size;
-  opts.policy = a.partition == "set" ? PartitionPolicy::kBySet
-                                     : PartitionPolicy::kByElement;
 
   TextEdgeStream stream(a.file, StreamConfig(a));
   std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
-  opts.fault_injector = injector.get();
-  opts.degradation.strict = a.fault_strict;
   std::unique_ptr<FaultInjectingStream> faulted;
   EdgeStream* src = &stream;
   if (injector && injector->plan().HasStreamFaults()) {
@@ -755,13 +769,30 @@ int CmdServe(const Args& a) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   CheckStream(stream);
+  // The file itself read cleanly, so a failed ingest is an injected read
+  // error that outlasted the retry budget: the last snapshot covers only
+  // the edges read before it.
+  if (!sum.stream_ok) {
+    if (a.fault_strict) {
+      std::fprintf(stderr,
+                   "[streamkc] strict: stream error persisted after %u "
+                   "retries: %s\n",
+                   opts.degradation.max_stream_retries,
+                   sum.stream_error.c_str());
+      std::exit(1);
+    }
+    std::printf("fault: stream truncated: %s\n", sum.stream_error.c_str());
+  }
 
   std::printf("serving            : %llu snapshots over %llu segments "
-              "(cadence %llu edges%s)\n",
+              "(cadence %llu edges",
               (unsigned long long)sum.snapshots_published,
               (unsigned long long)sum.segments,
-              (unsigned long long)a.snapshot_every,
-              a.threads > 0 ? ", sharded ingest" : "");
+              (unsigned long long)a.snapshot_every);
+  if (a.threads >= 2) {
+    std::printf(", %llu ingest threads", (unsigned long long)a.threads);
+  }
+  std::printf(")\n");
   // The summary query below goes through the same engine, so tally it too:
   // the metrics dump's serving section must equal the registry counters.
   ReportAnswer final_ans = engine.Report();
@@ -790,23 +821,18 @@ int CmdServe(const Args& a) {
     std::printf("coverage estimate  : unavailable (%s)\n",
                 final_ans.error.c_str());
   }
-  if (sum.quarantined_fraction > 0) {
-    std::printf("quarantine         : %u shard runs (%.1f%% of substreams "
-                "unseen)\n",
-                sum.shard_runs_quarantined, sum.quarantined_fraction * 100.0);
-  }
 
   char serving_json[512];
   std::snprintf(
       serving_json, sizeof(serving_json),
       "{\"store\": \"%s\", \"epoch\": %llu, \"snapshots_published\": %llu, "
       "\"segments\": %llu, \"edges_ingested\": %llu, "
-      "\"quarantined_fraction\": %.6f, \"queries_served\": %llu, "
-      "\"queries_rejected\": %llu, \"query_threads\": %llu}",
+      "\"queries_served\": %llu, \"queries_rejected\": %llu, "
+      "\"query_threads\": %llu}",
       store.name().c_str(), (unsigned long long)store.epoch(),
       (unsigned long long)sum.snapshots_published,
       (unsigned long long)sum.segments, (unsigned long long)sum.edges,
-      sum.quarantined_fraction, (unsigned long long)total_served,
+      (unsigned long long)total_served,
       (unsigned long long)total_rejected, (unsigned long long)a.query_threads);
   DumpMetrics(a, nullptr, nullptr, "serving", serving_json);
   return final_ans.ok ? 0 : 1;

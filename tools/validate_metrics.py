@@ -195,16 +195,6 @@ def check_invariants(dump, errors):
                         f"$.registry: serve_publish_finalize_ns.sum + "
                         f"serve_publish_build_ns.sum {part_sum} > "
                         f"serve_publish_ns.sum {publish['sum']}")
-            # Sharded ingest waits once per segment hand-off for the
-            # previous publish; inline ingest never waits.
-            wait = reg.get("serve_publish_wait_ns")
-            if not isinstance(wait, dict):
-                errors.append("$.registry.serve_publish_wait_ns: missing")
-            elif wait["count"] not in (0, publish["count"]):
-                errors.append(
-                    f"$.registry.serve_publish_wait_ns: count "
-                    f"{wait['count']} is neither 0 nor serve_publish_ns "
-                    f"count {publish['count']}")
         # Every served query is observed in exactly one per-type latency
         # histogram; every rejection is counted under exactly one reason.
         served = rejected = 0
