@@ -11,7 +11,10 @@
 // scales the multi-PROCESS reduction tree (src/dist, W∈{1,2,4} forked
 // workers; 8 at full scale) over the same edges, requires the merged
 // state to serialize bit-identical to the in-line batched pass, and gates
-// the top-W speedup the same way (worker_scaling_ok).
+// the top-W speedup the same way (worker_scaling_ok). The rows those two
+// gates read are each the median of kGatedPasses passes, every pass
+// checked for determinism: one pass on a shared host reads a slow moment
+// as a regression.
 //
 // NOTE on reading the speedup column: shard workers are real OS threads, so
 // the curve only rises on hardware with that many physical cores. On a
@@ -43,6 +46,14 @@ namespace {
 using bench::Fmt;
 using bench::Table;
 
+// Passes per producer and worker row; the row reports their median.
+constexpr int kGatedPasses = 3;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 std::vector<Edge> SynthesizeEdges(size_t count, uint64_t seed) {
   // Zipf-ish element skew via a double hash keeps the distinct structure
   // realistic without materializing a set system at this scale.
@@ -66,6 +77,7 @@ int Main(int argc, char** argv) {
   bench::BenchReport report("runtime", bench::SmallScale() ? "small" : "full");
   report.SetConfig("num_edges", static_cast<double>(num_edges));
   report.SetConfig("batch_size", kBatchSize);
+  report.SetConfig("gated_row_passes", kGatedPasses);
   bench::Banner(
       "Runtime thread scaling: sharded ingestion + mergeable-sketch reduction",
       "mergeable sketches admit embarrassingly parallel ingestion; the "
@@ -166,36 +178,40 @@ int Main(int argc, char** argv) {
   // P×8 ring lattice. Determinism must hold on every row — the merged
   // estimates are multiset functions, independent of P.
   std::printf("\n");
-  Table ptable({"producers", "edges/s", "speedup", "stalls", "recycled",
-                "deterministic"});
+  Table ptable({"producers", "median edges/s", "speedup", "stalls (all)",
+                "recycled (all)", "deterministic"});
   double producers_1_eps = 0;
   double producers_8_eps = 0;
   for (uint32_t producers : {1u, 2u, 4u, 8u}) {
-    ShardedPipelineOptions opts;
-    opts.num_shards = 8;
-    opts.num_producers = producers;
-    opts.batch_size = kBatchSize;
-    ShardedPipeline<CoverageSketchState> pipe(
-        opts, [&](uint32_t) { return CoverageSketchState(cfg); });
-    CoverageSketchState merged = pipe.RunSegmented(
-        [&](uint32_t p) { return MakeEdgeSpanSegment(edges, p, producers); });
-    const RuntimeMetrics& m = pipe.metrics();
-    double eps = m.EdgesPerSecond();
-    bool deterministic = merged.covered_l0.Estimate() == ref_l0 &&
-                         merged.covered_hll.Estimate() == ref_hll;
-    ptable.AddRow(
-        {Fmt("%ux8", producers), Fmt("%.2fM", eps / 1e6),
-         Fmt("%.2fx", eps / base_eps),
-         Fmt("%llu", (unsigned long long)m.queue_full_stalls.load()),
-         Fmt("%llu", (unsigned long long)m.TotalBatchesRecycled()),
-         deterministic ? "yes" : "NO"});
+    std::vector<double> pass_eps;
+    unsigned long long stalls = 0, recycled = 0;
+    for (int pass = 0; pass < kGatedPasses; ++pass) {
+      ShardedPipelineOptions opts;
+      opts.num_shards = 8;
+      opts.num_producers = producers;
+      opts.batch_size = kBatchSize;
+      ShardedPipeline<CoverageSketchState> pipe(
+          opts, [&](uint32_t) { return CoverageSketchState(cfg); });
+      CoverageSketchState merged = pipe.RunSegmented([&](uint32_t p) {
+        return MakeEdgeSpanSegment(edges, p, producers);
+      });
+      const RuntimeMetrics& m = pipe.metrics();
+      pass_eps.push_back(m.EdgesPerSecond());
+      stalls += m.queue_full_stalls.load();
+      recycled += m.TotalBatchesRecycled();
+      if (merged.covered_l0.Estimate() != ref_l0 ||
+          merged.covered_hll.Estimate() != ref_hll) {
+        std::printf("DETERMINISM VIOLATION at %u producers\n", producers);
+        return 1;
+      }
+    }
+    const double eps = Median(pass_eps);
+    ptable.AddRow({Fmt("%ux8", producers), Fmt("%.2fM", eps / 1e6),
+                   Fmt("%.2fx", eps / base_eps), Fmt("%llu", stalls),
+                   Fmt("%llu", recycled), "yes"});
     report.SetMetric(Fmt("producers_%u_eps", producers), eps);
     if (producers == 1) producers_1_eps = eps;
     if (producers == 8) producers_8_eps = eps;
-    if (!deterministic) {
-      std::printf("DETERMINISM VIOLATION at %u producers\n", producers);
-      return 1;
-    }
   }
   ptable.Print();
 
@@ -241,39 +257,42 @@ int Main(int argc, char** argv) {
   constexpr uint32_t kDistSegments = 16;
   std::vector<uint32_t> worker_counts = {1, 2, 4};
   if (!bench::SmallScale()) worker_counts.push_back(8);
-  Table wtable({"workers", "edges/s", "speedup", "shipped KiB",
+  Table wtable({"workers", "median edges/s", "speedup", "shipped KiB",
                 "bit-identical"});
   double workers_1_eps = 0;
   double workers_max_eps = 0;
   uint32_t workers_max = 0;
   for (uint32_t workers : worker_counts) {
-    DistOptions opts;
-    opts.num_workers = workers;
-    opts.batch_size = kBatchSize;
-    ProcessReductionTree<CoverageSketchState> tree(
-        opts, [&](uint32_t) { return CoverageSketchState(cfg); });
-    CoverageSketchState merged = tree.Run(
-        kDistSegments,
-        [&](uint32_t s) { return MakeEdgeSpanSegment(edges, s, kDistSegments); });
-    const DistMetrics& dm = tree.metrics();
-    double eps = dm.EdgesPerSecond();
-    std::ostringstream os;
-    merged.Save(os);
-    bool identical = os.str() == inline_blob;
-    wtable.AddRow(
-        {Fmt("%u", workers), Fmt("%.2fM", eps / 1e6),
-         Fmt("%.2fx", eps / base_eps),
-         Fmt("%llu", (unsigned long long)(dm.TotalBytesShipped() >> 10)),
-         identical ? "yes" : "NO"});
+    std::vector<double> pass_eps;
+    unsigned long long shipped = 0;
+    for (int pass = 0; pass < kGatedPasses; ++pass) {
+      DistOptions opts;
+      opts.num_workers = workers;
+      opts.batch_size = kBatchSize;
+      ProcessReductionTree<CoverageSketchState> tree(
+          opts, [&](uint32_t) { return CoverageSketchState(cfg); });
+      CoverageSketchState merged = tree.Run(kDistSegments, [&](uint32_t s) {
+        return MakeEdgeSpanSegment(edges, s, kDistSegments);
+      });
+      const DistMetrics& dm = tree.metrics();
+      pass_eps.push_back(dm.EdgesPerSecond());
+      shipped = dm.TotalBytesShipped();
+      std::ostringstream os;
+      merged.Save(os);
+      if (os.str() != inline_blob) {
+        std::printf("SERIALIZED-STATE DIVERGENCE at %u workers\n", workers);
+        return 1;
+      }
+    }
+    const double eps = Median(pass_eps);
+    wtable.AddRow({Fmt("%u", workers), Fmt("%.2fM", eps / 1e6),
+                   Fmt("%.2fx", eps / base_eps), Fmt("%llu", shipped >> 10),
+                   "yes"});
     report.SetMetric(Fmt("workers_%u_eps", workers), eps);
     if (workers == 1) workers_1_eps = eps;
     if (workers >= workers_max) {
       workers_max = workers;
       workers_max_eps = eps;
-    }
-    if (!identical) {
-      std::printf("SERIALIZED-STATE DIVERGENCE at %u workers\n", workers);
-      return 1;
     }
   }
   wtable.Print();

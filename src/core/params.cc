@@ -38,6 +38,15 @@ double SolveTheoryS(double w, double alpha, double eta, double log_mn) {
   return s;
 }
 
+// Footprint model behind AlphaForBudget and BudgetFloorBytes: bytes ≈
+// c·(m/α² + k)·polylog(m, n) words, with the calibrated constant matched
+// to the measured practical-mode pipeline (bench_tradeoff). Returns the
+// words per unit of (m/α² + k).
+double WordsPerUnit(uint64_t m, uint64_t n) {
+  return 150.0 *
+         Log2AtLeast1(static_cast<double>(m) * static_cast<double>(n));
+}
+
 }  // namespace
 
 Params Params::Theory(uint64_t m, uint64_t n, uint64_t k, double alpha) {
@@ -84,17 +93,19 @@ double Params::AlphaForBudget(uint64_t m, uint64_t n, uint64_t k,
   CHECK_GT(m, 0u);
   CHECK_GT(budget_bytes, 0u);
   double sqrt_m = std::sqrt(static_cast<double>(m));
-  // Footprint model: bytes ≈ c·(m/α² + k)·polylog(m, n) words, with the
-  // calibrated constant below matched to the measured practical-mode
-  // pipeline (bench_tradeoff). Solve for α; clamp to the algorithm's valid
-  // range.
-  double log_mn = Log2AtLeast1(static_cast<double>(m) * static_cast<double>(n));
-  const double words_per_unit = 150.0 * log_mn;
+  // Solve the footprint model for α; clamp to the algorithm's valid range.
   double budget_words = static_cast<double>(budget_bytes) / 8.0;
-  double units = budget_words / words_per_unit - static_cast<double>(k);
+  double units = budget_words / WordsPerUnit(m, n) - static_cast<double>(k);
   if (units <= static_cast<double>(m) / (sqrt_m * sqrt_m)) return sqrt_m;
   double alpha = std::sqrt(static_cast<double>(m) / units);
   return std::min(std::max(alpha, 2.0), sqrt_m);
+}
+
+size_t Params::BudgetFloorBytes(uint64_t m, uint64_t n, uint64_t k) {
+  CHECK_GT(m, 0u);
+  // At α = √m the m/α² term is one unit.
+  double words = WordsPerUnit(m, n) * (1.0 + static_cast<double>(k));
+  return static_cast<size_t>(std::ceil(8.0 * words));
 }
 
 size_t Params::SmallSetBudgetBytes() const {

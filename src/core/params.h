@@ -105,6 +105,10 @@ struct Params {
   // workload; callers should verify with MemoryBytes().
   static double AlphaForBudget(uint64_t m, uint64_t n, uint64_t k,
                                size_t budget_bytes);
+  // The same footprint model at α = √m, the largest α the paper's bound
+  // admits: no budget below it can be met, and AlphaForBudget clamps any
+  // such budget to √m.
+  static size_t BudgetFloorBytes(uint64_t m, uint64_t n, uint64_t k);
 
   // Derived storage budget for one SmallSet instance.
   size_t SmallSetBudgetBytes() const;

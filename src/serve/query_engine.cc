@@ -17,9 +17,8 @@ uint64_t NowSteadyNs() {
 
 }  // namespace
 
-QueryEngine::QueryEngine(const SnapshotStore* store, MetricsRegistry* registry,
-                         const std::atomic<bool>* over_budget)
-    : store_(store), over_budget_(over_budget) {
+QueryEngine::QueryEngine(const SnapshotStore* store, MetricsRegistry* registry)
+    : store_(store) {
   CHECK(store != nullptr);
   MetricsRegistry* reg = registry ? registry : &MetricsRegistry::Global();
   served_estimate_ =
@@ -30,8 +29,6 @@ QueryEngine::QueryEngine(const SnapshotStore* store, MetricsRegistry* registry,
       LabeledName("serve_queries_total", "type", "set_coverage"));
   rejected_no_snapshot_ = reg->GetCounter(
       LabeledName("serve_queries_rejected_total", "reason", "no_snapshot"));
-  rejected_over_budget_ = reg->GetCounter(
-      LabeledName("serve_queries_rejected_total", "reason", "over_budget"));
   latency_estimate_ = reg->GetHistogram(
       LabeledName("serve_query_latency_ns", "type", "estimate"));
   latency_report_ = reg->GetHistogram(
@@ -43,12 +40,6 @@ QueryEngine::QueryEngine(const SnapshotStore* store, MetricsRegistry* registry,
 
 std::shared_ptr<const CoverageSnapshot> QueryEngine::Admit(
     std::string* error) const {
-  if (over_budget_ != nullptr &&
-      over_budget_->load(std::memory_order_relaxed)) {
-    rejected_over_budget_->Increment();
-    *error = "tenant over space budget";
-    return nullptr;
-  }
   std::shared_ptr<const CoverageSnapshot> snap = store_->Current();
   if (snap == nullptr) {
     rejected_no_snapshot_->Increment();

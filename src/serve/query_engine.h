@@ -10,15 +10,13 @@
 // time, SetCoverage runs a const CountSketch point query. The engine is
 // therefore safe to share across any number of reader threads.
 //
-// Rejections (no snapshot published yet, tenant over its space budget) are
-// explicit answers with `ok == false`, counted per reason in
-// serve_queries_rejected_total — a serving system must fail queries
-// loudly, not hand out garbage.
+// A query before the first publish is rejected as an explicit answer with
+// `ok == false`, counted in serve_queries_rejected_total — a serving system
+// must fail queries loudly, not hand out garbage.
 
 #ifndef STREAMKC_SERVE_QUERY_ENGINE_H_
 #define STREAMKC_SERVE_QUERY_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,33 +62,28 @@ struct SetCoverageAnswer {
 
 class QueryEngine {
  public:
-  // `registry` nullptr = the process-wide registry. `over_budget`, when
-  // non-null, is the owning tenant's budget-violation flag: queries are
-  // rejected while it is set (TenantRegistry wires it).
+  // `registry` nullptr = the process-wide registry.
   explicit QueryEngine(const SnapshotStore* store,
-                       MetricsRegistry* registry = nullptr,
-                       const std::atomic<bool>* over_budget = nullptr);
+                       MetricsRegistry* registry = nullptr);
 
   EstimateAnswer Estimate() const;
   ReportAnswer Report() const;
   SetCoverageAnswer SetCoverage(SetId set) const;
 
  private:
-  // Shared admission + snapshot fetch. Returns nullptr after filling
-  // `error` (and counting the rejection) when the query cannot be served.
+  // Shared snapshot fetch. Returns nullptr after filling `error` (and
+  // counting the rejection) when no snapshot has been published yet.
   std::shared_ptr<const CoverageSnapshot> Admit(std::string* error) const;
 
   static QueryStaleness StalenessOf(const CoverageSnapshot& snap,
                                     uint64_t now_steady_ns);
 
   const SnapshotStore* store_;
-  const std::atomic<bool>* over_budget_;
 
   Counter* served_estimate_;
   Counter* served_report_;
   Counter* served_set_coverage_;
   Counter* rejected_no_snapshot_;
-  Counter* rejected_over_budget_;
   Histogram* latency_estimate_;
   Histogram* latency_report_;
   Histogram* latency_set_coverage_;

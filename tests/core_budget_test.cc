@@ -29,6 +29,23 @@ TEST(AlphaForBudget, ClampsToValidRange) {
                    std::sqrt(static_cast<double>(m)));
 }
 
+TEST(AlphaForBudget, FloorIsTheFootprintAtSqrtM) {
+  // m = 512, n = 1024: log2(mn) = 19, so the floor is 8 bytes · 150 · 19
+  // words per unit times the (m/α² + k) = 1 + 16 units left at α = √m.
+  const uint64_t m = 512, n = 1024, k = 16;
+  const size_t floor = Params::BudgetFloorBytes(m, n, k);
+  EXPECT_EQ(floor, 387600u);
+  const double sqrt_m = std::sqrt(static_cast<double>(m));
+  // Below the floor no α is predicted to fit: the solver clamps to √m.
+  EXPECT_DOUBLE_EQ(Params::AlphaForBudget(m, n, k, floor - 1), sqrt_m);
+  EXPECT_DOUBLE_EQ(Params::AlphaForBudget(m, n, k, floor / 2), sqrt_m);
+  // Above it a tighter α fits.
+  EXPECT_LT(Params::AlphaForBudget(m, n, k, 2 * floor), sqrt_m);
+  // The floor grows with k (the + k term) and with log(mn).
+  EXPECT_GT(Params::BudgetFloorBytes(m, n, 2 * k), floor);
+  EXPECT_GT(Params::BudgetFloorBytes(m, 4 * n, k), floor);
+}
+
 TEST(AlphaForBudget, AlphaSquaredShape) {
   // Quadrupling m at a fixed budget should roughly double α (α ∝ √m in the
   // budget-bound regime).

@@ -1,12 +1,10 @@
 // QueryEngine contract: answers are precomputed snapshot lookups stamped
-// with staleness metadata; rejections (no snapshot yet, tenant over budget)
-// are explicit `ok == false` answers counted per reason; and the obs wiring
+// with staleness metadata; a query before the first publish is an explicit
+// `ok == false` answer counted per reason; and the obs wiring
 // is self-consistent — per-type latency histogram counts equal the per-type
 // served counters.
 
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "core/params.h"
 #include "obs/metrics.h"
@@ -109,29 +107,6 @@ TEST(QueryEngine, AnswersTrackNewestSnapshot) {
   state.Process(Edge{3, 4});
   store.Publish(Snap(state, 2));
   EXPECT_EQ(engine.Estimate().staleness.epoch, 2u);
-}
-
-TEST(QueryEngine, OverBudgetFlagRejectsUntilCleared) {
-  MetricsRegistry registry;
-  SnapshotStore store("q3", &registry);
-  ServingState state = FedState();
-  store.Publish(Snap(state, 1));
-  std::atomic<bool> over_budget{false};
-  QueryEngine engine(&store, &registry, &over_budget);
-
-  EXPECT_TRUE(engine.Estimate().ok);
-  over_budget.store(true);
-  EstimateAnswer est = engine.Estimate();
-  EXPECT_FALSE(est.ok);
-  EXPECT_EQ(est.error, "tenant over space budget");
-  EXPECT_FALSE(engine.SetCoverage(1).ok);
-  EXPECT_EQ(registry
-                .GetCounter(LabeledName("serve_queries_rejected_total",
-                                        "reason", "over_budget"))
-                ->Value(),
-            2u);
-  over_budget.store(false);
-  EXPECT_TRUE(engine.Estimate().ok);
 }
 
 TEST(QueryEngine, LatencyHistogramCountsEqualServedCounters) {

@@ -4,7 +4,7 @@
 //                --seed 1 --out edges.txt
 //   streamkc_cli stats    edges.txt
 //   streamkc_cli estimate edges.txt --m 2048 --n 4096 --k 32 --alpha 8
-//   streamkc_cli estimate edges.txt --m 2048 --n 4096 --k 32 --budget-kb 512
+//   streamkc_cli estimate edges.txt --m 2048 --n 4096 --k 32 --budget-kb 2048
 //   streamkc_cli estimate edges.txt --m 2048 --n 4096 --k 32 --alpha 8
 //                --threads 8 --metrics-out metrics.json
 //   streamkc_cli report   edges.txt --m 2048 --n 4096 --k 32 --alpha 8
@@ -13,6 +13,13 @@
 // Input format: one "set element" pair per line ('#' comments allowed), any
 // order — the general edge-arrival model. `estimate`/`report` are single
 // pass; `twopass` reads the file twice for a narrower sketch.
+//
+// Each flag is declared with the commands that read it (kFlags below); any
+// other command refuses it with a usage error (exit 2) instead of running
+// without it. --alpha is a real number >= 1. --budget-kb B derives α from
+// the space law (Params::AlphaForBudget) and is refused below the
+// instance's floor, the predicted footprint at α = √m (~889 KiB for the
+// m = 2048, n = 4096, k = 32 example above): no admissible α fits there.
 //
 // --threads N runs estimate/report through the sharded runtime pipeline
 // (src/runtime): N seed-coordinated replicas ingest disjoint substreams and
@@ -73,6 +80,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,37 +121,29 @@ struct Args {
   std::string command;
   std::string file;
   uint64_t m = 0, n = 0, k = 0, seed = 1;
-  double alpha = 8;
+  double alpha = 0;  // 0 = unset: 8, or derived from --budget-kb
   size_t budget_kb = 0;
   std::string family = "planted";
   std::string out;
   // 0 = in-line pass; N ≥ 1 = sharded runtime (serve: N ≥ 2 ingest threads)
-  uint64_t threads = 0;
-  uint64_t producers = 1;  // parallel ingest front-end width (needs --threads)
-  bool producers_set = false;
+  uint32_t threads = 0;
+  uint32_t producers = 1;  // parallel ingest front-end width (needs --threads)
   size_t batch_size = 4096;
-  std::string partition = "element";  // routing key: element | set
-  bool partition_set = false;
-  std::string metrics_out;            // metrics dump sink ("-" = stdout)
-  std::string metrics_format = "json";  // json | prometheus
+  std::string partition;  // routing key: element | set; empty = element
+  std::string metrics_out;     // metrics dump sink ("-" = stdout)
+  std::string metrics_format;  // json | prometheus; empty = json
   bool lenient = false;  // skip+count malformed input lines instead of failing
   std::string fault_plan;     // fault_plan.h spec; empty = no injection
   bool fault_strict = false;  // degradation aborts instead of quarantining
   std::string hash_kernel;    // scalar | avx2; empty = env/CPUID dispatch
-  // Serve-mode knobs (rejected outside the serve command).
+  // Serve-mode knobs.
   uint64_t snapshot_every = 65536;  // edges per snapshot segment
   uint64_t query_threads = 2;       // concurrent reader threads
-  bool snapshot_every_set = false;
-  bool query_threads_set = false;
-  bool metrics_format_set = false;
-  // Sketch-mode (multi-process) knobs; rejected outside the sketch command.
-  uint64_t workers = 0;          // 0 = inline pass, W >= 1 = W processes
-  uint64_t checkpoint_every = 0; // committed segments per checkpoint; 0 = off
+  // Sketch-mode (multi-process) knobs.
+  uint32_t workers = 0;           // 0 = inline pass, W >= 1 = W processes
+  uint32_t checkpoint_every = 0;  // committed segments per checkpoint; 0 = off
   std::string checkpoint_dir;
-  uint64_t segments = 0;         // file segments; 0 = 4 per worker
-  bool workers_set = false;
-  bool checkpoint_every_set = false;
-  bool segments_set = false;
+  uint32_t segments = 0;          // file segments; 0 = 4 per worker
 };
 
 [[noreturn]] void Usage(const char* msg) {
@@ -162,10 +164,10 @@ struct Args {
                "           [--hash-kernel scalar|avx2]"
                "   (pin the field-hash kernel; default: CPUID dispatch,\n"
                "            overridable via STREAMKC_HASH_KERNEL)\n"
-               "  streamkc_cli report  FILE --m M --n N --k K --alpha A"
-               " [--seed S] [--batch-size B] [--threads T ...]\n"
-               "  streamkc_cli twopass FILE --m M --n N --k K --alpha A"
-               " [--seed S] [--batch-size B]\n"
+               "  streamkc_cli report  FILE (same flags as estimate)\n"
+               "  streamkc_cli twopass FILE --m M --n N --k K"
+               " (--alpha A | --budget-kb B) [--seed S]\n"
+               "           [--batch-size B] [--lenient] [--hash-kernel K]\n"
                "  streamkc_cli serve   FILE --m M --n N --k K"
                " (--alpha A | --budget-kb B) [--seed S]\n"
                "           [--snapshot-every E] [--query-threads Q]"
@@ -173,7 +175,7 @@ struct Args {
                "           [--lenient] [--metrics-out FILE|-]"
                " [--metrics-format json|prometheus]\n"
                "           [--fault-plan SPEC] [--fault-strict]"
-               "   (stream faults only)\n"
+               "   (stream faults only) [--hash-kernel K]\n"
                "  streamkc_cli sketch  FILE [--seed S] [--workers W]"
                " [--segments G]\n"
                "           [--checkpoint-every N --checkpoint-dir DIR]"
@@ -181,144 +183,214 @@ struct Args {
                "           [--metrics-out FILE|-]"
                " [--metrics-format json|prometheus]\n"
                "           [--fault-plan SPEC] [--fault-strict]"
-               "   (multi-process reduction tree; --workers 0 = inline)\n");
+               " [--hash-kernel K]\n"
+               "           (multi-process reduction tree; --workers 0 ="
+               " inline)\n"
+               "A flag outside its command's list is a usage error.\n");
   std::exit(2);
 }
 
+[[noreturn]] void Usage(const std::string& msg) { Usage(msg.c_str()); }
+
 uint64_t ParseU64(const char* s) {
   char* end = nullptr;
+  errno = 0;
   uint64_t v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') Usage("bad integer argument");
+  // strtoull would take "-1" as 2^64 - 1 and saturate on overflow.
+  if (s[0] < '0' || s[0] > '9' || *end != '\0' || errno == ERANGE) {
+    Usage("bad integer argument");
+  }
   return v;
 }
+
+// A thread, process or segment count: the runtime options hold 32 bits.
+uint32_t ParseCount(const char* flag, const char* s) {
+  uint64_t v = ParseU64(s);
+  if (v > UINT32_MAX) {
+    Usage(std::string(flag) + " must be <= " + std::to_string(UINT32_MAX));
+  }
+  return static_cast<uint32_t>(v);
+}
+
+double ParseAlpha(const char* s) {
+  char* end = nullptr;
+  double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v < 1.0) {
+    Usage("--alpha must be a real number >= 1");
+  }
+  return v;
+}
+
+// Command bits, for declaring which commands read a flag; bit i is
+// kCommandNames[i].
+const char* const kCommandNames[] = {"generate", "stats",  "estimate",
+                                     "report",   "twopass", "serve",
+                                     "sketch"};
+enum : unsigned {
+  kGenerate = 1u << 0,
+  kStats = 1u << 1,
+  kEstimate = 1u << 2,
+  kReport = 1u << 3,
+  kTwoPass = 1u << 4,
+  kServe = 1u << 5,
+  kSketch = 1u << 6,
+};
+// The commands that run the paper's estimator (MakeParams).
+constexpr unsigned kSolvers = kEstimate | kReport | kTwoPass | kServe;
+// The commands that run through RunPass's sharded runtime.
+constexpr unsigned kSharded = kEstimate | kReport;
+// The commands that dump metrics and take fault plans.
+constexpr unsigned kRuntimes = kSharded | kServe | kSketch;
+
+// Every flag and the commands that read it. Parse refuses a flag outside
+// its commands, so no command runs with a knob it would silently ignore.
+// `set` stores the flag's value (nullptr for a switch).
+struct FlagSpec {
+  const char* name;
+  unsigned commands;
+  void (*set)(Args& a, const char* value);
+  bool takes_value = true;
+};
+const FlagSpec kFlags[] = {
+    {"--m", kGenerate | kSolvers,
+     [](Args& a, const char* v) { a.m = ParseU64(v); }},
+    {"--n", kGenerate | kSolvers,
+     [](Args& a, const char* v) { a.n = ParseU64(v); }},
+    {"--k", kGenerate | kSolvers,
+     [](Args& a, const char* v) { a.k = ParseU64(v); }},
+    {"--seed", kGenerate | kSolvers | kSketch,
+     [](Args& a, const char* v) { a.seed = ParseU64(v); }},
+    {"--alpha", kSolvers,
+     [](Args& a, const char* v) { a.alpha = ParseAlpha(v); }},
+    {"--budget-kb", kSolvers,
+     [](Args& a, const char* v) {
+       a.budget_kb = ParseU64(v);
+       if (a.budget_kb == 0) Usage("--budget-kb must be >= 1");
+     }},
+    {"--family", kGenerate, [](Args& a, const char* v) { a.family = v; }},
+    {"--out", kGenerate, [](Args& a, const char* v) { a.out = v; }},
+    {"--threads", kSharded | kServe,
+     [](Args& a, const char* v) { a.threads = ParseCount("--threads", v); }},
+    {"--producers", kSharded,
+     [](Args& a, const char* v) {
+       a.producers = ParseCount("--producers", v);
+       if (a.producers == 0) Usage("--producers must be >= 1");
+     }},
+    {"--batch-size", kSolvers | kSketch,
+     [](Args& a, const char* v) {
+       a.batch_size = ParseU64(v);
+       if (a.batch_size == 0) Usage("--batch-size must be >= 1");
+     }},
+    {"--partition", kSharded,
+     [](Args& a, const char* v) {
+       a.partition = v;
+       if (a.partition != "element" && a.partition != "set") {
+         Usage("--partition must be element or set");
+       }
+     }},
+    {"--metrics-out", kRuntimes,
+     [](Args& a, const char* v) { a.metrics_out = v; }},
+    {"--metrics-format", kRuntimes,
+     [](Args& a, const char* v) {
+       a.metrics_format = v;
+       if (a.metrics_format != "json" && a.metrics_format != "prometheus") {
+         Usage("--metrics-format must be json or prometheus");
+       }
+     }},
+    {"--snapshot-every", kServe,
+     [](Args& a, const char* v) { a.snapshot_every = ParseU64(v); }},
+    {"--query-threads", kServe,
+     [](Args& a, const char* v) { a.query_threads = ParseU64(v); }},
+    {"--workers", kSketch,
+     [](Args& a, const char* v) { a.workers = ParseCount("--workers", v); }},
+    {"--checkpoint-every", kSketch,
+     [](Args& a, const char* v) {
+       a.checkpoint_every = ParseCount("--checkpoint-every", v);
+     }},
+    {"--checkpoint-dir", kSketch,
+     [](Args& a, const char* v) { a.checkpoint_dir = v; }},
+    {"--segments", kSketch,
+     [](Args& a, const char* v) {
+       a.segments = ParseCount("--segments", v);
+       if (a.segments == 0) Usage("--segments must be >= 1");
+     }},
+    {"--lenient", kStats | kSolvers | kSketch,
+     [](Args& a, const char*) { a.lenient = true; }, false},
+    {"--fault-plan", kRuntimes,
+     [](Args& a, const char* v) { a.fault_plan = v; }},
+    {"--fault-strict", kRuntimes,
+     [](Args& a, const char*) { a.fault_strict = true; }, false},
+    {"--hash-kernel", kSolvers | kSketch,
+     [](Args& a, const char* v) {
+       a.hash_kernel = v;
+       HashKernel k;
+       if (!ParseHashKernel(v, &k)) {
+         Usage("--hash-kernel must be scalar or avx2");
+       }
+       if (!HashKernelAvailable(k)) {
+         Usage("--hash-kernel avx2 is not available (CPU lacks AVX2 or the "
+               "kernel was compiled out)");
+       }
+     }},
+};
 
 Args Parse(int argc, char** argv) {
   if (argc < 2) Usage(nullptr);
   Args a;
   a.command = argv[1];
+  unsigned command = 0;
+  for (unsigned c = 0; c < std::size(kCommandNames); ++c) {
+    if (a.command == kCommandNames[c]) command = 1u << c;
+  }
+  if (command == 0) Usage("unknown command " + a.command);
   int i = 2;
-  if (a.command != "generate" && i < argc && argv[i][0] != '-') {
+  if (command != kGenerate && i < argc && argv[i][0] != '-') {
     a.file = argv[i++];
   }
   for (; i < argc; ++i) {
     std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) Usage("missing flag value");
-      return argv[++i];
-    };
-    if (flag == "--m") {
-      a.m = ParseU64(next());
-    } else if (flag == "--n") {
-      a.n = ParseU64(next());
-    } else if (flag == "--k") {
-      a.k = ParseU64(next());
-    } else if (flag == "--seed") {
-      a.seed = ParseU64(next());
-    } else if (flag == "--alpha") {
-      a.alpha = static_cast<double>(ParseU64(next()));
-    } else if (flag == "--budget-kb") {
-      a.budget_kb = ParseU64(next());
-    } else if (flag == "--family") {
-      a.family = next();
-    } else if (flag == "--out") {
-      a.out = next();
-    } else if (flag == "--threads") {
-      a.threads = ParseU64(next());
-    } else if (flag == "--producers") {
-      a.producers = ParseU64(next());
-      a.producers_set = true;
-      if (a.producers == 0) Usage("--producers must be >= 1");
-    } else if (flag == "--batch-size") {
-      a.batch_size = ParseU64(next());
-      if (a.batch_size == 0) Usage("--batch-size must be >= 1");
-    } else if (flag == "--partition") {
-      a.partition = next();
-      a.partition_set = true;
-      if (a.partition != "element" && a.partition != "set") {
-        Usage("--partition must be element or set");
-      }
-    } else if (flag == "--metrics-out") {
-      a.metrics_out = next();
-    } else if (flag == "--metrics-format") {
-      a.metrics_format = next();
-      a.metrics_format_set = true;
-      if (a.metrics_format != "json" && a.metrics_format != "prometheus") {
-        Usage("--metrics-format must be json or prometheus");
-      }
-    } else if (flag == "--snapshot-every") {
-      a.snapshot_every = ParseU64(next());
-      a.snapshot_every_set = true;
-    } else if (flag == "--query-threads") {
-      a.query_threads = ParseU64(next());
-      a.query_threads_set = true;
-    } else if (flag == "--workers") {
-      a.workers = ParseU64(next());
-      a.workers_set = true;
-    } else if (flag == "--checkpoint-every") {
-      a.checkpoint_every = ParseU64(next());
-      a.checkpoint_every_set = true;
-    } else if (flag == "--checkpoint-dir") {
-      a.checkpoint_dir = next();
-    } else if (flag == "--segments") {
-      a.segments = ParseU64(next());
-      a.segments_set = true;
-      if (a.segments == 0) Usage("--segments must be >= 1");
-    } else if (flag == "--lenient") {
-      a.lenient = true;
-    } else if (flag == "--fault-plan") {
-      a.fault_plan = next();
-    } else if (flag.rfind("--fault-plan=", 0) == 0) {
-      a.fault_plan = flag.substr(std::strlen("--fault-plan="));
-    } else if (flag == "--fault-strict") {
-      a.fault_strict = true;
-    } else if (flag == "--hash-kernel") {
-      a.hash_kernel = next();
-      HashKernel k;
-      if (!ParseHashKernel(a.hash_kernel.c_str(), &k)) {
-        Usage("--hash-kernel must be scalar or avx2");
-      }
-      if (!HashKernelAvailable(k)) {
-        Usage("--hash-kernel avx2 is not available (CPU lacks AVX2 or the "
-              "kernel was compiled out)");
-      }
-    } else {
-      Usage(("unknown flag " + flag).c_str());
+    const char* value = nullptr;
+    // --fault-plan=SPEC is the one inline-value form.
+    if (flag.rfind("--fault-plan=", 0) == 0) {
+      value = argv[i] + std::strlen("--fault-plan=");
+      flag = "--fault-plan";
     }
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& f : kFlags) {
+      if (flag == f.name) spec = &f;
+    }
+    if (spec == nullptr) Usage("unknown flag " + flag);
+    if ((spec->commands & command) == 0) {
+      Usage(flag + " does not apply to " + a.command);
+    }
+    if (spec->takes_value && value == nullptr) {
+      if (i + 1 >= argc) Usage("missing flag value");
+      value = argv[++i];
+    }
+    spec->set(a, value);
   }
   return a;
 }
 
-// Cross-flag validation, run once after Parse: a mode must reject knobs it
-// cannot honor with a specific error instead of silently ignoring them.
+// Value rules, run once after Parse: combinations of flags the command
+// reads that it cannot honor together.
 void ValidateFlags(const Args& a) {
   if (a.command == "serve") {
     if (a.snapshot_every == 0) Usage("--snapshot-every must be >= 1");
     if (a.query_threads == 0) Usage("--query-threads must be >= 1");
     // Serving threads split the estimator's guesses, not the edges: there
-    // is no routing key, and no shard to slow, kill or corrupt.
-    if (a.partition_set) Usage("--partition does not apply to serve");
+    // is no shard to slow, kill or corrupt.
     if (!a.fault_plan.empty()) {
       FaultPlan plan;
       std::string err;
-      if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
+      if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err);
       if (plan.HasRuntimeFaults()) {
         Usage("serve takes stream faults only (read-error, dup, reorder, "
               "garbage)");
       }
     }
-  } else {
-    if (a.snapshot_every_set) {
-      Usage("--snapshot-every only applies to the serve command");
-    }
-    if (a.query_threads_set) {
-      Usage("--query-threads only applies to the serve command");
-    }
   }
   if (a.command == "sketch") {
-    if (a.threads != 0) Usage("sketch parallelizes with --workers, not --threads");
-    if (a.producers_set) {
-      Usage("sketch parallelizes with --workers, not --producers");
-    }
     if (a.checkpoint_every > 0 && a.checkpoint_dir.empty()) {
       Usage("--checkpoint-every needs --checkpoint-dir");
     }
@@ -328,17 +400,11 @@ void ValidateFlags(const Args& a) {
     if (!a.fault_plan.empty() && a.workers == 0) {
       Usage("--fault-plan needs --workers >= 1 in sketch mode");
     }
-    if (a.segments_set && a.workers > 0 && a.segments < a.workers) {
+    if (a.segments != 0 && a.workers > 0 && a.segments < a.workers) {
       Usage("--segments must be >= --workers");
     }
-  } else {
-    if (a.workers_set) Usage("--workers only applies to the sketch command");
-    if (a.checkpoint_every_set || !a.checkpoint_dir.empty()) {
-      Usage("--checkpoint-every/--checkpoint-dir only apply to sketch");
-    }
-    if (a.segments_set) Usage("--segments only applies to the sketch command");
   }
-  if (a.metrics_format_set && a.metrics_out.empty()) {
+  if (!a.metrics_format.empty() && a.metrics_out.empty()) {
     Usage("--metrics-format needs --metrics-out");
   }
   if (a.fault_strict && a.fault_plan.empty()) {
@@ -348,16 +414,14 @@ void ValidateFlags(const Args& a) {
       a.command != "serve") {
     Usage("--fault-plan needs --threads >= 1");
   }
-  if (a.producers_set) {
-    if (a.command != "estimate" && a.command != "report") {
-      Usage("--producers only applies to estimate and report");
-    }
-    if (a.producers > 1 && a.threads == 0) {
-      Usage("--producers > 1 needs --threads >= 1");
-    }
+  if (a.producers > 1 && a.threads == 0) {
+    Usage("--producers > 1 needs --threads >= 1");
   }
-  if (a.partition_set && a.threads == 0) {
+  if (!a.partition.empty() && a.threads == 0) {
     Usage("--partition needs --threads >= 1 (it routes edges to shards)");
+  }
+  if (a.alpha != 0 && a.budget_kb != 0) {
+    Usage("--alpha and --budget-kb are alternatives");
   }
 }
 
@@ -413,11 +477,25 @@ int CmdStats(const Args& a) {
   return 0;
 }
 
+// --budget-kb is refused below the space law's floor, where no admissible
+// α is predicted to fit, rather than run over budget at α = √m.
 Params MakeParams(const Args& a) {
   if (a.m == 0 || a.n == 0 || a.k == 0) Usage("need --m --n --k");
-  double alpha = a.alpha;
+  double alpha = a.alpha != 0 ? a.alpha : 8;
   if (a.budget_kb != 0) {
-    alpha = Params::AlphaForBudget(a.m, a.n, a.k, a.budget_kb << 10);
+    const size_t budget_bytes =
+        std::min<size_t>(a.budget_kb, SIZE_MAX >> 10) << 10;
+    const size_t floor_bytes = Params::BudgetFloorBytes(a.m, a.n, a.k);
+    if (budget_bytes < floor_bytes) {
+      char msg[160];
+      std::snprintf(msg, sizeof(msg),
+                    "--budget-kb %zu is below this instance's space floor "
+                    "of ~%.1f KiB (the predicted footprint at alpha = "
+                    "sqrt(m))",
+                    a.budget_kb, static_cast<double>(floor_bytes) / 1024.0);
+      Usage(msg);
+    }
+    alpha = Params::AlphaForBudget(a.m, a.n, a.k, budget_bytes);
     std::printf("budget %zu KiB -> alpha %.1f\n", a.budget_kb, alpha);
   }
   return Params::Practical(a.m, a.n, a.k, alpha);
@@ -425,7 +503,7 @@ Params MakeParams(const Args& a) {
 
 ShardedPipelineOptions PipelineOptions(const Args& a) {
   ShardedPipelineOptions po;
-  po.num_shards = static_cast<uint32_t>(a.threads);
+  po.num_shards = a.threads;
   po.batch_size = a.batch_size;
   po.policy = a.partition == "set" ? PartitionPolicy::kBySet
                                    : PartitionPolicy::kByElement;
@@ -489,7 +567,7 @@ std::unique_ptr<FaultInjector> MakeFaultInjector(const Args& a) {
   if (a.fault_plan.empty()) return nullptr;
   FaultPlan plan;
   std::string err;
-  if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err.c_str());
+  if (!FaultPlan::Parse(a.fault_plan, &plan, &err)) Usage(err);
   std::printf("fault plan         : %s%s\n", plan.ToSpec().c_str(),
               a.fault_strict ? " (strict)" : "");
   return std::make_unique<FaultInjector>(plan, &MetricsRegistry::Global());
@@ -546,7 +624,7 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
     faulted = std::make_unique<FaultInjectingStream>(&stream, injector.get());
     src = faulted.get();
   }
-  po.num_producers = static_cast<uint32_t>(a.producers);
+  po.num_producers = a.producers;
   ShardedPipeline<State> pipe(po, [&](uint32_t) { return make(); });
   State st = [&] {
     if (po.num_producers <= 1) return pipe.Run(*src);
@@ -592,7 +670,8 @@ State RunPass(const Args& a, MakeFn make, PassStats* stats) {
   std::printf("runtime            : %u producers -> %u shards "
               "(%s-partitioned), %.2fM edges/s, %llu queue stalls, "
               "%llu batches recycled\n",
-              m.num_producers(), m.num_shards(), a.partition.c_str(),
+              m.num_producers(), m.num_shards(),
+              a.partition.empty() ? "element" : a.partition.c_str(),
               m.EdgesPerSecond() / 1e6,
               (unsigned long long)m.queue_full_stalls.load(
                   std::memory_order_relaxed),
@@ -723,7 +802,7 @@ int CmdServe(const Args& a) {
   SnapshotStore store("cli");
   ServingRuntimeOptions opts;
   opts.snapshot_every_edges = a.snapshot_every;
-  opts.threads = static_cast<uint32_t>(a.threads);
+  opts.threads = a.threads;
   opts.batch_size = a.batch_size;
 
   TextEdgeStream stream(a.file, StreamConfig(a));
@@ -790,7 +869,7 @@ int CmdServe(const Args& a) {
               (unsigned long long)sum.segments,
               (unsigned long long)a.snapshot_every);
   if (a.threads >= 2) {
-    std::printf(", %llu ingest threads", (unsigned long long)a.threads);
+    std::printf(", %u ingest threads", a.threads);
   }
   std::printf(")\n");
   // The summary query below goes through the same engine, so tally it too:
@@ -868,14 +947,17 @@ int CmdSketch(const Args& a) {
     return 0;
   }
 
-  const uint32_t num_segments = static_cast<uint32_t>(
-      a.segments != 0 ? a.segments : a.workers * 4);
+  // 4 per worker, saturating rather than wrapping to a 32-bit count.
+  const uint32_t num_segments =
+      a.segments != 0 ? a.segments
+                      : static_cast<uint32_t>(std::min<uint64_t>(
+                            uint64_t{a.workers} * 4, UINT32_MAX));
   SegmentedTextStream seg(a.file, num_segments, StreamConfig(a));
 
   DistOptions opt;
-  opt.num_workers = static_cast<uint32_t>(a.workers);
+  opt.num_workers = a.workers;
   opt.batch_size = a.batch_size;
-  opt.checkpoint_every = static_cast<uint32_t>(a.checkpoint_every);
+  opt.checkpoint_every = a.checkpoint_every;
   opt.checkpoint_dir = a.checkpoint_dir;
   opt.degradation.strict = a.fault_strict;
   std::unique_ptr<FaultInjector> injector = MakeFaultInjector(a);
@@ -956,7 +1038,7 @@ int Main(int argc, char** argv) {
   if (a.command == "twopass") return CmdTwoPass(a);
   if (a.command == "serve") return CmdServe(a);
   if (a.command == "sketch") return CmdSketch(a);
-  Usage(("unknown command " + a.command).c_str());
+  Usage("unknown command " + a.command);
 }
 
 }  // namespace
