@@ -84,8 +84,9 @@ target_link_libraries(bench_micro PRIVATE
 set_target_properties(bench_micro PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 
-# Hash-kernel perf smoke: --benchmark_filter=^$ skips the google-benchmark
-# entries so only the kernel table runs (seconds, not minutes). The binary
+# Micro perf smoke: --benchmark_filter=^$ skips the google-benchmark
+# entries so only the hash-kernel and LargeSet tables run (seconds, not
+# minutes). The binary
 # itself hard-fails on a scalar/avx2 checksum mismatch or a speedup below
 # its floor; the comparator then hard-gates shape + hash_kernel_ok and
 # warns on per-kernel throughput drift.

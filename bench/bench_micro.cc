@@ -1,10 +1,11 @@
 // Experiment E12 (DESIGN.md): throughput micro-benchmarks (google-benchmark)
-// for every sketch primitive and the full pipeline's per-edge cost, plus the
-// hash-kernel table: MapFoldedBatch keys/s for each dispatchable kernel
-// (scalar, avx2) at representative degrees, emitted as BENCH_micro.json for
-// compare_bench.py. The table runs before the google-benchmark suite so
-// `--benchmark_filter=^$` yields a fast kernel-only pass for the tier-1
-// perf smoke.
+// for every sketch primitive and the full pipeline's per-edge cost, plus two
+// tables emitted as BENCH_micro.json for compare_bench.py: the hash-kernel
+// table (MapFoldedBatch keys/s for each dispatchable kernel, scalar and
+// avx2, at representative degrees) and the LargeSet table (ns/edge of one
+// LargeSetComplete at ρ = 1 on a Zipf and a planted stream). The tables run
+// before the google-benchmark suite so `--benchmark_filter=^$` yields a
+// fast tables-only pass for the tier-1 perf smoke.
 
 #include <benchmark/benchmark.h>
 
@@ -16,11 +17,14 @@
 
 #include "bench_util.h"
 #include "core/estimate_max_cover.h"
+#include "core/large_set.h"
 #include "core/oracle.h"
 #include "hash/kernel_dispatch.h"
 #include "hash/kwise_hash.h"
 #include "hash/tabulation_hash.h"
 #include "setsys/generators.h"
+#include "stream/edge_stream.h"
+#include "runtime/edge_batch.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
 #include "sketch/f2_contributing.h"
@@ -212,7 +216,7 @@ uint64_t Checksum(const std::vector<uint64_t>& v) {
   return x;
 }
 
-int RunHashKernelTable(const std::string& bench_out) {
+int RunHashKernelTable(bench::BenchReport& report) {
   using bench::Fmt;
   const bool small = bench::SmallScale();
   const size_t kKeys = 8192;
@@ -225,11 +229,8 @@ int RunHashKernelTable(const std::string& bench_out) {
       "batched Horner over GF(2^61-1) is multiply-bound; the AVX2 limb "
       "kernel must be bit-identical to scalar and >= 1.5x faster");
 
-  bench::BenchReport report("micro", small ? "small" : "full");
   report.SetConfig("hash_keys", static_cast<double>(kKeys));
   report.SetConfig("hash_base_total", static_cast<double>(base_total));
-  report.SetNote("hash-kernel table; _eps rows are 0 when avx2 is not "
-                 "dispatchable on the runner");
 
   Rng rng(20260809);
   std::vector<uint64_t> in(kKeys), out(kKeys);
@@ -296,17 +297,87 @@ int RunHashKernelTable(const std::string& bench_out) {
     std::printf("HASH KERNEL SPEEDUP BELOW FLOOR\n");
     return 1;
   }
-
-  report.Write(bench_out);
   return 0;
+}
+
+// ---------------------------------------------------------------------------
+// LargeSet table: one LargeSetComplete at the saturated guess z = 2^8 of the
+// perfbench config (Params::Practical(4096, 2^20, 16, 8), ρ = 1, w = α), fed
+// the first `edges` shuffled edges of a serve_fresh-like Zipf instance and
+// of an ingest_bulk-like planted instance in 4096-edge ProcessBatch calls,
+// elements reduced into [z] as universe reduction would. Best of 3 fresh
+// repetitions; construction and Finalize are excluded. Informational rows,
+// no gate.
+// ---------------------------------------------------------------------------
+
+double LargeSetNsPerEdge(const std::vector<Edge>& edges) {
+  constexpr uint64_t kZ = 256;
+  constexpr size_t kBatch = 4096;
+  LargeSetComplete::Config cfg;
+  cfg.params = Params::Practical(4096, 1 << 20, 16, 8);
+  cfg.universe_size = kZ;
+  cfg.w = 8;
+  cfg.element_rate = 1.0;
+  cfg.reporting = true;
+  cfg.seed = 17;
+  std::vector<EdgeBatch> batches;
+  for (size_t i = 0; i < edges.size(); i += kBatch) {
+    EdgeBatch batch;
+    for (size_t j = i; j < std::min(edges.size(), i + kBatch); ++j) {
+      batch.edges.push_back(Edge{edges[j].set, SplitMix64(edges[j].element) % kZ});
+    }
+    batch.Prefold();
+    batches.push_back(std::move(batch));
+  }
+  double best = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    LargeSetComplete ls(cfg);
+    auto t0 = std::chrono::steady_clock::now();
+    for (const EdgeBatch& batch : batches) ls.ProcessBatch(batch.View());
+    auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(ls.Finalize().estimate);
+    const double ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+        static_cast<double>(edges.size());
+    best = rep == 0 ? ns : std::min(best, ns);
+  }
+  return best;
+}
+
+void RunLargeSetTable(bench::BenchReport& report) {
+  using bench::Fmt;
+  const size_t edges = bench::SmallScale() ? size_t{1} << 16 : size_t{1} << 18;
+  bench::Banner("E12b: LargeSet ingest (one LargeSetComplete, rho = 1)",
+                "per-superset counting with windowed heavy-hitter admission; "
+                "ns/edge over the first edges of a Zipf and a planted stream");
+  report.SetConfig("large_set_edges", static_cast<double>(edges));
+  bench::Table table({"stream", "edges", "ns/edge"});
+  const std::pair<const char*, GeneratedInstance> streams[] = {
+      {"zipf", ZipfFrequency(4096, 1 << 20, 256, 1.0, 1)},
+      {"planted", PlantedCover(4096, 1 << 20, 16, 0.5, 16, 1)},
+  };
+  for (const auto& [name, inst] : streams) {
+    std::vector<Edge> all = inst.system.MaterializeEdges();
+    ApplyArrivalOrder(all, ArrivalOrder::kRandom, 2);
+    all.resize(std::min(all.size(), edges));
+    const double ns = LargeSetNsPerEdge(all);
+    table.AddRow({name, Fmt("%zu", all.size()), Fmt("%.1f", ns)});
+    report.SetMetric(Fmt("large_set_%s_ns_per_edge", name), ns);
+  }
+  table.Print();
 }
 
 }  // namespace
 
 int MicroMain(int argc, char** argv) {
   std::string bench_out = bench::BenchOutPath(argc, argv);
-  int rc = RunHashKernelTable(bench_out);
+  bench::BenchReport report("micro", bench::SmallScale() ? "small" : "full");
+  report.SetNote("hash-kernel and LargeSet tables; hash _eps rows are 0 when "
+                 "avx2 is not dispatchable on the runner");
+  int rc = RunHashKernelTable(report);
   if (rc != 0) return rc;
+  RunLargeSetTable(report);
+  report.Write(bench_out);
 
   // Strip the harness-local flag before handing argv to google-benchmark
   // (it rejects unrecognized flags).

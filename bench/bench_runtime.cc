@@ -5,9 +5,12 @@
 // counts {1, 2, 4, 8}. Reports edges/s, speedup vs the in-line single-
 // threaded pass, producer stall counts and sketch space (per-shard sum vs
 // merged), and verifies the deterministic-merge contract on every row.
-// A second table scales the multi-producer front-end (P∈{1,2,4,8} × 8
-// shards through the ring lattice) and gates the 8-producer speedup
-// against a hardware-aware floor (producer_scaling_ok). A third table
+// A second table scales the multi-producer front-end the CLI's
+// --producers runs (P∈{1,2,4,8} producers each parsing one segment of a
+// text file the bench writes once, into 2 shards of a state cheap enough
+// that parsing bounds the pass) and gates the speedup of the most
+// producers the host runs at once against a hardware-aware floor
+// (producer_scaling_ok). A third table
 // scales the multi-PROCESS reduction tree (src/dist, W∈{1,2,4} forked
 // workers; 8 at full scale) over the same edges, requires the merged
 // state to serialize bit-identical to the in-line batched pass, and gates
@@ -31,12 +34,17 @@
 #include <thread>
 #include <vector>
 
+#include <cstdlib>
+#include <filesystem>
+
 #include "bench_util.h"
+#include "core/estimate_max_cover.h"
 #include "dist/process_tree.h"
 #include "runtime/edge_batch.h"
 #include "runtime/sharded_pipeline.h"
 #include "runtime/sketch_states.h"
 #include "stream/edge_stream.h"
+#include "stream/text_stream.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -171,66 +179,113 @@ int Main(int argc, char** argv) {
       "(seed-coordinated replicas), so total space grows linearly with "
       "shards until the fold collapses it back to one sketch.\n");
 
-  // Producer scaling: the multi-producer front-end at a fixed 8 shards.
-  // The single-producer rows above are parse/route-bound on one thread;
-  // this table splits the stream into P even spans (EdgeSpanStream, the
-  // in-memory analogue of SegmentedTextStream) and feeds them through the
-  // P×8 ring lattice. Determinism must hold on every row — the merged
-  // estimates are multiset functions, independent of P.
+  // Producer scaling: the multi-producer front-end as CLI --producers runs
+  // it. The edges go to a text file once; P producers each parse one
+  // newline-aligned segment of it (SegmentedTextStream) into the P×2 ring
+  // lattice. The state is Figure 1's trivial branch (kα ≥ m: one L0 per
+  // shard), cheap enough that parsing bounds the pass, so the rows measure
+  // the producers. Determinism must hold on every row: the merged estimate
+  // is a multiset function, independent of P.
   std::printf("\n");
+  constexpr uint32_t kProducerShards = 2;
+  EstimateMaxCover::Config trivial_cfg;
+  trivial_cfg.params = Params::Practical(1u << 16, 1u << 22, 256, 256);
+  trivial_cfg.seed = 5;
+  double trivial_ref = 0;
+  {
+    EstimateMaxCover st(trivial_cfg);
+    if (!st.trivial_mode()) {
+      std::printf("PRODUCER ROWS NEED THE TRIVIAL BRANCH\n");
+      return 1;
+    }
+    EdgeBatch batch;
+    for (size_t i = 0; i < num_edges; i += kBatchSize) {
+      size_t m = std::min<size_t>(kBatchSize, num_edges - i);
+      batch.Clear();
+      batch.edges.assign(edges.begin() + i, edges.begin() + i + m);
+      batch.Prefold();
+      st.ProcessBatch(batch.View());
+    }
+    trivial_ref = st.Finalize().estimate;
+  }
+  const char* tmp = std::getenv("TMPDIR");
+  std::string dir_template = std::string(tmp != nullptr && *tmp != '\0'
+                                             ? tmp
+                                             : "/tmp") +
+                             "/bench_runtime_XXXXXX";
+  if (mkdtemp(dir_template.data()) == nullptr) {
+    std::printf("cannot create a temporary directory\n");
+    return 1;
+  }
+  const std::filesystem::path text_dir(dir_template);
+  const std::string text_path = (text_dir / "edges.txt").string();
+  WriteEdgesToFile(text_path, edges);
   Table ptable({"producers", "median edges/s", "speedup", "stalls (all)",
                 "recycled (all)", "deterministic"});
+  const uint32_t hc = std::thread::hardware_concurrency();
+  // The gated row: the most producers this host runs at once, or all 8 on
+  // one core (or an unknown count), where the gate checks that 8
+  // time-sliced producers do not collapse the pass.
+  const uint32_t gate_at = hc >= 2 ? hc : 8;
+  uint32_t gated_producers = 1;
   double producers_1_eps = 0;
-  double producers_8_eps = 0;
+  double gated_eps = 0;
   for (uint32_t producers : {1u, 2u, 4u, 8u}) {
     std::vector<double> pass_eps;
     unsigned long long stalls = 0, recycled = 0;
-    for (int pass = 0; pass < kGatedPasses; ++pass) {
+    bool deterministic = true;
+    for (int pass = 0; pass < kGatedPasses && deterministic; ++pass) {
       ShardedPipelineOptions opts;
-      opts.num_shards = 8;
+      opts.num_shards = kProducerShards;
       opts.num_producers = producers;
       opts.batch_size = kBatchSize;
-      ShardedPipeline<CoverageSketchState> pipe(
-          opts, [&](uint32_t) { return CoverageSketchState(cfg); });
-      CoverageSketchState merged = pipe.RunSegmented([&](uint32_t p) {
-        return MakeEdgeSpanSegment(edges, p, producers);
-      });
+      ShardedPipeline<EstimateMaxCover> pipe(
+          opts, [&](uint32_t) { return EstimateMaxCover(trivial_cfg); });
+      SegmentedTextStream segments(text_path, producers);
+      EstimateMaxCover merged = pipe.RunSegmented(
+          [&](uint32_t p) { return segments.OpenSegment(p); });
       const RuntimeMetrics& m = pipe.metrics();
       pass_eps.push_back(m.EdgesPerSecond());
       stalls += m.queue_full_stalls.load();
       recycled += m.TotalBatchesRecycled();
-      if (merged.covered_l0.Estimate() != ref_l0 ||
-          merged.covered_hll.Estimate() != ref_hll) {
-        std::printf("DETERMINISM VIOLATION at %u producers\n", producers);
-        return 1;
-      }
+      deterministic = merged.Finalize().estimate == trivial_ref &&
+                      m.TotalShardEdges() == num_edges;
+    }
+    if (!deterministic) {
+      std::filesystem::remove_all(text_dir);
+      std::printf("DETERMINISM VIOLATION at %u producers\n", producers);
+      return 1;
     }
     const double eps = Median(pass_eps);
-    ptable.AddRow({Fmt("%ux8", producers), Fmt("%.2fM", eps / 1e6),
-                   Fmt("%.2fx", eps / base_eps), Fmt("%llu", stalls),
-                   Fmt("%llu", recycled), "yes"});
+    ptable.AddRow({Fmt("%ux%u", producers, kProducerShards),
+                   Fmt("%.2fM", eps / 1e6), Fmt("%.2fx", eps / base_eps),
+                   Fmt("%llu", stalls), Fmt("%llu", recycled), "yes"});
     report.SetMetric(Fmt("producers_%u_eps", producers), eps);
     if (producers == 1) producers_1_eps = eps;
-    if (producers == 8) producers_8_eps = eps;
+    if (producers <= gate_at) {
+      gated_producers = producers;
+      gated_eps = eps;
+    }
   }
+  std::filesystem::remove_all(text_dir);
   ptable.Print();
 
-  // Hardware-aware scaling gate. The ROADMAP target (≥6×, acceptance ≥4×)
-  // is only observable with 8+ real cores. Below that, one producer already
-  // saturates the workers (on 4 hardware threads 1×8 and 8×8 both run at
-  // ~11M edges/s), so extra producers cannot add throughput and the floor is
-  // a check that the lattice does not collapse it. One core time-slices all
-  // 16 threads and keeps the looser floor it always had.
-  // compare_bench.py hard-fails any committed *_ok metric that is not 1.
-  const uint32_t hc = std::thread::hardware_concurrency();
-  const double scaling_floor = hc >= 8 ? 4.0 : hc >= 2 ? 0.8 : 0.4;
+  // Hardware-aware scaling gate on the most producers the host runs at
+  // once (all 8 on 8+ hardware threads, 4 on 4, 2 on 2 or 3). Parsing
+  // bounds these rows, so the speedup is there to see below 8 threads too.
+  // One core time-slices every thread: there 8 producers against 1 keep
+  // the 0.4x don't-collapse floor they always had. compare_bench.py
+  // hard-fails any committed *_ok metric that is not 1.
+  const double scaling_floor =
+      hc >= 8 ? 4.0 : hc >= 4 ? 1.8 : hc >= 2 ? 0.8 : 0.4;
   const double producer_scaling =
-      producers_1_eps > 0 ? producers_8_eps / producers_1_eps : 0.0;
+      producers_1_eps > 0 ? gated_eps / producers_1_eps : 0.0;
   const bool scaling_ok = producer_scaling >= scaling_floor;
   std::printf(
-      "\n8-producer scaling vs 1-producer (8 shards): %.2fx "
+      "\n%u-producer scaling vs 1-producer (%u shards): %.2fx "
       "(floor %.1fx on %u hardware threads) -> %s\n",
-      producer_scaling, scaling_floor, hc, scaling_ok ? "ok" : "REGRESSION");
+      gated_producers, kProducerShards, producer_scaling, scaling_floor, hc,
+      scaling_ok ? "ok" : "REGRESSION");
   report.SetMetric("producer_scaling", producer_scaling);
   report.SetMetric("producer_scaling_floor", scaling_floor);
   report.SetMetric("producer_scaling_ok", scaling_ok ? 1 : 0);

@@ -21,6 +21,8 @@ namespace {
 // j ≥ 12: early enough to stop feeding outgrown guesses for most of the
 // stream, and only log-many top-down finalizes in all.
 constexpr uint64_t kFirstRetirementCheck = uint64_t{1} << 12;
+// Every check then reads LargeSet with its admission windows closed.
+static_assert(kFirstRetirementCheck % LargeSetComplete::kWindowEdges == 0);
 
 // The first check point after `edges` edges.
 uint64_t NextRetirementCheck(uint64_t edges) {

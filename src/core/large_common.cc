@@ -118,11 +118,12 @@ std::optional<std::pair<size_t, double>> LargeCommon::BestLevel() const {
   return best;
 }
 
-EstimateOutcome LargeCommon::Finalize() const {
+EstimateOutcome LargeCommon::Finalize(size_t* level) const {
   EstimateOutcome out;
   out.source = "large-common";
   auto best = BestLevel();
   if (!best) return out;  // infeasible
+  if (level != nullptr) *level = best->first;
   out.feasible = true;
   out.estimate = best->second;
   return out;
@@ -131,9 +132,16 @@ EstimateOutcome LargeCommon::Finalize() const {
 std::vector<SetId> LargeCommon::ExtractSolution(uint64_t max_sets) const {
   CHECK(config_.reporting);
   auto best = BestLevel();
+  if (!best) return {};
+  return ExtractSolution(best->first, max_sets);
+}
+
+std::vector<SetId> LargeCommon::ExtractSolution(size_t level_index,
+                                                uint64_t max_sets) const {
+  CHECK(config_.reporting);
+  CHECK_LT(level_index, levels_.size());
   std::vector<SetId> out;
-  if (!best) return out;
-  const Level& level = levels_[best->first];
+  const Level& level = levels_[level_index];
   CHECK(level.group_hash.has_value());
   // Best group by estimated coverage.
   size_t best_group = 0;

@@ -51,7 +51,8 @@ class LargeCommon : public StreamingEstimator {
   // edge order is preserved).
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
-  EstimateOutcome Finalize() const;
+  // `level`, when given, receives a feasible outcome's winning level.
+  EstimateOutcome Finalize(size_t* level = nullptr) const;
 
   // Merges another instance built with the same Config (same seed, so the
   // per-level samplers and hashes are identical). Purely L0 unions — the
@@ -64,6 +65,8 @@ class LargeCommon : public StreamingEstimator {
   // set-id space [0, m). Deterministic; uses no stream-time storage beyond
   // the two hashes and the per-group counters.
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
+  // The same for the level a Finalize() already named.
+  std::vector<SetId> ExtractSolution(size_t level, uint64_t max_sets) const;
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "large_common"; }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "core/set_index.h"
 #include "hash/mersenne.h"
 #include "util/check.h"
+#include "util/dense_index.h"
 #include "util/math_util.h"
 #include "util/random.h"
 #include "util/scratch.h"
@@ -61,7 +64,9 @@ LargeSetComplete::LargeSetComplete(const Config& config)
       superset_hash_(config.params.log_wise_degree,
                      SplitMix64(config.seed ^ 0x2222)),
       num_supersets_(NumSupersets(config.params, config.w)),
-      cntr_small_(MakeContributingConfig(
+      hashes_(F2Contributing::MakeHashes(config.params.log_wise_degree,
+                                         SplitMix64(config.seed ^ 0x7777))),
+      cntr_small_(F2Contributing::WithoutHashes(MakeContributingConfig(
           config.params,
           std::min(1.0, config.params.phi1_factor * config.params.alpha *
                             config.params.alpha /
@@ -70,18 +75,21 @@ LargeSetComplete::LargeSetComplete(const Config& config)
           static_cast<uint64_t>(
               std::ceil(3.0 * config.params.s * config.params.alpha)) +
               1,
-          num_supersets_, SplitMix64(config.seed ^ 0x3333))),
-      cntr_large_(MakeContributingConfig(
+          num_supersets_, SplitMix64(config.seed ^ 0x3333)))),
+      cntr_large_(F2Contributing::WithoutHashes(MakeContributingConfig(
           config.params,
           std::min(1.0, config.params.phi2_factor /
                             Log2AtLeast1(config.params.alpha)),
           LargeClassBound(config.params, num_supersets_), num_supersets_,
-          SplitMix64(config.seed ^ 0x4444))),
+          SplitMix64(config.seed ^ 0x4444)))),
       pool_hash_(config.params.log_wise_degree,
-                 SplitMix64(config.seed ^ 0x5555)) {
+                 SplitMix64(config.seed ^ 0x5555)),
+      sample_coverage_({.num_mins = config.params.l0_num_mins,
+                        .seed = SplitMix64(config.seed ^ 0x9999)}) {
   const Params& p = config.params;
   CHECK_GT(config.universe_size, 0u);
   CHECK_GT(config.w, 0.0);
+  CHECK_LE(num_supersets_, uint64_t{1} << 32);  // ProcessBatch's sort keys
 
   // Expected sample size |L| (== |U| when rate is 1).
   double expected_l = std::min(config.element_rate, 1.0) *
@@ -111,14 +119,65 @@ LargeSetComplete::LargeSetComplete(const Config& config)
   pool_l0_seed_ = SplitMix64(config.seed ^ 0x6666);
 }
 
-void LargeSetComplete::AdmitSuperset(uint64_t superset,
-                                     uint64_t element_folded) {
-  uint64_t folded = MersenneFold(superset);
-  cntr_small_.AddFolded(superset, folded);
-  cntr_large_.AddFolded(superset, folded);
-  if (pool_hash_.KeepFolded(folded, pool_rate_num_, pool_rate_den_)) {
-    AddToPool(superset, element_folded);
+HashedIds LargeSetComplete::HashSupersets(const uint64_t* supersets,
+                                          size_t n) const {
+  struct Scratch {
+    std::vector<uint64_t> folded, keys, row_hashes;
+  };
+  thread_local Scratch s;
+  uint64_t* folded = GrowTo(s.folded, n);
+  uint64_t* keys = GrowTo(s.keys, n);
+  uint64_t* row_hashes = GrowTo(s.row_hashes, size_t{hashes_.rows.depth()} * n);
+  for (size_t j = 0; j < n; ++j) folded[j] = MersenneFold(supersets[j]);
+  hashes_.HashFoldedBatch(folded, n, keys, row_hashes);
+  return HashedIds{supersets, row_hashes, keys, nullptr, n};
+}
+
+void LargeSetComplete::CountSlice(const uint64_t* supersets,
+                                  const int64_t* counts, size_t n,
+                                  bool closes) {
+  if (n == 0) {
+    if (closes) CloseWindow();
+    return;
   }
+  HashedIds block = HashSupersets(supersets, n);
+  block.counts = counts;
+  cntr_small_.AddCounts(block);
+  cntr_large_.AddCounts(block);
+  if (closes && touched_.empty()) {
+    // The window is exactly this slice: admit from the hashes at hand.
+    Admit(block);
+    return;
+  }
+  Touch(supersets, n);
+  if (closes) CloseWindow();
+}
+
+void LargeSetComplete::Admit(const HashedIds& window) {
+  cntr_small_.Admit(hashes_, window);
+  cntr_large_.Admit(hashes_, window);
+}
+
+void LargeSetComplete::CloseWindow() {
+  if (!touched_.empty()) Admit(HashSupersets(touched_.data(), touched_.size()));
+  touched_.clear();
+  touched_.shrink_to_fit();
+}
+
+void LargeSetComplete::Touch(const uint64_t* supersets, size_t n) {
+  if (n == 0) return;
+  if (n == 1) {
+    auto it = std::lower_bound(touched_.begin(), touched_.end(), supersets[0]);
+    if (it == touched_.end() || *it != supersets[0]) {
+      touched_.insert(it, supersets[0]);
+    }
+    return;
+  }
+  thread_local std::vector<uint64_t> merged;
+  merged.clear();
+  std::set_union(touched_.begin(), touched_.end(), supersets, supersets + n,
+                 std::back_inserter(merged));
+  touched_.assign(merged.begin(), merged.end());
 }
 
 void LargeSetComplete::AddToPool(uint64_t superset, uint64_t element_folded) {
@@ -139,12 +198,22 @@ void LargeSetComplete::AddToPool(uint64_t superset, uint64_t element_folded) {
 }
 
 void LargeSetComplete::Process(const Edge& edge) {
+  const bool closes = ++window_edges_ == kWindowEdges;
+  if (closes) window_edges_ = 0;
   if (config_.element_rate < 1.0 &&
       !element_sampler_.Sampled(edge.element)) {
+    if (closes) CloseWindow();
     return;
   }
-  AdmitSuperset(superset_hash_.MapRange(edge.set, num_supersets_),
-                MersenneFold(edge.element));
+  const uint64_t superset = superset_hash_.MapRange(edge.set, num_supersets_);
+  const int64_t one = 1;
+  CountSlice(&superset, &one, 1, closes);
+  const uint64_t element_folded = MersenneFold(edge.element);
+  sample_coverage_.AddFolded(element_folded);
+  if (pool_hash_.KeepFolded(MersenneFold(superset), pool_rate_num_,
+                            pool_rate_den_)) {
+    AddToPool(superset, element_folded);
+  }
 }
 
 void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
@@ -158,6 +227,14 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
     std::vector<uint32_t> members;  // their numbers in the batch index
     std::vector<uint32_t> renumber;  // batch number -> survivor set number
     std::vector<uint64_t> supersets, superset_f;
+    std::vector<size_t> cuts;  // survivors before each window end
+    std::vector<int64_t> set_count;  // per survivor set, within a slice
+    std::vector<uint32_t> hit;       // the slice's sets with a count
+    std::vector<int64_t> sums;     // per distinct superset, first-seen
+    std::vector<uint64_t> order;   // superset << 32 | its sum's number
+    std::vector<uint64_t> slice_ids;
+    std::vector<int64_t> slice_counts;
+    DenseIndex superset_index;
   };
   constexpr uint32_t kUnseen = UINT32_MAX;
   thread_local Scratch s;
@@ -165,11 +242,14 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
   // The superset path's input: every edge at ρ = 1; otherwise the element
   // gate's survivors, indexed over just the sets they reference — at small
   // ρ a batch's few survivors reference far fewer sets than it holds.
+  // Either way, cuts[c] counts the survivors before the c-th window end.
   size_t updates = b.size;
   size_t sets = b.num_distinct_sets;
   const uint32_t* slot = b.set_slot;
   const uint64_t* elem_f = b.element_folded;
   const uint64_t* set_f = b.distinct_set_folded;
+  s.cuts.clear();
+  const uint64_t first_end = kWindowEdges - window_edges_;
   if (config_.element_rate < 1.0) {
     element_sampler_.SampleKeysFoldedBatch(b.element_folded, keys, b.size);
     const uint64_t thr = element_sampler_.rate_num();
@@ -181,7 +261,12 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
     uint32_t* renumber = GrowTo(s.renumber, b.num_distinct_sets, kUnseen);
     updates = 0;
     sets = 0;
+    uint64_t next_end = first_end;
     for (size_t i = 0; i < b.size; ++i) {
+      if (i == next_end) {
+        s.cuts.push_back(updates);
+        next_end += kWindowEdges;
+      }
       if (keys[i] >= thr) continue;
       const uint32_t d = b.set_slot[i];
       if (renumber[d] == kUnseen) {
@@ -192,23 +277,64 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
       sv_slot[updates] = renumber[d];
       sv_elem_f[updates++] = b.element_folded[i];
     }
+    if (next_end == b.size) s.cuts.push_back(updates);
     for (size_t t = 0; t < sets; ++t) renumber[members[t]] = kUnseen;
     slot = sv_slot;
     elem_f = sv_elem_f;
     set_f = sv_set_f;
+  } else {
+    for (uint64_t end = first_end; end <= b.size; end += kWindowEdges) {
+      s.cuts.push_back(end);
+    }
   }
-  // Hash each set once, mutate per edge in order: the superset ids, their
-  // folds and the pool gate per distinct set; then each consumer takes the
-  // updates as one indexed block. The two contributing sketches and the
-  // pool hold disjoint state, so feeding them one after the other leaves
-  // each with exactly AdmitSuperset's update sequence. Sets sharing a
-  // superset are separate index entries, which the blocks allow.
+  // Hash each set once: its superset and the superset's pool gate.
   uint64_t* supersets = GrowTo(s.supersets, sets);
   uint64_t* superset_f = GrowTo(s.superset_f, sets);
   superset_hash_.MapRangeFoldedBatch(set_f, supersets, sets, num_supersets_);
   for (size_t d = 0; d < sets; ++d) superset_f[d] = MersenneFold(supersets[d]);
-  cntr_small_.AddIndexedBatch(supersets, superset_f, sets, slot, updates);
-  cntr_large_.AddIndexedBatch(supersets, superset_f, sets, slot, updates);
+  // Count each window-bounded slice per distinct superset, ascending; the
+  // last slice leaves its window open unless it ends on a cut.
+  int64_t* set_count = GrowTo(s.set_count, sets);
+  uint32_t* hit = GrowTo(s.hit, sets);
+  size_t start = 0;
+  for (size_t c = 0; c <= s.cuts.size(); ++c) {
+    const bool closes = c < s.cuts.size();
+    const size_t end = closes ? s.cuts[c] : updates;
+    size_t hits = 0;
+    for (size_t t = start; t < end; ++t) {
+      const uint32_t d = slot[t];
+      if (set_count[d]++ == 0) hit[hits++] = d;
+    }
+    // Sum per superset, then order the sums by superset: one sort of
+    // (superset << 32 | sum number) keys.
+    s.superset_index.Reset(hits);
+    s.sums.clear();
+    s.order.clear();
+    for (size_t h = 0; h < hits; ++h) {
+      const uint32_t d = hit[h];
+      const uint32_t i = s.superset_index.Insert(supersets[d]);
+      if (i == s.sums.size()) {
+        s.sums.push_back(0);
+        s.order.push_back(supersets[d] << 32 | i);
+      }
+      s.sums[i] += set_count[d];
+      set_count[d] = 0;
+    }
+    std::sort(s.order.begin(), s.order.end());
+    s.slice_ids.resize(s.order.size());
+    s.slice_counts.resize(s.order.size());
+    for (size_t j = 0; j < s.order.size(); ++j) {
+      s.slice_ids[j] = s.order[j] >> 32;
+      s.slice_counts[j] = s.sums[s.order[j] & UINT32_MAX];
+    }
+    CountSlice(s.slice_ids.data(), s.slice_counts.data(), s.order.size(),
+               closes);
+    start = end;
+  }
+  window_edges_ = (window_edges_ + b.size) % kWindowEdges;
+  sample_coverage_.AddFoldedBatch(elem_f, updates);
+  // The pool's per-superset L0 counters take the survivors' elements one
+  // by one, in order.
   const bool pool_all = pool_rate_num_ >= pool_rate_den_;
   if (!pool_all) {
     // One pool key per index entry: at ρ = 1 a caller's index may hold
@@ -227,8 +353,8 @@ void LargeSetComplete::ProcessBatch(const PrefoldedEdges& batch) {
 void LargeSetComplete::Merge(const LargeSetComplete& other) {
   CHECK_EQ(config_.seed, other.config_.seed);
   CHECK_EQ(num_supersets_, other.num_supersets_);
-  cntr_small_.Merge(other.cntr_small_);
-  cntr_large_.Merge(other.cntr_large_);
+  cntr_small_.Merge(other.cntr_small_, hashes_);
+  cntr_large_.Merge(other.cntr_large_, hashes_);
   // Pool entries are keyed by superset id; which ids appear depends only on
   // the observed edges (the pool hash is shared), so union-by-key plus L0
   // merge reproduces the single-threaded pool on the concatenated stream.
@@ -240,6 +366,9 @@ void LargeSetComplete::Merge(const LargeSetComplete& other) {
       it->second.Merge(de);
     }
   }
+  sample_coverage_.Merge(other.sample_coverage_);
+  Touch(other.touched_.data(), other.touched_.size());
+  window_edges_ = (window_edges_ + other.window_edges_) % kWindowEdges;
 }
 
 std::optional<LargeSetComplete::Candidate> LargeSetComplete::BestCandidate()
@@ -256,16 +385,18 @@ std::optional<LargeSetComplete::Candidate> LargeSetComplete::BestCandidate()
       best = Candidate{superset, cov};
     }
   };
+  // The open window's supersets are read as if the window had closed.
+  const HashedIds open = HashSupersets(touched_.data(), touched_.size());
   // Case 1: a small (≤ sα supersets) contributing class of F2(v⃗). The
   // extracted value estimates total incidence size; divide by f to lower-
   // bound coverage (Claim 4.10).
-  for (const ContributingCoordinate& cc : cntr_small_.Extract()) {
+  for (const ContributingCoordinate& cc : cntr_small_.Extract(hashes_, open)) {
     if (cc.estimate >= thr1_ / 2.0) {
       consider(cc.id, 2.0 * cc.estimate / (3.0 * p.f));
     }
   }
   // Case 2, small classes.
-  for (const ContributingCoordinate& cc : cntr_large_.Extract()) {
+  for (const ContributingCoordinate& cc : cntr_large_.Extract(hashes_, open)) {
     if (cc.estimate >= thr2_ / 2.0) {
       consider(cc.id, 2.0 * cc.estimate / (3.0 * p.f));
     }
@@ -279,14 +410,17 @@ std::optional<LargeSetComplete::Candidate> LargeSetComplete::BestCandidate()
   return best;
 }
 
-EstimateOutcome LargeSetComplete::Finalize() const {
+EstimateOutcome LargeSetComplete::Finalize(uint64_t* superset) const {
   EstimateOutcome out;
   out.source = "large-set";
   auto best = BestCandidate();
   if (!best) return out;
+  if (superset != nullptr) *superset = best->superset;
   out.feasible = true;
   double rate = std::min(config_.element_rate, 1.0);
-  out.estimate = best->sample_scale_estimate / rate;
+  out.estimate =
+      std::min(best->sample_scale_estimate, sample_coverage_.Estimate()) /
+      rate;
   // Never report more than the universe: the scale-up is an expectation
   // inversion and can overshoot on lucky samples.
   out.estimate =
@@ -296,11 +430,17 @@ EstimateOutcome LargeSetComplete::Finalize() const {
 
 std::vector<SetId> LargeSetComplete::ExtractSolution(uint64_t max_sets) const {
   CHECK(config_.reporting);
-  std::vector<SetId> out;
   auto best = BestCandidate();
-  if (!best) return out;
+  if (!best) return {};
+  return SupersetMembers(best->superset, max_sets);
+}
+
+std::vector<SetId> LargeSetComplete::SupersetMembers(uint64_t superset,
+                                                     uint64_t max_sets) const {
+  CHECK(config_.reporting);
+  std::vector<SetId> out;
   for (SetId s = 0; s < config_.params.m && out.size() < max_sets; ++s) {
-    if (superset_hash_.MapRange(s, num_supersets_) == best->superset) {
+    if (superset_hash_.MapRange(s, num_supersets_) == superset) {
       out.push_back(s);
     }
   }
@@ -308,9 +448,13 @@ std::vector<SetId> LargeSetComplete::ExtractSolution(uint64_t max_sets) const {
 }
 
 size_t LargeSetComplete::MemoryBytes() const {
+  // The open window is counted by its ids, a function of its contents and
+  // not of how the window was batched.
   size_t bytes = element_sampler_.MemoryBytes() +
-                 superset_hash_.MemoryBytes() + cntr_small_.MemoryBytes() +
-                 cntr_large_.MemoryBytes() + pool_hash_.MemoryBytes();
+                 superset_hash_.MemoryBytes() + hashes_.MemoryBytes() +
+                 cntr_small_.MemoryBytes() + cntr_large_.MemoryBytes() +
+                 pool_hash_.MemoryBytes() + sample_coverage_.MemoryBytes() +
+                 touched_.size() * sizeof(uint64_t);
   for (const auto& [id, de] : pool_) bytes += sizeof(id) + de.MemoryBytes();
   return bytes;
 }
@@ -319,6 +463,7 @@ void LargeSetComplete::ReportSpace(SpaceAccountant* acct) const {
   SpaceMetered::ReportSpace(acct);
   cntr_small_.ReportSpace(acct);
   cntr_large_.ReportSpace(acct);
+  sample_coverage_.ReportSpace(acct);
   for (const auto& [id, de] : pool_) {
     (void)id;
     de.ReportSpace(acct);
@@ -364,29 +509,31 @@ void LargeSet::Merge(const LargeSet& other) {
   for (size_t i = 0; i < reps_.size(); ++i) reps_[i].Merge(other.reps_[i]);
 }
 
-std::optional<std::pair<size_t, EstimateOutcome>> LargeSet::BestRep() const {
-  std::optional<std::pair<size_t, EstimateOutcome>> best;
+EstimateOutcome LargeSet::Finalize(Winner* winner) const {
+  // The best feasible repetition; ties to the first.
+  EstimateOutcome best;
+  best.source = "large-set";
   for (size_t i = 0; i < reps_.size(); ++i) {
-    EstimateOutcome out = reps_[i].Finalize();
-    if (out.feasible && (!best || out.estimate > best->second.estimate)) {
-      best = {{i, std::move(out)}};
+    uint64_t superset = 0;
+    EstimateOutcome out = reps_[i].Finalize(&superset);
+    if (out.feasible && (!best.feasible || out.estimate > best.estimate)) {
+      best = std::move(out);
+      if (winner != nullptr) *winner = Winner{i, superset};
     }
   }
   return best;
 }
 
-EstimateOutcome LargeSet::Finalize() const {
-  auto best = BestRep();
-  if (best) return std::move(best->second);
-  EstimateOutcome out;
-  out.source = "large-set";
-  return out;
+std::vector<SetId> LargeSet::ExtractSolution(uint64_t max_sets) const {
+  Winner winner;
+  if (!Finalize(&winner).feasible) return {};
+  return ExtractSolution(winner, max_sets);
 }
 
-std::vector<SetId> LargeSet::ExtractSolution(uint64_t max_sets) const {
-  auto best = BestRep();
-  if (!best) return {};
-  return reps_[best->first].ExtractSolution(max_sets);
+std::vector<SetId> LargeSet::ExtractSolution(const Winner& winner,
+                                             uint64_t max_sets) const {
+  CHECK_LT(winner.rep, reps_.size());
+  return reps_[winner.rep].SupersetMembers(winner.superset, max_sets);
 }
 
 size_t LargeSet::MemoryBytes() const {

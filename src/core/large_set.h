@@ -25,6 +25,20 @@
 //
 // Estimates are produced at sample scale and divided by ρ to return to
 // universe scale. Never overestimates w.h.p.; space Õ(m/α²) (Lemma B.7).
+//
+// Ingest is counting. v⃗ is linear, so a batch's surviving edges are summed
+// per distinct superset and each sum is added once to every level of both
+// contributing sketches. A repetition hashes each such superset once for
+// all of them: the two sketches share one level sampler (Θ(log mn)-wise,
+// Params::log_wise_degree) and one CountSketch row family, which are sound
+// to share because every level, and each of Case 1 and Case 2, is analysed
+// on its own and union-bounded. What depends on order — heavy-hitter
+// admission and pruning — runs once per window of kWindowEdges input edges
+// of the repetition's own stream, over the supersets the window touched,
+// in ascending id order. So the counters and candidates do not depend on
+// the order of edges inside a window, and every batching gives the state a
+// Process() loop gives. Finalize passes the open window's supersets
+// through the same gates, as if it had closed, without mutating anything.
 
 #ifndef STREAMKC_CORE_LARGE_SET_H_
 #define STREAMKC_CORE_LARGE_SET_H_
@@ -55,36 +69,48 @@ class LargeSetComplete : public StreamingEstimator {
     uint64_t seed = 1;
   };
 
+  // Heavy-hitter admission runs at the end of every window of this many
+  // input edges. Guess retirement checks (edge 2^j, j ≥ 12, of the same
+  // stream) land on window ends, as does any multiple of it.
+  static constexpr uint64_t kWindowEdges = 4096;
+
   explicit LargeSetComplete(const Config& config);
 
   void Process(const Edge& edge) override;
 
   // Batched ingest: the element gate runs batched over the edges; the
-  // superset hash (the deepest Horner chain in the oracle stack), its fold
-  // and the pool gate run once per distinct set among the survivors
-  // (core/set_index.h), and both contributing sketches take the survivors
-  // as AddIndexedBatch blocks over those sets before the pool updates run
-  // in order. Bit-identical to a Process() loop over the same edges, which
-  // stays the per-edge reference.
+  // superset hash (the deepest Horner chain in the oracle stack) and the
+  // pool gate run once per distinct set among the survivors
+  // (core/set_index.h). Per window-bounded slice, the survivors are summed
+  // per distinct superset, which is hashed once for both sketches; the
+  // pool's L0 updates run per edge. The state equals a Process() loop over
+  // the same edges.
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
   // Estimate is at universe scale (already divided by the element rate).
-  EstimateOutcome Finalize() const;
+  // `superset`, when given, receives a feasible outcome's winning superset.
+  EstimateOutcome Finalize(uint64_t* superset = nullptr) const;
 
   // Merges another repetition built with the same Config: contributing
-  // sketches add (linearity) and pooled per-superset L0 counters union by
-  // superset id.
+  // sketches add (linearity), pooled per-superset L0 counters union by
+  // superset id, and the open windows' supersets union into the merged
+  // open window, which ends where the concatenated stream's window would
+  // ((a + b) mod kWindowEdges edges in) and is evaluated against the merged
+  // counters. Merging never closes a window.
   void Merge(const LargeSetComplete& other);
 
   // Reporting mode, after a feasible Finalize(): the winning superset's
   // member sets {S : h(S) = i*}, at most max_sets of them.
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
+  // The same for a superset a Finalize() already named.
+  std::vector<SetId> SupersetMembers(uint64_t superset,
+                                     uint64_t max_sets) const;
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "large_set_rep"; }
   uint64_t ItemCount() const override { return pool_.size(); }
-  // Composite: also reports the two contributing sketches and the pooled
-  // per-superset L0 counters.
+  // Composite: also reports the two contributing sketches, the pooled
+  // per-superset L0 counters and the sample's coverage counter.
   void ReportSpace(SpaceAccountant* acct) const override;
 
   uint64_t num_supersets() const { return num_supersets_; }
@@ -97,9 +123,22 @@ class LargeSetComplete : public StreamingEstimator {
 
   std::optional<Candidate> BestCandidate() const;
 
-  // Post-gate work for one surviving edge: folds the superset id once and
-  // routes it through both contributing sketches and the pool.
-  void AdmitSuperset(uint64_t superset, uint64_t element_folded);
+  // Distinct supersets (ascending) with their fold-derived hashes, in this
+  // thread's scratch until the next call.
+  HashedIds HashSupersets(const uint64_t* supersets, size_t n) const;
+
+  // One slice of the stream, summed per superset (distinct, ascending):
+  // counts go to both sketches, the supersets join the open window, and
+  // `closes` ends the window after them.
+  void CountSlice(const uint64_t* supersets, const int64_t* counts, size_t n,
+                  bool closes);
+
+  // Admission over the window's supersets in both sketches.
+  void Admit(const HashedIds& window);
+  void CloseWindow();
+
+  // touched_ ∪= the ascending supersets.
+  void Touch(const uint64_t* supersets, size_t n);
 
   // Counts the element in the pooled superset's L0 counter, creating it on
   // first sight. The caller has already passed the pool gate.
@@ -111,6 +150,8 @@ class LargeSetComplete : public StreamingEstimator {
   uint64_t num_supersets_ = 0;
   double thr1_ = 0;  // Case 1 acceptance threshold (sample scale)
   double thr2_ = 0;  // Case 2 acceptance threshold (sample scale)
+  // The level sampler and CountSketch rows of every level of both sketches.
+  F2Contributing::Hashes hashes_;
   F2Contributing cntr_small_;  // Case 1: φ1 = Ω̃(α²/m), classes ≤ r1
   F2Contributing cntr_large_;  // Case 2: φ2 = Ω̃(1), classes ≤ r2
   // Case 2 with oversized contributing classes: sampled supersets with
@@ -120,6 +161,16 @@ class LargeSetComplete : public StreamingEstimator {
   uint64_t pool_rate_den_ = 1;
   mutable std::unordered_map<uint64_t, L0Estimator> pool_;
   uint64_t pool_l0_seed_ = 0;
+  // Distinct elements of the sample V: no k sets cover more, so no answer
+  // exceeds it. This binds where the supersets' incidence counts overstate
+  // coverage beyond f — duplicated common elements at ρ = 1, the one
+  // repetition that cannot dodge them (Lemma B.5 needs ρ < 1).
+  L0Estimator sample_coverage_;
+  // The open window: its input edges so far (< kWindowEdges) and the
+  // distinct supersets they touched, ascending — at most min(window, Q)
+  // ids, emptied when the window closes.
+  uint64_t window_edges_ = 0;
+  std::vector<uint64_t> touched_;
 };
 
 // Figure 7: O(log n) parallel repetitions of LargeSetComplete on fresh
@@ -140,12 +191,23 @@ class LargeSet : public StreamingEstimator {
   void Process(const Edge& edge) override;
   void ProcessBatch(const PrefoldedEdges& batch) override;
 
-  EstimateOutcome Finalize() const;
+  // What a feasible Finalize() picked: enough to name the witness without
+  // finalizing again.
+  struct Winner {
+    size_t rep = 0;
+    uint64_t superset = 0;
+  };
+
+  // `winner`, when given, receives a feasible outcome's pick.
+  EstimateOutcome Finalize(Winner* winner = nullptr) const;
 
   // Merges another instance built with the same Config (repetition-wise).
   void Merge(const LargeSet& other);
 
   std::vector<SetId> ExtractSolution(uint64_t max_sets) const;
+  // The witness of a pick Finalize() returned; finalizes nothing.
+  std::vector<SetId> ExtractSolution(const Winner& winner,
+                                     uint64_t max_sets) const;
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "large_set"; }
@@ -157,9 +219,6 @@ class LargeSet : public StreamingEstimator {
   }
 
  private:
-  // The best feasible repetition, if any: its index and its outcome.
-  std::optional<std::pair<size_t, EstimateOutcome>> BestRep() const;
-
   Config config_;
   std::vector<LargeSetComplete> reps_;
 };

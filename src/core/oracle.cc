@@ -71,8 +71,8 @@ Oracle::Finalized Oracle::FinalizeForReport() const {
     if (better) best.outcome = out;
     return better;
   };
-  consider(large_common_->Finalize());
-  consider(large_set_->Finalize());
+  consider(large_common_->Finalize(&best.large_common_level));
+  consider(large_set_->Finalize(&best.large_set_winner));
   if (small_set_ != nullptr) {
     std::vector<SetId> sets;
     if (consider(small_set_->Finalize(&sets))) {
@@ -91,10 +91,11 @@ std::vector<SetId> Oracle::ExtractSolution(const Finalized& finalized,
   const EstimateOutcome& best = finalized.outcome;
   if (!best.feasible) return {};
   if (best.source == "large-common") {
-    return large_common_->ExtractSolution(max_sets);
+    return large_common_->ExtractSolution(finalized.large_common_level,
+                                          max_sets);
   }
   if (best.source == "large-set") {
-    return large_set_->ExtractSolution(max_sets);
+    return large_set_->ExtractSolution(finalized.large_set_winner, max_sets);
   }
   std::vector<SetId> sets = finalized.small_set_sets;
   if (sets.size() > max_sets) sets.resize(max_sets);

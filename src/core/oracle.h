@@ -48,10 +48,14 @@ class Oracle : public StreamingEstimator {
   EstimateOutcome Finalize() const;
 
   // One finalize of the three subroutines, kept for witness extraction:
-  // Finalize()'s outcome, plus SmallSet's greedy picks when SmallSet wins
-  // (they fall out of the same evaluation, so they cost nothing to keep).
+  // Finalize()'s outcome, plus what the subroutines picked in that same
+  // evaluation, so they cost nothing to keep: LargeCommon's level and
+  // LargeSet's repetition and superset (when feasible), and SmallSet's
+  // greedy picks (when it wins).
   struct Finalized {
     EstimateOutcome outcome;
+    size_t large_common_level = 0;
+    LargeSet::Winner large_set_winner;
     std::vector<SetId> small_set_sets;
   };
   Finalized FinalizeForReport() const;

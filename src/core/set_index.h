@@ -7,10 +7,10 @@
 // sketches' level sampler and CountSketch rows, the pool gate). A batch's
 // set index (stream/edge.h) numbers its distinct sets in first-seen order
 // and gives each edge its set's number, so those hashes run over the
-// distinct sets and each edge reads its set's result by number. Every
-// mutation still runs per edge in stream order, so the state stays
-// bit-identical to a Process() loop; only the number of hash evaluations
-// falls.
+// distinct sets and each edge reads its set's result by number. The state
+// stays the one a Process() loop leaves: mutations run per edge in stream
+// order, except LargeSet's linear counters, which take per-superset sums
+// (large_set.h).
 
 #ifndef STREAMKC_CORE_SET_INDEX_H_
 #define STREAMKC_CORE_SET_INDEX_H_

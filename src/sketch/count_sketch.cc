@@ -1,6 +1,7 @@
 #include "sketch/count_sketch.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/math_util.h"
@@ -9,15 +10,40 @@
 
 namespace streamkc {
 
-CountSketch::CountSketch(const Config& config) : config_(config) {
+CountSketchRows::CountSketchRows(uint32_t depth, uint64_t seed) {
+  CHECK_LE(depth, CountSketch::kMaxDepth);
+  Rng rng(seed);
+  rows_.reserve(depth);
+  for (uint32_t r = 0; r < depth; ++r) {
+    rows_.push_back(KWiseHash::FourWise(rng.Fork()));
+  }
+}
+
+void CountSketchRows::HashFoldedBatch(const uint64_t* folded, size_t n,
+                                      uint64_t* hashes) const {
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    rows_[r].MapFoldedBatch(folded, hashes + r * n, n);
+  }
+}
+
+size_t CountSketchRows::MemoryBytes() const {
+  size_t bytes = 0;
+  for (const auto& h : rows_) bytes += h.MemoryBytes();
+  return bytes;
+}
+
+CountSketch::CountSketch(const Config& config)
+    : CountSketch(config, CountSketchRows(config.depth, config.seed)) {}
+
+CountSketch CountSketch::CountersOnly(const Config& config) {
+  return CountSketch(config, CountSketchRows());
+}
+
+CountSketch::CountSketch(const Config& config, CountSketchRows rows)
+    : config_(config), rows_(std::move(rows)) {
   CHECK_GE(config.depth, 1u);
   CHECK_LE(config.depth, kMaxDepth);
   CHECK_GE(config.width, 2u);
-  Rng rng(config.seed);
-  row_hash_.reserve(config.depth);
-  for (uint32_t r = 0; r < config.depth; ++r) {
-    row_hash_.push_back(KWiseHash::FourWise(rng.Fork()));
-  }
   counters_.assign(static_cast<size_t>(config.depth) * config.width, 0);
 }
 
@@ -26,8 +52,9 @@ void CountSketch::Add(uint64_t id, int64_t delta) {
 }
 
 void CountSketch::AddFolded(uint64_t folded, int64_t delta) {
+  CHECK_EQ(rows_.depth(), config_.depth);
   uint64_t hashes[kMaxDepth];
-  HashFolded(folded, hashes);
+  rows_.HashFolded(folded, hashes);
   AddHashed(hashes, 1, delta);
 }
 
@@ -47,19 +74,13 @@ void CountSketch::AddHashed(const uint64_t* row_hashes, size_t stride,
 
 void CountSketch::AddFoldedBatch(const uint64_t* folded, size_t n,
                                  int64_t delta) {
+  CHECK_EQ(rows_.depth(), config_.depth);
   constexpr size_t kTile = 128;
   uint64_t hashes[kMaxDepth * kTile];
   for (size_t i = 0; i < n; i += kTile) {
     size_t m = std::min(kTile, n - i);
-    HashFoldedBatch(folded + i, m, hashes);
+    rows_.HashFoldedBatch(folded + i, m, hashes);
     for (size_t j = 0; j < m; ++j) AddHashed(hashes + j, m, delta);
-  }
-}
-
-void CountSketch::HashFoldedBatch(const uint64_t* folded, size_t n,
-                                  uint64_t* hashes) const {
-  for (uint32_t r = 0; r < config_.depth; ++r) {
-    row_hash_[r].MapFoldedBatch(folded, hashes + r * n, n);
   }
 }
 
@@ -76,13 +97,19 @@ void CountSketch::Save(std::ostream& os) const {
   WriteDouble(os, row0_f2_);
 }
 
-CountSketch CountSketch::Load(std::istream& is) {
+CountSketch CountSketch::Load(std::istream& is) { return Load(is, true); }
+
+CountSketch CountSketch::LoadCountersOnly(std::istream& is) {
+  return Load(is, false);
+}
+
+CountSketch CountSketch::Load(std::istream& is, bool with_rows) {
   CheckHeader(is, kCsMagic, 1);
   Config config;
   config.depth = ReadU32(is);
   config.width = ReadU32(is);
   config.seed = ReadU64(is);
-  CountSketch out(config);
+  CountSketch out = with_rows ? CountSketch(config) : CountersOnly(config);
   out.counters_ = ReadPodVector<int64_t>(is);
   CHECK_EQ(out.counters_.size(),
            static_cast<size_t>(config.depth) * config.width);
@@ -106,8 +133,9 @@ void CountSketch::Merge(const CountSketch& other) {
 }
 
 double CountSketch::PointQuery(uint64_t id) const {
+  CHECK_EQ(rows_.depth(), config_.depth);
   uint64_t hashes[kMaxDepth];
-  HashFolded(MersenneFold(id), hashes);
+  rows_.HashFolded(MersenneFold(id), hashes);
   return PointQueryHashed(hashes, 1);
 }
 
@@ -136,9 +164,7 @@ double CountSketch::EstimateF2() const {
 }
 
 size_t CountSketch::MemoryBytes() const {
-  size_t bytes = VectorBytes(counters_) + sizeof(row0_f2_);
-  for (const auto& h : row_hash_) bytes += h.MemoryBytes();
-  return bytes;
+  return VectorBytes(counters_) + sizeof(row0_f2_) + rows_.MemoryBytes();
 }
 
 }  // namespace streamkc

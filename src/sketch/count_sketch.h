@@ -13,10 +13,13 @@
 // independent of (s_y, b_y), so E[s_x·s_y·1{b_x=b_y}] = 0); one hash
 // evaluation per row instead of two.
 //
-// The row hashes depend only on the id, so block updates hash a whole tile
-// up front with HashFoldedBatch and hand each update its precomputed row
-// values through the *Hashed entry points; a caller that updates and then
-// queries the same ids (F2HeavyHitters' admission gate) reads them too.
+// The row hashes depend only on the id, and they form a family of their
+// own (CountSketchRows): a sketch built from a Config owns one, while a
+// counters-only sketch (CountersOnly) takes every row hash from a family
+// the caller holds. Block updates hash their ids up front with
+// HashFoldedBatch and hand each one its precomputed row values through the
+// *Hashed entry points; LargeSet hashes each superset once per batch for
+// every level of its contributing sketches this way (f2_contributing.h).
 
 #ifndef STREAMKC_SKETCH_COUNT_SKETCH_H_
 #define STREAMKC_SKETCH_COUNT_SKETCH_H_
@@ -32,6 +35,36 @@
 
 namespace streamkc {
 
+// Row r's 4-wise hash, for r < depth, drawn from one seed. The family
+// depends only on (depth, seed), so sketches that share it bucket an id
+// alike in every row and one evaluation per id serves all of them.
+class CountSketchRows {
+ public:
+  // No rows: the family of a counters-only sketch.
+  CountSketchRows() = default;
+  CountSketchRows(uint32_t depth, uint64_t seed);
+
+  uint32_t depth() const { return static_cast<uint32_t>(rows_.size()); }
+
+  // Row hashes of one pre-folded id: hashes[r] for every row r.
+  void HashFolded(uint64_t folded, uint64_t* hashes) const {
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      hashes[r] = rows_[r].MapFolded(folded);
+    }
+  }
+
+  // Row hashes of a block of pre-folded ids, row-major: hashes[r·n + j] is
+  // row r's hash value of folded[j], depth·n values in all, each row
+  // evaluated with MapFoldedBatch.
+  void HashFoldedBatch(const uint64_t* folded, size_t n,
+                       uint64_t* hashes) const;
+
+  size_t MemoryBytes() const;
+
+ private:
+  std::vector<KWiseHash> rows_;
+};
+
 class CountSketch : public SpaceMetered {
  public:
   struct Config {
@@ -44,7 +77,16 @@ class CountSketch : public SpaceMetered {
   // this size, so neither path allocates.
   static constexpr uint32_t kMaxDepth = 16;
 
+  // Owns its rows, drawn from config.seed.
   explicit CountSketch(const Config& config);
+
+  // The counters without rows: only the *Hashed entry points, Merge,
+  // EstimateF2 and QuickF2 apply, with row hashes from a family of
+  // config.depth rows that the caller holds.
+  static CountSketch CountersOnly(const Config& config);
+
+  // The sketch's own rows (empty for a counters-only sketch).
+  const CountSketchRows& rows() const { return rows_; }
 
   // a[id] += delta.
   void Add(uint64_t id, int64_t delta = 1);
@@ -58,23 +100,10 @@ class CountSketch : public SpaceMetered {
   // in edge order through AddHashed.
   void AddFoldedBatch(const uint64_t* folded, size_t n, int64_t delta = 1);
 
-  // Row hashes of one pre-folded id: hashes[r] for every row r.
-  void HashFolded(uint64_t folded, uint64_t* hashes) const {
-    for (uint32_t r = 0; r < config_.depth; ++r) {
-      hashes[r] = row_hash_[r].MapFolded(folded);
-    }
-  }
-
-  // Row hashes of a block of pre-folded ids, row-major: hashes[r·n + j] is
-  // row r's hash value of folded[j], depth·n values in all, each row
-  // evaluated with MapFoldedBatch.
-  void HashFoldedBatch(const uint64_t* folded, size_t n,
-                       uint64_t* hashes) const;
-
-  // The *Hashed entry points take one id's row hashes out of such a block:
-  // row r's value at row_hashes[r·stride] (stride = the block's n; 1 for a
-  // single id). AddHashed and PointQueryHashed each equal their namesake on
-  // that id bit for bit.
+  // The *Hashed entry points take one id's row hashes out of a
+  // CountSketchRows block: row r's value at row_hashes[r·stride] (stride =
+  // the block's n; 1 for a single id). AddHashed and PointQueryHashed each
+  // equal their namesake on that id bit for bit.
   void AddHashed(const uint64_t* row_hashes, size_t stride,
                  int64_t delta = 1);
   double PointQueryHashed(const uint64_t* row_hashes, size_t stride) const;
@@ -100,14 +129,18 @@ class CountSketch : public SpaceMetered {
   double EstimateF2() const;
 
   // Row 0's Σ_b C[0][b]², maintained incrementally (an always-current,
-  // single-sample F2 estimate for the same gate).
+  // single-sample F2 estimate for the same gate). Every update adds an
+  // integer, so the value is exact (below 2^53) whatever the update order
+  // or grouping.
   double QuickF2() const { return row0_f2_; }
 
   uint32_t width() const { return config_.width; }
 
-  // Binary checkpointing; hashes are rebuilt from the stored seed.
+  // Binary checkpointing; hashes are rebuilt from the stored seed, or not
+  // at all by LoadCountersOnly.
   void Save(std::ostream& os) const;
   static CountSketch Load(std::istream& is);
+  static CountSketch LoadCountersOnly(std::istream& is);
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "count_sketch"; }
@@ -116,15 +149,19 @@ class CountSketch : public SpaceMetered {
  private:
   // (sign, flat index into counters_) for row r given the row hash value.
   std::pair<int, size_t> SignBucketFromHash(uint32_t r, uint64_t h) const {
-    int sign = (h & 1) ? +1 : -1;
+    // Arithmetic, not a branch: the low bit is a coin flip per id.
+    int sign = static_cast<int>(h & 1) * 2 - 1;
     uint64_t bucket = static_cast<uint64_t>(
         (static_cast<__uint128_t>(h >> 1) * config_.width) >> 60);
     return {sign, static_cast<size_t>(r) * config_.width + bucket};
   }
 
+  CountSketch(const Config& config, CountSketchRows rows);
+  static CountSketch Load(std::istream& is, bool with_rows);
+
   Config config_;
-  std::vector<KWiseHash> row_hash_;  // one 4-wise hash per row
-  std::vector<int64_t> counters_;    // depth * width, row-major
+  CountSketchRows rows_;           // empty for a counters-only sketch
+  std::vector<int64_t> counters_;  // depth * width, row-major
   double row0_f2_ = 0;               // running Σ_b C[0][b]²
 };
 

@@ -2,22 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <numeric>
+#include <utility>
 
 #include "hash/mersenne.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 #include "util/serialize.h"
 
 namespace streamkc {
 
+void F2Contributing::Hashes::HashFoldedBatch(const uint64_t* folded, size_t n,
+                                             uint64_t* keys,
+                                             uint64_t* row_hashes) const {
+  sampler.MapRangeFoldedBatch(folded, keys, n, kRateDen);
+  rows.HashFoldedBatch(folded, n, row_hashes);
+}
+
+F2Contributing::Hashes F2Contributing::MakeHashes(uint32_t sampler_degree,
+                                                  uint64_t seed) {
+  return Hashes{KWiseHash(sampler_degree, SplitMix64(seed ^ 0xabcd)),
+                CountSketchRows(F2HeavyHitters::Config{}.depth,
+                                SplitMix64(seed ^ 0x5eed))};
+}
+
 F2Contributing::F2Contributing(const Config& config)
-    : config_(config),
-      sampler_(KWiseHash::LogWise(config.domain_size, config.domain_size,
-                                  SplitMix64(config.seed ^ 0xabcd))) {
+    : F2Contributing(config, true) {}
+
+F2Contributing F2Contributing::WithoutHashes(const Config& config) {
+  return F2Contributing(config, false);
+}
+
+F2Contributing::F2Contributing(const Config& config, bool own_hashes)
+    : config_(config) {
   CHECK_GT(config.gamma, 0.0);
   CHECK_GE(config.max_class_size, 1u);
+  if (own_hashes) {
+    sampler_ = KWiseHash::LogWise(config.domain_size, config.domain_size,
+                                  SplitMix64(config.seed ^ 0xabcd));
+  }
   Rng rng(config.seed);
 
   uint32_t num_levels = CeilLog2(config.max_class_size) + 1;
@@ -41,11 +66,9 @@ F2Contributing::F2Contributing(const Config& config)
     F2HeavyHitters::Config hh;
     hh.phi = phi;
     hh.seed = rng.Fork();
-    levels_.push_back(Level{num, F2HeavyHitters(hh)});
+    levels_.push_back(Level{num, own_hashes ? F2HeavyHitters(hh)
+                                            : F2HeavyHitters::WithoutRows(hh)});
   }
-  full_rate_only_ = std::all_of(
-      levels_.begin(), levels_.end(),
-      [](const Level& level) { return level.rate_num == kRateDen; });
 }
 
 void F2Contributing::Add(uint64_t id, int64_t delta) {
@@ -53,72 +76,48 @@ void F2Contributing::Add(uint64_t id, int64_t delta) {
 }
 
 void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
-  if (full_rate_only_) {
-    for (auto& level : levels_) level.hh.AddFolded(id, folded, delta);
-    return;
-  }
-  // One shared hash evaluation; levels_ is sorted by decreasing rate, so the
-  // first failing threshold ends the walk (samples are nested).
-  uint64_t key = sampler_.MapRangeFolded(folded, kRateDen);
+  CHECK(sampler_.has_value());
+  // One shared hash evaluation, and only when some level samples; levels_
+  // is sorted by decreasing rate, so the first failing threshold ends the
+  // walk (samples are nested).
+  const uint64_t key = levels_.back().rate_num < kRateDen
+                           ? sampler_->MapRangeFolded(folded, kRateDen)
+                           : 0;
   for (auto& level : levels_) {
     if (key >= level.rate_num) break;
     level.hh.AddFolded(id, folded, delta);
   }
 }
 
-void F2Contributing::AddIndexedBatch(const uint64_t* ids,
-                                     const uint64_t* folded, size_t num_ids,
-                                     const uint32_t* slot, size_t n,
-                                     int64_t delta) {
-  if (full_rate_only_) {
-    for (auto& level : levels_) {
-      level.hh.AddIndexedBatch(ids, folded, num_ids, slot, n, delta);
-    }
-    return;
-  }
-  // The live entries (id, fold, key) and the live updates' entry numbers,
-  // compacted in place as the levels narrow.
-  struct Scratch {
-    std::vector<uint64_t> keys, ids, folded;
-    std::vector<uint32_t> renumber, slot;
-  };
-  thread_local Scratch s;
-  uint64_t* keys = GrowTo(s.keys, num_ids);
-  uint64_t* live_ids = GrowTo(s.ids, num_ids);
-  uint64_t* live_folded = GrowTo(s.folded, num_ids);
-  uint32_t* renumber = GrowTo(s.renumber, num_ids);
-  uint32_t* live_slot = GrowTo(s.slot, n);
-  sampler_.MapRangeFoldedBatch(folded, keys, num_ids, kRateDen);
-  std::copy(ids, ids + num_ids, live_ids);
-  std::copy(folded, folded + num_ids, live_folded);
-  std::copy(slot, slot + n, live_slot);
-  constexpr uint32_t kDropped = UINT32_MAX;
-  size_t live = num_ids;
-  size_t updates = n;
-  for (auto& level : levels_) {
-    size_t kept = 0;
-    for (size_t d = 0; d < live; ++d) {
-      if (keys[d] >= level.rate_num) {
-        renumber[d] = kDropped;
-        continue;
+template <typename Fn>
+void F2Contributing::ForEachLevel(const HashedIds& block, Fn fn) const {
+  thread_local std::vector<uint32_t> scratch;
+  uint32_t* entries = GrowTo(scratch, block.n);
+  std::iota(entries, entries + block.n, 0u);
+  size_t live = block.n;
+  for (size_t l = 0; l < levels_.size(); ++l) {
+    const uint64_t rate_num = levels_[l].rate_num;
+    if (rate_num < kRateDen) {
+      size_t kept = 0;
+      for (size_t i = 0; i < live; ++i) {
+        if (block.keys[entries[i]] < rate_num) entries[kept++] = entries[i];
       }
-      renumber[d] = static_cast<uint32_t>(kept);
-      keys[kept] = keys[d];
-      live_ids[kept] = live_ids[d];
-      live_folded[kept] = live_folded[d];
-      ++kept;
+      live = kept;
     }
-    live = kept;
-    kept = 0;
-    for (size_t j = 0; j < updates; ++j) {
-      const uint32_t d = renumber[live_slot[j]];
-      if (d != kDropped) live_slot[kept++] = d;
-    }
-    updates = kept;
-    if (updates == 0) break;
-    level.hh.AddIndexedBatch(live_ids, live_folded, live, live_slot, updates,
-                             delta);
+    fn(l, entries, live);
   }
+}
+
+void F2Contributing::AddCounts(const HashedIds& block) {
+  ForEachLevel(block, [&](size_t l, const uint32_t* entries, size_t num) {
+    levels_[l].hh.AddCounts(block, entries, num);
+  });
+}
+
+void F2Contributing::Admit(const Hashes& hashes, const HashedIds& window) {
+  ForEachLevel(window, [&](size_t l, const uint32_t* entries, size_t num) {
+    levels_[l].hh.Admit(hashes.rows, window, entries, num);
+  });
 }
 
 namespace {
@@ -126,19 +125,20 @@ constexpr uint32_t kFcMagic = 0x46324354;  // "F2CT"
 }  // namespace
 
 void F2Contributing::Save(std::ostream& os) const {
-  WriteHeader(os, kFcMagic, 1);
+  WriteHeader(os, kFcMagic, 2);
   WriteDouble(os, config_.gamma);
   WriteU64(os, config_.max_class_size);
   WriteU64(os, config_.domain_size);
   WriteDouble(os, config_.phi_factor);
   WriteDouble(os, config_.sample_factor);
   WriteU64(os, config_.seed);
+  WriteU32(os, sampler_.has_value() ? 1 : 0);
   WriteU64(os, levels_.size());
   for (const Level& level : levels_) level.hh.Save(os);
 }
 
 F2Contributing F2Contributing::Load(std::istream& is) {
-  CheckHeader(is, kFcMagic, 1);
+  CheckHeader(is, kFcMagic, 2);
   Config config;
   config.gamma = ReadDouble(is);
   config.max_class_size = ReadU64(is);
@@ -146,13 +146,15 @@ F2Contributing F2Contributing::Load(std::istream& is) {
   config.phi_factor = ReadDouble(is);
   config.sample_factor = ReadDouble(is);
   config.seed = ReadU64(is);
-  F2Contributing out(config);
+  F2Contributing out =
+      ReadU32(is) != 0 ? F2Contributing(config) : WithoutHashes(config);
   CHECK_EQ(ReadU64(is), out.levels_.size());  // same config ⇒ same geometry
   for (Level& level : out.levels_) level.hh = F2HeavyHitters::Load(is);
   return out;
 }
 
 void F2Contributing::Merge(const F2Contributing& other) {
+  CHECK(sampler_.has_value());
   CHECK_EQ(levels_.size(), other.levels_.size());
   CHECK_EQ(config_.seed, other.config_.seed);
   for (size_t i = 0; i < levels_.size(); ++i) {
@@ -161,28 +163,63 @@ void F2Contributing::Merge(const F2Contributing& other) {
   }
 }
 
+void F2Contributing::Merge(const F2Contributing& other, const Hashes& hashes) {
+  CHECK_EQ(levels_.size(), other.levels_.size());
+  CHECK_EQ(config_.seed, other.config_.seed);
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    CHECK_EQ(levels_[i].rate_num, other.levels_[i].rate_num);
+    levels_[i].hh.Merge(other.levels_[i].hh, hashes.rows);
+  }
+}
+
 std::vector<ContributingCoordinate> F2Contributing::Extract() const {
-  std::unordered_map<uint64_t, ContributingCoordinate> best;
-  for (uint32_t i = 0; i < levels_.size(); ++i) {
-    for (const HeavyHitter& hh : levels_[i].hh.Extract()) {
-      auto it = best.find(hh.id);
-      if (it == best.end() || hh.estimate > it->second.estimate) {
-        best[hh.id] = ContributingCoordinate{hh.id, hh.estimate, i};
-      }
+  CHECK(sampler_.has_value());
+  std::vector<ContributingCoordinate> all;
+  for (uint32_t l = 0; l < levels_.size(); ++l) {
+    for (const HeavyHitter& hh : levels_[l].hh.Extract()) {
+      all.push_back(ContributingCoordinate{hh.id, hh.estimate, l});
     }
   }
-  std::vector<ContributingCoordinate> out;
-  out.reserve(best.size());
-  for (const auto& [id, cc] : best) out.push_back(cc);
-  std::sort(out.begin(), out.end(),
+  return OnePerId(std::move(all));
+}
+
+std::vector<ContributingCoordinate> F2Contributing::Extract(
+    const Hashes& hashes, const HashedIds& open) const {
+  std::vector<ContributingCoordinate> all;
+  ForEachLevel(open, [&](size_t l, const uint32_t* entries, size_t num) {
+    for (const HeavyHitter& hh :
+         levels_[l].hh.Extract(hashes.rows, open, entries, num)) {
+      all.push_back(
+          ContributingCoordinate{hh.id, hh.estimate, static_cast<uint32_t>(l)});
+    }
+  });
+  return OnePerId(std::move(all));
+}
+
+std::vector<ContributingCoordinate> F2Contributing::OnePerId(
+    std::vector<ContributingCoordinate> all) {
+  std::stable_sort(all.begin(), all.end(),
+                   [](const ContributingCoordinate& a,
+                      const ContributingCoordinate& b) {
+                     return a.id < b.id ||
+                            (a.id == b.id && a.estimate > b.estimate);
+                   });
+  all.erase(std::unique(all.begin(), all.end(),
+                        [](const ContributingCoordinate& a,
+                           const ContributingCoordinate& b) {
+                          return a.id == b.id;
+                        }),
+            all.end());
+  std::sort(all.begin(), all.end(),
             [](const ContributingCoordinate& a, const ContributingCoordinate& b) {
-              return a.estimate > b.estimate;
+              return a.estimate > b.estimate ||
+                     (a.estimate == b.estimate && a.id < b.id);
             });
-  return out;
+  return all;
 }
 
 size_t F2Contributing::MemoryBytes() const {
-  size_t bytes = sampler_.MemoryBytes();
+  size_t bytes = sampler_.has_value() ? sampler_->MemoryBytes() : 0;
   for (const auto& level : levels_) {
     bytes += level.hh.MemoryBytes() + sizeof(uint64_t);
   }

@@ -16,19 +16,30 @@
 // sampled F2 (Lemma 2.9), so the heavy-hitter sketch finds it. Sampling is
 // per-coordinate, so a survivor's frequency in the substream equals its true
 // frequency.
+//
+// Every hash the levels read depends on the id alone: the shared level
+// sampler's key and each level's CountSketch rows. A sketch built from a
+// Config owns its sampler, and each level's heavy-hitter sketch its rows;
+// Add() is one update, admitted at once. LargeSet instead builds both of a
+// repetition's sketches WithoutHashes and passes them one Hashes — one
+// sampler and one row family for every level of both — through the window
+// path (AddCounts, Admit, Extract with the open window; see
+// f2_heavy_hitters.h), which takes a block of distinct ids hashed once for
+// all levels. Sharing is sound because levels are analysed one at a time
+// and union-bounded, so nothing relies on independence between them.
 
 #ifndef STREAMKC_SKETCH_F2_CONTRIBUTING_H_
 #define STREAMKC_SKETCH_F2_CONTRIBUTING_H_
 
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <vector>
 
 #include "hash/kwise_hash.h"
 #include "obs/space_accountant.h"
 #include "sketch/f2_heavy_hitters.h"
-#include "util/scratch.h"
 #include "util/space.h"
 
 namespace streamkc {
@@ -59,47 +70,60 @@ class F2Contributing : public SpaceMetered {
     uint64_t seed = 1;
   };
 
+  // The hashes every level reads: the shared level sampler (key range
+  // kRateDen) and the CountSketch row family of every level's sketch.
+  struct Hashes {
+    KWiseHash sampler;
+    CountSketchRows rows;
+
+    // keys[j] and the row-major row hashes of n pre-folded ids.
+    void HashFoldedBatch(const uint64_t* folded, size_t n, uint64_t* keys,
+                         uint64_t* row_hashes) const;
+    size_t MemoryBytes() const {
+      return sampler.MemoryBytes() + rows.MemoryBytes();
+    }
+  };
+
+  // Hashes for sketches that share them: a sampler of the given degree and
+  // a row family as deep as every level's sketch.
+  static Hashes MakeHashes(uint32_t sampler_degree, uint64_t seed);
+
+  // Owns a Θ(log mn)-wise level sampler for the domain; each level's
+  // heavy-hitter sketch owns its rows.
   explicit F2Contributing(const Config& config);
 
+  // Levels only, built WithoutRows: the window path and Merge take the
+  // sampler and rows from the caller's Hashes.
+  static F2Contributing WithoutHashes(const Config& config);
+
+  // One update, admitted at once (a window of one). Owned hashes only.
   void Add(uint64_t id, int64_t delta = 1);
 
-  // Hash-once ingest path: `folded` must equal MersenneFold(id). One fold
-  // serves the shared level sampler and every surviving level's
-  // heavy-hitter sketch, but each call still evaluates the sampler (unless
-  // every level is full rate, when no key can reject) and the levels'
-  // CountSketch rows for this id alone; AddIndexedBatch below runs the same
-  // hashes once per distinct id of a block.
+  // Hash-once ingest path: `folded` must equal MersenneFold(id).
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
-  // n AddFolded calls in one block over an id index, bit-identical state:
-  // update j is AddFolded(ids[slot[j]], folded[slot[j]], delta). The shared
-  // sampler key is hashed once per index entry; then each level, in order,
-  // keeps the entries whose key passes its threshold (nested, so every
-  // level filters the previous level's) and takes its updates as one
-  // F2HeavyHitters::AddIndexedBatch block over just those entries. Levels
-  // hold disjoint state and each still sees its updates in stream order.
-  // This is the path LargeSetComplete::ProcessBatch uses, with its
-  // supersets as the ids; AddFolded is the per-edge reference.
-  void AddIndexedBatch(const uint64_t* ids, const uint64_t* folded,
-                       size_t num_ids, const uint32_t* slot, size_t n,
-                       int64_t delta = 1);
-
-  // The block without repetition: update j is AddFolded(ids[j], folded[j]).
-  void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
-                      int64_t delta = 1) {
-    AddIndexedBatch(ids, folded, n, IdentitySlots(n), n, delta);
-  }
+  // The window path over a block of distinct ids with their keys and row
+  // hashes (HashedIds): each level, in decreasing rate, keeps the ids whose
+  // key passes its threshold (nested, so every level filters the previous
+  // level's) and takes them through its heavy-hitter sketch's namesake.
+  // Admit wants the window's ids ascending.
+  void AddCounts(const HashedIds& block);
+  void Admit(const Hashes& hashes, const HashedIds& window);
+  std::vector<ContributingCoordinate> Extract(const Hashes& hashes,
+                                              const HashedIds& open) const;
 
   // One representative (at least) from each γ-contributing class of size
   // ≤ max_class_size, deduplicated by id (max estimate wins), sorted by
-  // descending estimate.
+  // descending estimate (ties to the smaller id). Owned hashes only.
   std::vector<ContributingCoordinate> Extract() const;
 
   // Merges another instance built with the same Config (per-level sketch
-  // merge; the shared coordinate sampler is seed-identical by construction).
+  // merge; the sampler and rows are seed-identical by construction).
   void Merge(const F2Contributing& other);
+  void Merge(const F2Contributing& other, const Hashes& hashes);
 
-  // Binary checkpointing: config + every level's heavy-hitter state.
+  // Binary checkpointing: config, whether the hashes are owned, and every
+  // level's heavy-hitter state.
   void Save(std::ostream& os) const;
   static F2Contributing Load(std::istream& is);
 
@@ -121,18 +145,29 @@ class F2Contributing : public SpaceMetered {
 
   static constexpr uint64_t kRateDen = 1ULL << 40;
 
+  F2Contributing(const Config& config, bool own_hashes);
+
+  // Sorts one entry per id, its largest estimate from the first level that
+  // reports it, most frequent first.
+  static std::vector<ContributingCoordinate> OnePerId(
+      std::vector<ContributingCoordinate> all);
+
+  // Calls fn(level, entries, num) for every level in order, with the
+  // entries of `block` whose key passes it (nested: each level narrows the
+  // previous level's list; a full-rate level keeps all and reads no key).
+  template <typename Fn>
+  void ForEachLevel(const HashedIds& block, Fn fn) const;
+
   Config config_;
-  // One Θ(log mn)-wise hash shared by all levels: level i keeps ids whose
-  // key falls below its threshold, so the per-level samples are nested and
-  // one hash evaluation serves every level. Each level in isolation is a
-  // uniform sample at its own rate, which is all Lemma 2.9 / Claim 2.8 need;
-  // levels are analyzed separately and union-bounded, so cross-level
-  // independence is never used.
-  KWiseHash sampler_;
+  // The Θ(log mn)-wise sampler shared by all levels: level i keeps ids
+  // whose key falls below its threshold, so the per-level samples are
+  // nested and one hash evaluation serves every level. Each level in
+  // isolation is a uniform sample at its own rate, which is all Lemma 2.9 /
+  // Claim 2.8 need; levels are analyzed separately and union-bounded, so
+  // cross-level independence is never used. Absent when built
+  // WithoutHashes.
+  std::optional<KWiseHash> sampler_;
   std::vector<Level> levels_;  // sorted by decreasing rate
-  // Every level keeps every id (each rate_num is kRateDen), so no sampler
-  // key can reject one and the ingest paths skip the hash.
-  bool full_rate_only_ = false;
 };
 
 }  // namespace streamkc

@@ -2,33 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 #include "hash/mersenne.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 #include "util/serialize.h"
 
 namespace streamkc {
 
 namespace {
 
-CountSketch::Config MakeCountSketchConfig(const F2HeavyHitters::Config& c,
-                                          uint64_t seed) {
+CountSketch::Config MakeCountSketchConfig(const F2HeavyHitters::Config& c) {
   CountSketch::Config cs;
   cs.depth = c.depth;
   double w = c.width_factor / c.phi;
   cs.width = static_cast<uint32_t>(
       std::min<double>(std::max(w, 8.0), static_cast<double>(c.max_width)));
-  cs.seed = seed;
+  cs.seed = SplitMix64(c.seed);
   return cs;
+}
+
+// Most frequent first; ties to the smaller id, so that the order is a
+// function of the estimates alone.
+bool MoreFrequent(const HeavyHitter& a, const HeavyHitter& b) {
+  return a.estimate > b.estimate || (a.estimate == b.estimate && a.id < b.id);
 }
 
 }  // namespace
 
 F2HeavyHitters::F2HeavyHitters(const Config& config)
+    : F2HeavyHitters(config, CountSketch(MakeCountSketchConfig(config))) {}
+
+F2HeavyHitters F2HeavyHitters::WithoutRows(const Config& config) {
+  return F2HeavyHitters(
+      config, CountSketch::CountersOnly(MakeCountSketchConfig(config)));
+}
+
+F2HeavyHitters::F2HeavyHitters(const Config& config, CountSketch count_sketch)
     : config_(config),
-      count_sketch_(MakeCountSketchConfig(config, SplitMix64(config.seed))),
+      count_sketch_(std::move(count_sketch)),
       capacity_(static_cast<size_t>(
           std::max(4.0, config.cand_factor / config.phi))) {
   CHECK_GT(config.phi, 0.0);
@@ -41,61 +58,95 @@ void F2HeavyHitters::Add(uint64_t id, int64_t delta) {
 }
 
 void F2HeavyHitters::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
+  const CountSketchRows& rows = count_sketch_.rows();
+  CHECK_EQ(rows.depth(), config_.depth);
   uint64_t hashes[CountSketch::kMaxDepth];
-  count_sketch_.HashFolded(folded, hashes);
-  AddHashed(id, hashes, 1, delta);
+  rows.HashFolded(folded, hashes);
+  const HashedIds one{&id, hashes, nullptr, &delta, 1};
+  const uint32_t entry = 0;
+  AddCounts(one, &entry, 1);
+  Admit(rows, one, &entry, 1);
 }
 
-void F2HeavyHitters::AddIndexedBatch(const uint64_t* ids,
-                                     const uint64_t* folded, size_t num_ids,
-                                     const uint32_t* slot, size_t n,
-                                     int64_t delta) {
-  // Row-major: entry d's row-r hash at hashes[r·num_ids + d].
-  thread_local std::vector<uint64_t> scratch;
-  uint64_t* hashes = GrowTo(scratch, size_t{config_.depth} * num_ids);
-  count_sketch_.HashFoldedBatch(folded, num_ids, hashes);
+void F2HeavyHitters::AddCounts(const HashedIds& block, const uint32_t* entries,
+                               size_t num) {
+  for (size_t i = 0; i < num; ++i) {
+    const uint32_t e = entries[i];
+    count_sketch_.AddHashed(block.row_hashes + e, block.n, block.counts[e]);
+  }
+}
+
+bool F2HeavyHitters::IsCandidate(uint64_t id) const {
+  return std::binary_search(candidates_.begin(), candidates_.end(), id);
+}
+
+bool F2HeavyHitters::PassesGates(const uint64_t* row_hashes,
+                                 size_t stride) const {
+  // A φ-heavy coordinate reads ≥ √(φF2) - noise and passes comfortably;
+  // most light coordinates fail the one-counter row-0 gate already, which
+  // keeps point queries and candidate churn low. The median estimate must
+  // then pass the same test, so that one lucky row-0 bucket does not admit.
+  const double bar = config_.phi * count_sketch_.QuickF2();
+  const double quick = count_sketch_.QuickEstimateHashed(row_hashes);
+  if (quick * quick * 6.0 < bar) return false;
+  const double est = count_sketch_.PointQueryHashed(row_hashes, stride);
+  return est * est * 6.0 >= bar;
+}
+
+void F2HeavyHitters::Admit(const CountSketchRows& rows, const HashedIds& window,
+                           const uint32_t* entries, size_t num) {
+  for (size_t i = 0; i < num; ++i) {
+    const uint32_t e = entries[i];
+    const uint64_t id = window.ids[e];
+    // The gates first: most ids fail the row-0 one, which reads one
+    // counter, while membership is a search.
+    if (!PassesGates(window.row_hashes + e, window.n) || IsCandidate(id)) {
+      continue;
+    }
+    candidates_.insert(
+        std::lower_bound(candidates_.begin(), candidates_.end(), id), id);
+    if (candidates_.size() > 2 * capacity_) PruneCandidates(rows);
+  }
+}
+
+std::vector<double> F2HeavyHitters::CandidateEstimates(
+    const CountSketchRows& rows) const {
+  CHECK_EQ(rows.depth(), config_.depth);
+  struct Scratch {
+    std::vector<uint64_t> folded, hashes;
+  };
+  thread_local Scratch s;
+  const size_t n = candidates_.size();
+  uint64_t* folded = GrowTo(s.folded, n);
+  uint64_t* hashes = GrowTo(s.hashes, size_t{config_.depth} * n);
+  for (size_t j = 0; j < n; ++j) folded[j] = MersenneFold(candidates_[j]);
+  rows.HashFoldedBatch(folded, n, hashes);
+  std::vector<double> est(n);
   for (size_t j = 0; j < n; ++j) {
-    const uint32_t d = slot[j];
-    AddHashed(ids[d], hashes + d, num_ids, delta);
+    est[j] = count_sketch_.PointQueryHashed(hashes + j, n);
   }
+  return est;
 }
 
-void F2HeavyHitters::AddHashed(uint64_t id, const uint64_t* row_hashes,
-                               size_t stride, int64_t delta) {
-  count_sketch_.AddHashed(row_hashes, stride, delta);
-  auto it = candidates_.find(id);
-  if (it != candidates_.end()) {
-    it->second += static_cast<double>(delta > 0 ? delta : -delta);
-    return;
+void F2HeavyHitters::PruneCandidates(const CountSketchRows& rows) {
+  // Keep the top `capacity_` by point estimate, ties to the smaller id.
+  // Amortized O(1) queries per admission.
+  const std::vector<double> est = CandidateEstimates(rows);
+  std::vector<uint32_t> order(candidates_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::nth_element(order.begin(),
+                   order.begin() + static_cast<long>(capacity_), order.end(),
+                   [&est](uint32_t a, uint32_t b) {
+                     return est[a] > est[b] || (est[a] == est[b] && a < b);
+                   });
+  order.resize(capacity_);
+  // Positions ascending are ids ascending, and order[j] ≥ j, so the kept
+  // ids compact in place.
+  std::sort(order.begin(), order.end());
+  for (size_t j = 0; j < order.size(); ++j) {
+    candidates_[j] = candidates_[order[j]];
   }
-  // Cheap admission gate before touching the candidate set: one row-0
-  // estimate against the running row-0 F2. A φ-heavy coordinate reads
-  // ≥ √(φF2) - noise and passes comfortably; most light coordinates fail,
-  // which keeps map churn (and amortized point queries) low. A heavy
-  // coordinate unluckily gated on one update passes on a later one — in an
-  // insertion-only stream its estimate only grows.
-  double quick = count_sketch_.QuickEstimateHashed(row_hashes);
-  if (quick * quick * 6.0 < config_.phi * count_sketch_.QuickF2()) return;
-  candidates_[id] = count_sketch_.PointQueryHashed(row_hashes, stride);
-  if (candidates_.size() > 2 * capacity_) PruneCandidates();
-}
-
-void F2HeavyHitters::PruneCandidates() {
-  // Refresh all scores with true point estimates, then keep the top
-  // `capacity_`. Amortized O(1) queries per insertion.
-  std::vector<std::pair<double, uint64_t>> entries;
-  entries.reserve(candidates_.size());
-  for (const auto& [id, score] : candidates_) {
-    (void)score;
-    entries.emplace_back(count_sketch_.PointQuery(id), id);
-  }
-  std::nth_element(
-      entries.begin(), entries.begin() + static_cast<long>(capacity_),
-      entries.end(),
-      [](const auto& a, const auto& b) { return a.first > b.first; });
-  entries.resize(capacity_);
-  candidates_.clear();
-  for (const auto& [est, id] : entries) candidates_[id] = est;
+  candidates_.resize(capacity_);
 }
 
 namespace {
@@ -103,7 +154,7 @@ constexpr uint32_t kHhMagic = 0x46324848;  // "F2HH"
 }  // namespace
 
 void F2HeavyHitters::Save(std::ostream& os) const {
-  WriteHeader(os, kHhMagic, 1);
+  WriteHeader(os, kHhMagic, 2);
   WriteDouble(os, config_.phi);
   WriteU32(os, config_.depth);
   WriteDouble(os, config_.width_factor);
@@ -111,21 +162,14 @@ void F2HeavyHitters::Save(std::ostream& os) const {
   WriteDouble(os, config_.noise_floor_sigmas);
   WriteU32(os, config_.max_width);
   WriteU64(os, config_.seed);
+  WriteU32(os, count_sketch_.rows().depth() > 0 ? 1 : 0);
   count_sketch_.Save(os);
-  // Candidates in id order, so the blob is a function of the state and not
-  // of the map's insertion history: Save(Load(blob)) == blob.
-  std::vector<std::pair<uint64_t, double>> sorted(candidates_.begin(),
-                                                  candidates_.end());
-  std::sort(sorted.begin(), sorted.end());
-  WriteU64(os, sorted.size());
-  for (const auto& [id, score] : sorted) {
-    WriteU64(os, id);
-    WriteDouble(os, score);
-  }
+  WriteU64(os, candidates_.size());
+  for (uint64_t id : candidates_) WriteU64(os, id);
 }
 
 F2HeavyHitters F2HeavyHitters::Load(std::istream& is) {
-  CheckHeader(is, kHhMagic, 1);
+  CheckHeader(is, kHhMagic, 2);
   Config config;
   config.phi = ReadDouble(is);
   config.depth = ReadU32(is);
@@ -134,19 +178,25 @@ F2HeavyHitters F2HeavyHitters::Load(std::istream& is) {
   config.noise_floor_sigmas = ReadDouble(is);
   config.max_width = ReadU32(is);
   config.seed = ReadU64(is);
-  F2HeavyHitters out(config);
-  out.count_sketch_ = CountSketch::Load(is);
+  const bool own_rows = ReadU32(is) != 0;
+  F2HeavyHitters out(config, own_rows ? CountSketch::Load(is)
+                                      : CountSketch::LoadCountersOnly(is));
   uint64_t n = ReadU64(is);
   CHECK_LE(n, 4 * out.capacity_ + 16);
-  out.candidates_.clear();
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t id = ReadU64(is);
-    out.candidates_[id] = ReadDouble(is);
+    const uint64_t id = ReadU64(is);
+    CHECK(out.candidates_.empty() || out.candidates_.back() < id);
+    out.candidates_.push_back(id);
   }
   return out;
 }
 
 void F2HeavyHitters::Merge(const F2HeavyHitters& other) {
+  Merge(other, count_sketch_.rows());
+}
+
+void F2HeavyHitters::Merge(const F2HeavyHitters& other,
+                           const CountSketchRows& rows) {
   // Full config equality, not just seed + phi: depth/width_factor/max_width
   // determine the CountSketch geometry and cand_factor the candidate
   // capacity. The inner CountSketch re-checks its own shape, but failing
@@ -161,14 +211,23 @@ void F2HeavyHitters::Merge(const F2HeavyHitters& other) {
   CHECK_EQ(config_.noise_floor_sigmas, other.config_.noise_floor_sigmas);
   CHECK_EQ(config_.max_width, other.config_.max_width);
   count_sketch_.Merge(other.count_sketch_);
-  for (const auto& [id, score] : other.candidates_) {
-    (void)score;
-    candidates_.try_emplace(id, 0.0);
-  }
-  if (candidates_.size() > capacity_) PruneCandidates();
+  std::vector<uint64_t> merged;
+  merged.reserve(candidates_.size() + other.candidates_.size());
+  std::set_union(candidates_.begin(), candidates_.end(),
+                 other.candidates_.begin(), other.candidates_.end(),
+                 std::back_inserter(merged));
+  candidates_.assign(merged.begin(), merged.end());
+  if (candidates_.size() > capacity_) PruneCandidates(rows);
 }
 
 std::vector<HeavyHitter> F2HeavyHitters::Extract() const {
+  return Extract(count_sketch_.rows(), HashedIds{}, nullptr, 0);
+}
+
+std::vector<HeavyHitter> F2HeavyHitters::Extract(const CountSketchRows& rows,
+                                                 const HashedIds& open,
+                                                 const uint32_t* entries,
+                                                 size_t num) const {
   double f2 = std::max(EstimateF2(), 0.0);
   // Admission threshold, two parts:
   //  * heaviness: est ≥ √(φ·F2̂/4) — the 1/4 slack absorbs the (1 ± 1/2)
@@ -184,19 +243,26 @@ std::vector<HeavyHitter> F2HeavyHitters::Extract() const {
       std::sqrt(f2 / static_cast<double>(count_sketch_.width()));
   double thr = std::max(std::sqrt(config_.phi * f2 / 4.0), noise_floor);
   std::vector<HeavyHitter> out;
-  for (const auto& [id, score] : candidates_) {
-    (void)score;
-    double est = count_sketch_.PointQuery(id);
+  auto report = [&out, thr](uint64_t id, double est) {
     if (est >= thr && est > 0) out.push_back(HeavyHitter{id, est});
+  };
+  const std::vector<double> est = CandidateEstimates(rows);
+  for (size_t j = 0; j < candidates_.size(); ++j) {
+    report(candidates_[j], est[j]);
   }
-  std::sort(out.begin(), out.end(), [](const HeavyHitter& a, const HeavyHitter& b) {
-    return a.estimate > b.estimate;
-  });
+  // The open window's ids, through Admit's gates but without mutation.
+  for (size_t i = 0; i < num; ++i) {
+    const uint32_t e = entries[i];
+    const uint64_t* row_hashes = open.row_hashes + e;
+    if (!PassesGates(row_hashes, open.n) || IsCandidate(open.ids[e])) continue;
+    report(open.ids[e], count_sketch_.PointQueryHashed(row_hashes, open.n));
+  }
+  std::sort(out.begin(), out.end(), MoreFrequent);
   return out;
 }
 
 size_t F2HeavyHitters::MemoryBytes() const {
-  return count_sketch_.MemoryBytes() + UnorderedMapBytes(candidates_);
+  return count_sketch_.MemoryBytes() + VectorBytes(candidates_);
 }
 
 void F2HeavyHitters::ReportSpace(SpaceAccountant* acct) const {

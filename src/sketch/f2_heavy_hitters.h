@@ -9,13 +9,27 @@
 //     per-row bucket sums of squares double as the F2 estimate for the
 //     threshold (each row is a bucketed AMS sketch), so no separate F2
 //     sketch is maintained;
-//   * a bounded candidate set tracks the currently-heavy ids. Each arriving
-//     id is inserted with its point estimate once and bumped by |delta| on
-//     subsequent updates; whenever the set doubles past Θ(1/φ) entries, all
-//     scores are refreshed by point queries and the top Θ(1/φ) are kept —
-//     amortized O(1) point queries per update. In an insertion-only stream
-//     a coordinate that is heavy at the end is heavy during its own final
-//     updates, so it is in the candidate set when the stream ends.
+//   * a bounded candidate set of ids tracks the currently-heavy coordinates.
+//     Admission passes an id that is not yet a candidate through two gates
+//     against the running row-0 F2: its row-0 estimate, then its median
+//     point estimate. Whenever the set doubles past Θ(1/φ) entries, every
+//     candidate is point-queried and the top Θ(1/φ) are kept (ties to the
+//     smaller id) — amortized O(1) point queries per admission. In an
+//     insertion-only stream a coordinate that is heavy at the end is heavy
+//     at the admission after its own final updates, so it is a candidate
+//     when the stream ends.
+//
+// Counter updates are linear and admission reads only the counters, so the
+// two separate. Add() runs both for one update (a window of one). The
+// window path — AddCounts per block, Admit at a window's end, Extract with
+// the open window — sums a block's updates per distinct id first and admits
+// once per window over the ids the window touched, in ascending id order:
+// the counters are then the per-update loop's for any blocking, and the
+// candidates are a function of the window's contents, not of their order.
+// LargeSet drives this path with windows of its repetition's own stream
+// (large_set.h); a sketch built WithoutRows takes its row hashes from the
+// caller's CountSketchRows there, so the levels of a repetition's
+// contributing sketches share one row family.
 
 #ifndef STREAMKC_SKETCH_F2_HEAVY_HITTERS_H_
 #define STREAMKC_SKETCH_F2_HEAVY_HITTERS_H_
@@ -23,12 +37,10 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/space_accountant.h"
 #include "sketch/count_sketch.h"
-#include "util/scratch.h"
 #include "util/space.h"
 
 namespace streamkc {
@@ -36,6 +48,18 @@ namespace streamkc {
 struct HeavyHitter {
   uint64_t id = 0;
   double estimate = 0;  // (1 ± 1/2)-approximate frequency
+};
+
+// Distinct ids hashed once for every sketch that reads them: row r's
+// CountSketch hash of ids[j] at row_hashes[r·n + j] (a CountSketchRows
+// block), F2Contributing's level-sampler key at keys[j], and the block's
+// summed update of ids[j] at counts[j] (read by AddCounts only).
+struct HashedIds {
+  const uint64_t* ids = nullptr;
+  const uint64_t* row_hashes = nullptr;
+  const uint64_t* keys = nullptr;
+  const int64_t* counts = nullptr;
+  size_t n = 0;
 };
 
 class F2HeavyHitters : public SpaceMetered {
@@ -61,48 +85,51 @@ class F2HeavyHitters : public SpaceMetered {
     uint64_t seed = 1;
   };
 
+  // Owns its CountSketch rows, drawn from config.seed.
   explicit F2HeavyHitters(const Config& config);
 
+  // Counters and candidates only: the window path's calls and Merge take
+  // the rows from a family of config.depth rows that the caller holds.
+  static F2HeavyHitters WithoutRows(const Config& config);
+
+  // One update, admitted at once (a window of one). Own rows only.
   void Add(uint64_t id, int64_t delta = 1);
 
   // Hash-once ingest path: `folded` must equal MersenneFold(id). The raw id
   // is still needed as the candidate-set key.
   void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
-  // n AddFolded calls in one block over an id index, bit-identical state:
-  // update j is AddFolded(ids[slot[j]], folded[slot[j]], delta). The
-  // CountSketch row hashes depend only on the id, so they run once per
-  // index entry (one MapFoldedBatch per row over all num_ids entries); the
-  // counter updates, the admission gate (which reads the evolving QuickF2)
-  // and pruning then run update by update in stream order, the gate and
-  // point query reading the entry's precomputed hashes. Entries need not be
-  // distinct; the index saves hashing exactly where ids repeat.
-  void AddIndexedBatch(const uint64_t* ids, const uint64_t* folded,
-                       size_t num_ids, const uint32_t* slot, size_t n,
-                       int64_t delta = 1);
-
-  // The block without repetition: update j is AddFolded(ids[j], folded[j]).
-  void AddFoldedBatch(const uint64_t* ids, const uint64_t* folded, size_t n,
-                      int64_t delta = 1) {
-    AddIndexedBatch(ids, folded, n, IdentitySlots(n), n, delta);
-  }
+  // The window path, over the entries entries[0..num) of `block`:
+  //  * AddCounts adds each entry's count to its counters;
+  //  * Admit (at a window's end; the entries' ids ascending) skips
+  //    candidates, admits the ids that pass both gates and prunes at twice
+  //    the capacity;
+  //  * Extract (const) also evaluates the open window's entries through the
+  //    same gates, as if the window had closed, without pruning.
+  void AddCounts(const HashedIds& block, const uint32_t* entries, size_t num);
+  void Admit(const CountSketchRows& rows, const HashedIds& window,
+             const uint32_t* entries, size_t num);
+  std::vector<HeavyHitter> Extract(const CountSketchRows& rows,
+                                   const HashedIds& open,
+                                   const uint32_t* entries, size_t num) const;
 
   // All coordinates whose estimated frequency passes the φ test against the
-  // estimated F2, most-frequent first. Call after the stream ends (may be
-  // called repeatedly).
+  // estimated F2, most-frequent first (ties to the smaller id). Own rows;
+  // may be called repeatedly.
   std::vector<HeavyHitter> Extract() const;
 
   // Merges another instance built with the same Config: counters add
   // (linearity) and the candidate sets union (then prune to capacity). The
   // merged instance answers for the concatenation of both streams.
   void Merge(const F2HeavyHitters& other);
+  void Merge(const F2HeavyHitters& other, const CountSketchRows& rows);
 
-  // Binary checkpointing: CountSketch counters + candidate set, written in
-  // id order so that Save∘Load∘Save is byte-stable.
+  // Binary checkpointing: CountSketch counters + candidate ids in id order
+  // (so Save∘Load∘Save is byte-stable), and whether the rows are owned.
   void Save(std::ostream& os) const;
   static F2HeavyHitters Load(std::istream& is);
 
-  // Point estimate for one coordinate (CountSketch median).
+  // Point estimate for one coordinate (CountSketch median). Own rows.
   double EstimateFrequency(uint64_t id) const {
     return count_sketch_.PointQuery(id);
   }
@@ -119,18 +146,19 @@ class F2HeavyHitters : public SpaceMetered {
   void ReportSpace(SpaceAccountant* acct) const override;
 
  private:
-  // One update given the id's CountSketch row hashes (layout as in
-  // CountSketch::AddHashed).
-  void AddHashed(uint64_t id, const uint64_t* row_hashes, size_t stride,
-                 int64_t delta);
-  void PruneCandidates();
+  F2HeavyHitters(const Config& config, CountSketch count_sketch);
+
+  bool IsCandidate(uint64_t id) const;
+  // The two admission gates for one id given its row hashes.
+  bool PassesGates(const uint64_t* row_hashes, size_t stride) const;
+  // Point estimates of every candidate through one batched row hash.
+  std::vector<double> CandidateEstimates(const CountSketchRows& rows) const;
+  void PruneCandidates(const CountSketchRows& rows);
 
   Config config_;
   CountSketch count_sketch_;
   size_t capacity_;
-  // id -> tracking score: point estimate at insertion/last prune plus
-  // increments since. Refreshed by true point queries at prune time.
-  std::unordered_map<uint64_t, double> candidates_;
+  std::vector<uint64_t> candidates_;  // ascending, at most 2·capacity_ + 1
 };
 
 }  // namespace streamkc

@@ -1,6 +1,7 @@
 #include "sketch/l0_estimator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "hash/mersenne.h"
@@ -33,19 +34,29 @@ void L0Estimator::AddFoldedBatch(const uint64_t* folded, size_t n) {
   }
 }
 
+bool L0Estimator::KeepSmallest(std::vector<uint64_t>& values) const {
+  // Through a per-thread scratch, so that mins_ never outgrows the k slots
+  // it reserved: the footprint is a function of k, not of the order values
+  // arrived in.
+  thread_local std::vector<uint64_t> merged;
+  std::sort(values.begin(), values.end());
+  merged.clear();
+  std::merge(mins_.begin(), mins_.end(), values.begin(), values.end(),
+             std::back_inserter(merged));
+  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  const bool dropped = merged.size() > config_.num_mins;
+  if (dropped) merged.resize(config_.num_mins);
+  mins_.assign(merged.begin(), merged.end());
+  if (mins_.size() == config_.num_mins) threshold_ = mins_.back();
+  return dropped;
+}
+
 void L0Estimator::FlushBuffer() const {
   if (buf_.empty()) return;
-  mins_.insert(mins_.end(), buf_.begin(), buf_.end());
+  // A distinct value beyond the k smallest existed: estimate mode from now
+  // on.
+  if (KeepSmallest(buf_)) saturated_ = true;
   buf_.clear();
-  std::sort(mins_.begin(), mins_.end());
-  mins_.erase(std::unique(mins_.begin(), mins_.end()), mins_.end());
-  if (mins_.size() > config_.num_mins) {
-    // A distinct value beyond the k smallest existed: estimate mode from now
-    // on.
-    saturated_ = true;
-    mins_.resize(config_.num_mins);
-  }
-  if (mins_.size() == config_.num_mins) threshold_ = mins_.back();
 }
 
 double L0Estimator::Estimate() const {
@@ -78,8 +89,9 @@ L0Estimator L0Estimator::Load(std::istream& is) {
   config.num_mins = ReadU32(is);
   config.seed = ReadU64(is);
   L0Estimator out(config);
-  out.mins_ = ReadPodVector<uint64_t>(is);
-  CHECK_LE(out.mins_.size(), config.num_mins);
+  const std::vector<uint64_t> mins = ReadPodVector<uint64_t>(is);
+  CHECK_LE(mins.size(), config.num_mins);
+  out.mins_.assign(mins.begin(), mins.end());  // into the k reserved slots
   // Re-establish the invariant rather than trusting the blob: every value
   // must be a possible hash output (the field domain [0, 2^61 - 1)), and the
   // retained minima must be distinct — a duplicated or out-of-range entry
@@ -108,12 +120,8 @@ void L0Estimator::Merge(const L0Estimator& other) {
   other.FlushBuffer();
   items_added_ += other.items_added_;
   // Union the two minima sets, dedup, keep the k smallest.
-  mins_.insert(mins_.end(), other.mins_.begin(), other.mins_.end());
-  std::sort(mins_.begin(), mins_.end());
-  mins_.erase(std::unique(mins_.begin(), mins_.end()), mins_.end());
-  bool dropped = mins_.size() > config_.num_mins;
-  if (dropped) mins_.resize(config_.num_mins);
-  if (mins_.size() == config_.num_mins) threshold_ = mins_.back();
+  std::vector<uint64_t> theirs = other.mins_;
+  const bool dropped = KeepSmallest(theirs);
   saturated_ = saturated_ || other.saturated_ || dropped;
 }
 

@@ -124,6 +124,9 @@ class L0Estimator : public SpaceMetered {
   // saturated_. Const because observers (Estimate, IsExact, Save) must see
   // the settled state; the mutated members are declared mutable.
   void FlushBuffer() const;
+  // mins_ ∪= values (sorted in place), keeping the k smallest within
+  // mins_'s k reserved slots; true when a distinct value was dropped.
+  bool KeepSmallest(std::vector<uint64_t>& values) const;
 
   Config config_;
   KWiseHash hash_;

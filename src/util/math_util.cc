@@ -11,6 +11,17 @@ double Median(std::vector<double> v) {
 double MedianInPlace(double* v, size_t n) {
   CHECK(n > 0);
   size_t mid = n / 2;
+  if (n <= 16) {
+    // A CountSketch's handful of row votes: insertion sort beats
+    // nth_element's set-up, and the order statistics are the same.
+    for (size_t i = 1; i < n; ++i) {
+      const double x = v[i];
+      size_t j = i;
+      for (; j > 0 && v[j - 1] > x; --j) v[j] = v[j - 1];
+      v[j] = x;
+    }
+    return n % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+  }
   std::nth_element(v, v + mid, v + n);
   double hi = v[mid];
   if (n % 2 == 1) return hi;

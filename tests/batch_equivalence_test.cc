@@ -4,10 +4,14 @@
 // equivalent. Sketches are compared by serialized blob (the strongest
 // observable equality the library offers); the core estimator stack by
 // exact Finalize() equality, which a single reordered hash admission would
-// break.
+// break. The heavy-hitter sketches' window path has its own contract,
+// pinned below: counters equal single updates' for any blocking, and
+// candidates are equal once the same window closes, whatever the order
+// inside it.
 //
 // Batch sizes are deliberately awkward (primes straddling the 128-edge
-// internal tile) so tile remainders and cross-batch boundaries are hit.
+// internal tile, and both sides of LargeSet's 4096-edge window) so tile
+// remainders, window ends and cross-batch boundaries are hit.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +43,7 @@
 #include "util/dense_index.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/scratch.h"
 
 namespace streamkc {
 namespace {
@@ -148,9 +153,9 @@ TEST(BatchEquivalence, F2ContributingFoldedIdentical) {
 constexpr size_t kBlockSizes[] = {1, 127, 128, 129, 4096, 0};
 
 // Skewed id stream over [0, domain): id = h mod (1 + h' mod domain) puts a
-// harmonic-like weight on small ids. A few ids end up heavy while many light
-// ones arrive early, so the quick gate admits ids and the candidate set
-// overflows into PruneCandidates.
+// harmonic-like weight on small ids, so a few ids end up heavy among many
+// light ones. The gates admit some of them, too few to ever prune
+// (FadingIds below does).
 std::vector<uint64_t> SkewedIds(size_t count, uint64_t seed, uint64_t domain) {
   std::vector<uint64_t> ids;
   ids.reserve(count);
@@ -159,53 +164,6 @@ std::vector<uint64_t> SkewedIds(size_t count, uint64_t seed, uint64_t domain) {
     ids.push_back(h % (1 + SplitMix64(h) % domain));
   }
   return ids;
-}
-
-std::vector<uint64_t> FoldedIds(const std::vector<uint64_t>& ids) {
-  std::vector<uint64_t> folded;
-  folded.reserve(ids.size());
-  for (uint64_t id : ids) folded.push_back(MersenneFold(id));
-  return folded;
-}
-
-// Streams the ids into `sketch` as AddFoldedBatch blocks of `block` ids
-// (0 = one call for everything).
-template <typename Sketch>
-void FeedBlocks(Sketch& sketch, const std::vector<uint64_t>& ids,
-                const std::vector<uint64_t>& folded, size_t block) {
-  if (block == 0) block = ids.size();
-  for (size_t i = 0; i < ids.size(); i += block) {
-    sketch.AddFoldedBatch(ids.data() + i, folded.data() + i,
-                          std::min(block, ids.size() - i));
-  }
-}
-
-// The same blocks through AddIndexedBatch, each block's distinct ids
-// numbered in first-seen order.
-template <typename Sketch>
-void FeedIndexedBlocks(Sketch& sketch, const std::vector<uint64_t>& ids,
-                       const std::vector<uint64_t>& folded, size_t block) {
-  if (block == 0) block = ids.size();
-  DenseIndex index;
-  std::vector<uint32_t> slot;
-  std::vector<uint64_t> distinct_ids;
-  std::vector<uint64_t> distinct_folded;
-  for (size_t i = 0; i < ids.size(); i += block) {
-    const size_t n = std::min(block, ids.size() - i);
-    index.Reset(n);
-    slot.resize(n);
-    distinct_ids.clear();
-    distinct_folded.clear();
-    for (size_t j = 0; j < n; ++j) {
-      slot[j] = index.Insert(ids[i + j]);
-      if (slot[j] == distinct_ids.size()) {
-        distinct_ids.push_back(ids[i + j]);
-        distinct_folded.push_back(folded[i + j]);
-      }
-    }
-    sketch.AddIndexedBatch(distinct_ids.data(), distinct_folded.data(),
-                           distinct_ids.size(), slot.data(), n);
-  }
 }
 
 // The two set-repetition regimes a batch meets. Set-skewed: PlantedCover's
@@ -236,66 +194,220 @@ std::vector<uint64_t> SetIds(const IndexStream& stream) {
   return ids;
 }
 
-// `make()`'s sketch fed `ids` through AddFoldedBatch and AddIndexedBatch
-// blocks of every size must serialize exactly like the per-update loop.
-template <typename Make>
-void ExpectBlocksMatchPerUpdate(Make make, const std::vector<uint64_t>& ids,
-                                const std::string& label) {
-  const std::vector<uint64_t> folded = FoldedIds(ids);
-  auto per_update = make();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    per_update.AddFolded(ids[i], folded[i]);
+// ---- The heavy-hitter sketches' window path ---------------------------------
+
+constexpr size_t kWindow = LargeSetComplete::kWindowEdges;
+
+// `v` with each kWindow-long run shuffled on its own.
+template <typename T>
+std::vector<T> ShuffledWithinWindows(std::vector<T> v, uint64_t seed) {
+  for (size_t i = 0; i < v.size(); i += kWindow) {
+    std::vector<T> run(v.begin() + i,
+                       v.begin() + std::min(v.size(), i + kWindow));
+    Rng(seed + i).Shuffle(run);
+    std::copy(run.begin(), run.end(), v.begin() + i);
   }
-  const std::string want = Blob(per_update);
-  for (size_t block : kBlockSizes) {
-    auto batched = make();
-    FeedBlocks(batched, ids, folded, block);
-    EXPECT_EQ(Blob(batched), want) << label << " block " << block;
-    auto indexed = make();
-    FeedIndexedBlocks(indexed, ids, folded, block);
-    EXPECT_EQ(Blob(indexed), want) << label << " indexed block " << block;
-  }
+  return v;
 }
 
-TEST(BatchEquivalence, F2HeavyHittersBlockPathBitIdentical) {
+// Updates summed per distinct id, ascending, with every hash the sketches
+// read, as LargeSet hands them over.
+struct HashedBlock {
+  std::vector<uint64_t> ids, keys, row_hashes;
+  std::vector<int64_t> counts;
+
+  HashedBlock(const F2Contributing::Hashes& hashes,
+              std::vector<uint64_t> updates) {
+    std::sort(updates.begin(), updates.end());
+    for (uint64_t id : updates) {
+      if (ids.empty() || ids.back() != id) {
+        ids.push_back(id);
+        counts.push_back(0);
+      }
+      ++counts.back();
+    }
+    const size_t n = ids.size();
+    keys.resize(n);
+    row_hashes.resize(size_t{hashes.rows.depth()} * n);
+    hashes.HashFoldedBatch(FoldedIds(ids).data(), n, keys.data(),
+                           row_hashes.data());
+  }
+
+  HashedIds view() const {
+    return {ids.data(), row_hashes.data(), keys.data(), counts.data(),
+            ids.size()};
+  }
+
+  static std::vector<uint64_t> FoldedIds(const std::vector<uint64_t>& ids) {
+    std::vector<uint64_t> folded;
+    for (uint64_t id : ids) folded.push_back(MersenneFold(id));
+    return folded;
+  }
+};
+
+// A heavy set that fades: window w (from 1) spreads its kWindow updates
+// evenly over width/w fresh ids, in shuffled order, and `tail` updates of
+// the next window follow. After w windows F2 is kWindow²·w(w+1)/(2·width)
+// and each of window w's ids counts kWindow·w/width, so at width = 4/φ its
+// square clears the gates' bar φ·F2/6 by 1.5x to 3x: every window admits,
+// and the ~4/φ·(1 + 1/2 + … + 1/8) ≈ 10.9/φ fresh ids of eight windows
+// overflow twice the default capacity of 4/φ into pruning.
+std::vector<uint64_t> FadingIds(uint64_t width, size_t windows, size_t tail,
+                                uint64_t seed) {
+  std::vector<uint64_t> ids;
+  uint64_t next = 0;
+  for (size_t w = 1; w <= windows + 1; ++w) {
+    const uint64_t fresh = std::max<uint64_t>(1, width / w);
+    const size_t len = w <= windows ? kWindow : tail;
+    std::vector<uint64_t> run;
+    for (size_t i = 0; i < len; ++i) run.push_back(next + i % fresh);
+    Rng(seed + w).Shuffle(run);
+    ids.insert(ids.end(), run.begin(), run.end());
+    next += fresh;
+  }
+  return ids;
+}
+
+// Candidate ids a sketch holds, summed over its heavy-hitter sketches.
+uint64_t Candidates(const SpaceMetered& sketch) {
+  SpaceAccountant acct;
+  acct.Sample(sketch);
+  return acct.components().at("f2_heavy_hitters").items;
+}
+
+// What a window-path feed leaves: the sketch's blob after every window end
+// and at the stream's end, and how many window ends raised the candidate
+// count (admissions) or lowered it (a prune: admission only adds).
+struct WindowTrace {
+  std::vector<std::string> blobs;
+  int rises = 0;
+  int falls = 0;
+};
+
+// Streams `ids` through a window-path sketch: blocks of `block` updates (0 =
+// the whole stream), cut at window ends, each summed per distinct id before
+// `add(sketch, block)` takes it; after every kWindow-th update,
+// `admit(sketch, window)` over the window's distinct ids.
+template <typename Sketch, typename Add, typename Admit>
+WindowTrace FeedWindows(Sketch sketch, const F2Contributing::Hashes& hashes,
+                        const std::vector<uint64_t>& ids, size_t block,
+                        Add add, Admit admit) {
+  if (block == 0) block = ids.size();
+  WindowTrace trace;
+  std::vector<uint64_t> window;
+  for (size_t i = 0; i < ids.size();) {
+    const size_t n =
+        std::min({block, ids.size() - i, kWindow - i % kWindow});
+    const std::vector<uint64_t> updates(ids.begin() + i, ids.begin() + i + n);
+    add(sketch, HashedBlock(hashes, updates).view());
+    window.insert(window.end(), updates.begin(), updates.end());
+    i += n;
+    if (i % kWindow == 0) {
+      const uint64_t before = Candidates(sketch);
+      admit(sketch, HashedBlock(hashes, window).view());
+      window.clear();
+      const uint64_t after = Candidates(sketch);
+      trace.rises += after > before;
+      trace.falls += after < before;
+      trace.blobs.push_back(Blob(sketch));
+    }
+  }
+  trace.blobs.push_back(Blob(sketch));
+  return trace;
+}
+
+// The window contract on one sketch and stream: every blocking, and the
+// updates shuffled within each window, give the blobs that single updates
+// give at every window end and at the end (counters and candidates).
+// Returns the single-update feed's trace.
+template <typename Sketch, typename Add, typename Admit>
+WindowTrace ExpectWindowContract(const Sketch& empty,
+                                 const F2Contributing::Hashes& hashes,
+                                 const std::vector<uint64_t>& ids,
+                                 const std::string& label, Add add,
+                                 Admit admit) {
+  EXPECT_NE(ids.size() % kWindow, 0u) << label;  // ends mid-window
+  const WindowTrace want = FeedWindows(empty, hashes, ids, 1, add, admit);
+  for (size_t block : {size_t{127}, size_t{4095}, size_t{4096}, size_t{0}}) {
+    EXPECT_EQ(FeedWindows(empty, hashes, ids, block, add, admit).blobs,
+              want.blobs)
+        << label << " block " << block;
+  }
+  EXPECT_EQ(FeedWindows(empty, hashes, ShuffledWithinWindows(ids, 7), 4096,
+                        add, admit)
+                .blobs,
+            want.blobs)
+      << label << " shuffled within windows";
+  return want;
+}
+
+// LargeSet's two heavy-hitter thresholds at m = 4096, α = 8: φ1 = α²/m
+// (cntr_small_) and φ2 = 1/(2·log2 α) (cntr_large_).
+constexpr double kPhis[] = {1.0 / 64, 1.0 / 6};
+
+TEST(BatchEquivalence, F2HeavyHittersWindowContract) {
   const std::vector<uint64_t> ids = SkewedIds(40000, 13, 6144);
-  const std::vector<uint64_t> folded = FoldedIds(ids);
-  // LargeSet's two heavy-hitter thresholds at m = 4096, α = 8: φ1 = α²/m
-  // (cntr_small_) and φ2 = 1/(2·log2 α) (cntr_large_).
-  for (double phi : {1.0 / 64, 1.0 / 6}) {
-    F2HeavyHitters per_update({.phi = phi, .seed = 21});
-    // Watch the candidate set between updates: growth is a quick-gate
-    // admission, shrinkage a PruneCandidates pass.
-    uint64_t admitted = 0;
-    uint64_t prunes = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const uint64_t before = per_update.ItemCount();
-      per_update.AddFolded(ids[i], folded[i]);
-      const uint64_t after = per_update.ItemCount();
-      admitted += after > before;
-      prunes += after < before;
-    }
-    EXPECT_GT(admitted, 0u) << "phi " << phi;
-    EXPECT_GT(prunes, 0u) << "phi " << phi;
-    auto make = [phi] { return F2HeavyHitters({.phi = phi, .seed = 21}); };
+  for (double phi : kPhis) {
+    const F2HeavyHitters::Config cfg{.phi = phi, .seed = 21};
+    // The family an owning sketch with this config draws, so that the
+    // per-update Add() loop and the window path share counters.
+    const F2Contributing::Hashes hashes{
+        KWiseHash(8, 1), CountSketchRows(cfg.depth, SplitMix64(cfg.seed))};
+    auto add = [](F2HeavyHitters& hh, const HashedIds& block) {
+      hh.AddCounts(block, IdentitySlots(block.n), block.n);
+    };
+    auto admit = [&hashes](F2HeavyHitters& hh, const HashedIds& window) {
+      hh.Admit(hashes.rows, window, IdentitySlots(window.n), window.n);
+    };
     const std::string label = "phi " + std::to_string(phi);
-    ExpectBlocksMatchPerUpdate(make, ids, label + " skewed ids");
+    const F2HeavyHitters empty = F2HeavyHitters::WithoutRows(cfg);
+    EXPECT_GT(ExpectWindowContract(empty, hashes, ids, label + " skewed ids",
+                                   add, admit)
+                  .rises,
+              0)
+        << label;
+    // Through pruning: admissions and prunes both happen.
+    const WindowTrace fading = ExpectWindowContract(
+        empty, hashes, FadingIds(static_cast<uint64_t>(4 / phi), 8, 1500, 3),
+        label + " fading ids", add, admit);
+    EXPECT_GT(fading.rises, 0) << label;
+    EXPECT_GT(fading.falls, 0) << label;
     for (const IndexStream& stream : IndexStreams()) {
-      ExpectBlocksMatchPerUpdate(make, SetIds(stream),
-                                 label + " " + stream.name + " set ids");
+      ExpectWindowContract(empty, hashes, SetIds(stream),
+                           label + " " + stream.name + " set ids", add,
+                           admit);
     }
+    // Counters are the per-update loop's: Add() admits after every update,
+    // the window path once per window, and they count the same.
+    F2HeavyHitters per_update(cfg);
+    for (uint64_t id : ids) per_update.Add(id);
+    F2HeavyHitters windowed = empty;
+    for (size_t i = 0; i < ids.size(); i += 1000) {
+      const std::vector<uint64_t> updates(
+          ids.begin() + i, ids.begin() + std::min(ids.size(), i + 1000));
+      add(windowed, HashedBlock(hashes, updates).view());
+    }
+    EXPECT_EQ(windowed.EstimateF2(), per_update.EstimateF2()) << label;
   }
 }
 
-TEST(BatchEquivalence, F2ContributingBlockPathBitIdentical) {
+TEST(BatchEquivalence, F2ContributingWindowContract) {
   const std::vector<uint64_t> ids = SkewedIds(40000, 17, 6144);
   // LargeSet's two contributing sketches at m = 4096, α = 8: Q = 6144
   // supersets; class bound 3sα + 1 = 13 at φ1 = 1/64 (every level is full
-  // rate, deduplicated to one) and Q at φ2 = 1/6 (nine nested levels).
+  // rate, deduplicated to one) and Q at φ2 = 1/6 (nine nested levels). As
+  // in LargeSet, both read one Hashes.
   struct Case {
     double gamma;
     uint64_t class_bound;
     uint32_t levels;
+  };
+  const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 31);
+  auto add = [](F2Contributing& fc, const HashedIds& block) {
+    fc.AddCounts(block);
+  };
+  auto admit = [&hashes](F2Contributing& fc, const HashedIds& window) {
+    fc.Admit(hashes, window);
   };
   for (const Case& c : {Case{1.0 / 64, 13, 1}, Case{1.0 / 6, 6144, 9}}) {
     F2Contributing::Config cfg;
@@ -305,15 +417,72 @@ TEST(BatchEquivalence, F2ContributingBlockPathBitIdentical) {
     cfg.domain_size = 6144;
     cfg.sample_factor = 4.0;
     cfg.seed = 31;
-    ASSERT_EQ(F2Contributing(cfg).num_levels(), c.levels);
-    auto make = [&cfg] { return F2Contributing(cfg); };
+    const F2Contributing empty = F2Contributing::WithoutHashes(cfg);
+    ASSERT_EQ(empty.num_levels(), c.levels);
     const std::string label = "class bound " + std::to_string(c.class_bound);
-    ExpectBlocksMatchPerUpdate(make, ids, label + " skewed ids");
+    EXPECT_GT(ExpectWindowContract(empty, hashes, ids, label + " skewed ids",
+                                   add, admit)
+                  .rises,
+              0)
+        << label;
+    // The full-rate level sees every fading id: it admits and prunes.
+    const WindowTrace fading = ExpectWindowContract(
+        empty, hashes,
+        FadingIds(static_cast<uint64_t>(4 / c.gamma), 8, 1500, 5),
+        label + " fading ids", add, admit);
+    EXPECT_GT(fading.rises, 0) << label;
+    EXPECT_GT(fading.falls, 0) << label;
     for (const IndexStream& stream : IndexStreams()) {
-      ExpectBlocksMatchPerUpdate(make, SetIds(stream),
-                                 label + " " + stream.name + " set ids");
+      ExpectWindowContract(empty, hashes, SetIds(stream),
+                           label + " " + stream.name + " set ids", add,
+                           admit);
     }
   }
+}
+
+// Extract with an open window passes its ids through Admit's gates without
+// pruning or mutating: as long as no prune fires (fewer distinct ids than
+// twice the candidate capacity), it reads what closing the window and
+// extracting would.
+TEST(BatchEquivalence, ExtractReadsTheOpenWindowThroughTheGates) {
+  const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 33);
+  F2Contributing::Config cfg;
+  cfg.gamma = 1.0 / 64;  // capacity 256: no prune below 513 distinct ids
+  cfg.phi_factor = 1.0;
+  cfg.max_class_size = 6144;
+  cfg.domain_size = 6144;
+  cfg.sample_factor = 4.0;
+  cfg.seed = 35;
+  const std::vector<uint64_t> ids = SkewedIds(3 * kWindow + 1500, 19, 500);
+  F2Contributing fc = F2Contributing::WithoutHashes(cfg);
+  std::vector<uint64_t> window;
+  for (size_t i = 0; i < ids.size(); i += 256) {
+    const std::vector<uint64_t> updates(
+        ids.begin() + i, ids.begin() + std::min(ids.size(), i + 256));
+    fc.AddCounts(HashedBlock(hashes, updates).view());
+    window.insert(window.end(), updates.begin(), updates.end());
+    if ((i + 256) % kWindow == 0) {
+      fc.Admit(hashes, HashedBlock(hashes, window).view());
+      window.clear();
+    }
+  }
+  const HashedBlock open(hashes, window);
+  ASSERT_FALSE(open.ids.empty());
+  const std::string before = Blob(fc);
+  const auto got = fc.Extract(hashes, open.view());
+  EXPECT_EQ(Blob(fc), before);  // the evaluation mutated nothing
+  F2Contributing closed = fc;
+  closed.Admit(hashes, open.view());
+  const auto want = closed.Extract(hashes, HashedIds{});
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].estimate, want[i].estimate);
+    EXPECT_EQ(got[i].level, want[i].level);
+  }
+  // Not vacuous: closing the window admitted some of its ids.
+  EXPECT_NE(Blob(closed), before);
 }
 
 TEST(BatchEquivalence, CountSketchPointQueryIsTheMedianOfRowVotes) {
@@ -629,6 +798,96 @@ TEST(BatchEquivalence, SetIndexLargeSetCompleteFullRate) {
 
 TEST(BatchEquivalence, SetIndexLargeSetCompleteSampled) {
   ExpectLargeSetCompleteMatches(1.0 / 8);
+}
+
+// Thresholds at a 4096-element universe put both streams' heaviest
+// supersets above them, so every answer these tests compare is feasible.
+LargeSetComplete::Config WindowConfig(double element_rate) {
+  LargeSetComplete::Config cfg;
+  cfg.params = IndexParams();
+  cfg.universe_size = 4096;
+  cfg.w = 8;
+  cfg.element_rate = element_rate;
+  cfg.reporting = true;
+  cfg.seed = 63;
+  return cfg;
+}
+
+std::string AnswerAndBytes(const LargeSetComplete& ls) {
+  return Describe(ls.Finalize()) + Describe(ls.ExtractSolution(16)) +
+         " bytes " + std::to_string(ls.MemoryBytes());
+}
+
+// LargeSet's window contract: admission runs per 4096 input edges of the
+// repetition's stream, over the supersets the window touched in id order,
+// so the answer, the witness and MemoryBytes() are the Process() loop's for
+// batches that straddle window ends and for edges shuffled within each
+// window. Both streams end mid-window.
+void ExpectWindowContract(double element_rate) {
+  const LargeSetComplete::Config cfg = WindowConfig(element_rate);
+  for (const IndexStream& stream : IndexStreams()) {
+    ASSERT_NE(stream.edges.size() % kWindow, 0u) << stream.name;
+    LargeSetComplete per_edge(cfg);
+    for (const Edge& e : stream.edges) per_edge.Process(e);
+    ASSERT_TRUE(per_edge.Finalize().feasible) << stream.name;
+    const std::string want = AnswerAndBytes(per_edge);
+    for (size_t size : {size_t{1}, size_t{127}, size_t{4095}, size_t{4096},
+                        size_t{4097}, size_t{5000}, size_t{0}}) {
+      LargeSetComplete batched(cfg);
+      FeedIndexed(batched, stream.edges, size, IndexSource::kComponent);
+      EXPECT_EQ(AnswerAndBytes(batched), want)
+          << stream.name << " batch " << size;
+    }
+    const std::vector<Edge> shuffled =
+        ShuffledWithinWindows(stream.edges, 11);
+    LargeSetComplete shuffled_per_edge(cfg);
+    for (const Edge& e : shuffled) shuffled_per_edge.Process(e);
+    EXPECT_EQ(AnswerAndBytes(shuffled_per_edge), want)
+        << stream.name << " shuffled";
+    LargeSetComplete shuffled_batched(cfg);
+    FeedIndexed(shuffled_batched, shuffled, 5000, IndexSource::kComponent);
+    EXPECT_EQ(AnswerAndBytes(shuffled_batched), want)
+        << stream.name << " shuffled batch 5000";
+  }
+}
+
+TEST(BatchEquivalence, LargeSetCompleteWindowContractFullRate) {
+  ExpectWindowContract(1.0);
+}
+
+TEST(BatchEquivalence, LargeSetCompleteWindowContractSampled) {
+  ExpectWindowContract(1.0 / 8);
+}
+
+// Finalize() on an open window evaluates its supersets through the
+// admission gates as if the window had closed. At ρ < 1 the window can be
+// closed without touching the counters: edges whose elements the element
+// gate rejects count toward the window and change nothing else (a probe
+// finds them: a surviving edge adds its superset to the open window, and so
+// to MemoryBytes()). Unless that close prunes, both read the same.
+TEST(BatchEquivalence, LargeSetCompleteFinalizeReadsTheOpenWindow) {
+  const LargeSetComplete::Config cfg = WindowConfig(1.0 / 2);
+  const size_t empty_bytes = LargeSetComplete(cfg).MemoryBytes();
+  std::vector<Edge> rejected;
+  for (ElementId e = kIndexN; rejected.size() < kWindow; ++e) {
+    LargeSetComplete probe(cfg);
+    probe.Process(Edge{0, e});
+    if (probe.MemoryBytes() == empty_bytes) rejected.push_back(Edge{0, e});
+  }
+  for (const IndexStream& stream : IndexStreams()) {
+    LargeSetComplete open(cfg);
+    FeedIndexed(open, stream.edges, 4096, IndexSource::kComponent);
+    const EstimateOutcome got = open.Finalize();
+    ASSERT_TRUE(got.feasible) << stream.name;
+    LargeSetComplete closed = open;
+    const size_t rest = kWindow - stream.edges.size() % kWindow;
+    for (size_t i = 0; i < rest; ++i) closed.Process(rejected[i]);
+    EXPECT_LT(closed.MemoryBytes(), open.MemoryBytes()) << stream.name;
+    EXPECT_EQ(Describe(got), Describe(closed.Finalize())) << stream.name;
+    EXPECT_EQ(Describe(open.ExtractSolution(16)),
+              Describe(closed.ExtractSolution(16)))
+        << stream.name;
+  }
 }
 
 TEST(BatchEquivalence, SetIndexEstimateMaxCover) {

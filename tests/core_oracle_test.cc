@@ -4,6 +4,7 @@
 
 #include <ostream>
 
+#include "core/universe_reduction.h"
 #include "test_util.h"
 
 namespace streamkc {
@@ -163,6 +164,37 @@ TEST(Oracle, FinalizedWitnessComesFromTheNamedSubroutine) {
   named.small_set_sets = {5, 3, 9};
   EXPECT_EQ(oracle.ExtractSolution(named, 2), (std::vector<SetId>{5, 3}));
   EXPECT_TRUE(oracle.ExtractSolution(Oracle::Finalized{}, 8).empty());
+}
+
+// A large-set winner's witness comes from the repetition and superset its
+// one finalize picked, without finalizing LargeSet again, and names the
+// sets that finalizing again names. The stream is EstimateQuality's "large"
+// instance as guess z = 2^6 sees it (through that guess's universe
+// reduction), where LargeSet wins the oracle.
+TEST(Oracle, LargeSetWinnerWitnessIsTheFinalizedPick) {
+  const std::vector<Edge> edges =
+      InstanceEdges(LargeSetFamily(2048, 2048, 4, 77), 5);
+  const UniverseReduction reduction(64, 3);
+  for (uint64_t seed : {37u, 38u, 39u}) {
+    Oracle::Config c;
+    c.params = Params::Practical(2048, 2048, 4, 8);
+    c.universe_size = 64;
+    c.reporting = true;
+    c.seed = seed;
+    Oracle oracle(c);
+    for (const Edge& e : edges) oracle.Process(reduction.MapEdge(e));
+    const Oracle::Finalized fin = oracle.FinalizeForReport();
+    ASSERT_EQ(fin.outcome.source, "large-set") << "seed " << seed;
+    const std::vector<SetId> witness = oracle.ExtractSolution(fin, 4);
+    ASSERT_FALSE(witness.empty()) << "seed " << seed;
+    EXPECT_EQ(witness, oracle.large_set().ExtractSolution(4)) << "seed " << seed;
+    EXPECT_EQ(witness, oracle.ExtractSolution(4)) << "seed " << seed;
+    LargeSet::Winner again;
+    EXPECT_EQ(oracle.large_set().Finalize(&again).estimate,
+              fin.outcome.estimate);
+    EXPECT_EQ(again.rep, fin.large_set_winner.rep) << "seed " << seed;
+    EXPECT_EQ(again.superset, fin.large_set_winner.superset) << "seed " << seed;
+  }
 }
 
 }  // namespace

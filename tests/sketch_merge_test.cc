@@ -23,6 +23,7 @@
 #include "sketch/f2_heavy_hitters.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace streamkc {
@@ -185,6 +186,41 @@ TEST(F2ContributingMerge, FindsClassSplitAcrossShards) {
   // headroom beyond the per-level (1 ± 1/2) contract.)
   for (const auto& cc : out) {
     if (cc.id >= 5000 && cc.id < 5064) {
+      EXPECT_GE(cc.estimate, 16.0);
+      EXPECT_LE(cc.estimate, 80.0);
+    }
+  }
+}
+
+TEST(F2ContributingMerge, SharedHashesFindClassSplitAcrossShards) {
+  // A split like the one above in LargeSet's form: levels without hashes,
+  // one closed window per shard through one Hashes, merged through it. The
+  // class has 16 members, so that at a = 32 it clears the full-rate
+  // level's noise floor 3·√(F2/width) ≈ 22 (64 members at a = 32 sit at
+  // ≈ 43, where finding one takes an overestimate).
+  const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 11);
+  const F2Contributing::Config cfg{.gamma = 0.2,
+                                   .max_class_size = 256,
+                                   .domain_size = 8192,
+                                   .seed = 11};
+  F2Contributing a = F2Contributing::WithoutHashes(cfg);
+  F2Contributing b = F2Contributing::WithoutHashes(cfg);
+  std::vector<std::pair<uint64_t, int64_t>> wa, wb;
+  for (uint64_t j = 0; j < 16; ++j) {
+    wa.emplace_back(5000 + j, 16);
+    wb.emplace_back(5000 + j, 16);
+  }
+  for (uint64_t i = 0; i < 1024; ++i) (i % 2 ? wa : wb).emplace_back(i, 1);
+  AddClosedWindow(a, hashes, wa);
+  AddClosedWindow(b, hashes, wb);
+  a.Merge(b, hashes);
+  const auto out = a.Extract(hashes, HashedIds{});
+  EXPECT_TRUE(
+      std::any_of(out.begin(), out.end(), [](const ContributingCoordinate& cc) {
+        return cc.id >= 5000 && cc.id < 5016;
+      }));
+  for (const auto& cc : out) {
+    if (cc.id >= 5000 && cc.id < 5016) {
       EXPECT_GE(cc.estimate, 16.0);
       EXPECT_LE(cc.estimate, 80.0);
     }

@@ -15,6 +15,7 @@
 #include "sketch/f2_heavy_hitters.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
+#include "test_util.h"
 #include "util/random.h"
 
 namespace streamkc {
@@ -307,6 +308,37 @@ TEST(F2ContributingSerialize, SaveLoadSaveIsByteStable) {
     const std::string blob = Blob(fc);
     std::stringstream in(blob);
     EXPECT_EQ(Blob(F2Contributing::Load(in)), blob) << "seed " << seed;
+  }
+}
+
+TEST(F2ContributingSerialize, SharedHashesSaveLoadSaveIsByteStable) {
+  // LargeSet's form: levels without hashes, fed by windows through one
+  // Hashes. The blob carries no hashes; a loaded sketch re-saves to the
+  // same bytes and extracts the same coordinates through the same Hashes.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, seed);
+    F2Contributing fc = F2Contributing::WithoutHashes(
+        {.gamma = 1.0 / 6, .max_class_size = 6144, .domain_size = 6144,
+         .phi_factor = 1.0, .sample_factor = 4.0, .seed = seed});
+    for (uint64_t w = 0; w < 5; ++w) {
+      std::vector<std::pair<uint64_t, int64_t>> window;
+      for (uint64_t i = 0; i < 4096; ++i) {
+        window.emplace_back(SkewedId(seed, w * 4096 + i), 1);
+      }
+      AddClosedWindow(fc, hashes, window);
+    }
+    const std::string blob = Blob(fc);
+    std::stringstream in(blob);
+    const F2Contributing loaded = F2Contributing::Load(in);
+    EXPECT_EQ(Blob(loaded), blob) << "seed " << seed;
+    const auto a = fc.Extract(hashes, HashedIds{});
+    const auto b = loaded.Extract(hashes, HashedIds{});
+    ASSERT_FALSE(a.empty()) << "seed " << seed;
+    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id);
+      EXPECT_EQ(a[i].estimate, b[i].estimate);
+    }
   }
 }
 

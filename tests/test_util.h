@@ -20,11 +20,13 @@
 #include "core/streaming_interface.h"
 #include "dist/process_tree.h"
 #include "fault/faulty_stream.h"
+#include "hash/mersenne.h"
 #include "offline/greedy.h"
 #include "runtime/feed_stream.h"
 #include "runtime/sketch_states.h"
 #include "setsys/generators.h"
 #include "setsys/set_system.h"
+#include "sketch/f2_contributing.h"
 #include "stream/edge.h"
 #include "stream/text_stream.h"
 #include "util/check.h"
@@ -37,6 +39,32 @@ inline void FeedSystem(const SetSystem& sys, ArrivalOrder order, uint64_t seed,
                        StreamingEstimator& alg) {
   VectorEdgeStream stream = sys.MakeStream(order, seed);
   FeedStream(stream, alg);
+}
+
+// Feeds `updates` (id, count) to a sketch built WithoutHashes as one closed
+// window, the way LargeSet drives it: the distinct ids ascending, hashed
+// once by `hashes`, summed into the counters, then admitted.
+inline void AddClosedWindow(
+    F2Contributing& fc, const F2Contributing::Hashes& hashes,
+    std::vector<std::pair<uint64_t, int64_t>> updates) {
+  std::sort(updates.begin(), updates.end());
+  std::vector<uint64_t> ids, folded;
+  std::vector<int64_t> counts;
+  for (const auto& [id, count] : updates) {
+    if (ids.empty() || ids.back() != id) {
+      ids.push_back(id);
+      folded.push_back(MersenneFold(id));
+      counts.push_back(0);
+    }
+    counts.back() += count;
+  }
+  const size_t n = ids.size();
+  std::vector<uint64_t> keys(n), row_hashes(size_t{hashes.rows.depth()} * n);
+  hashes.HashFoldedBatch(folded.data(), n, keys.data(), row_hashes.data());
+  const HashedIds window{ids.data(), row_hashes.data(), keys.data(),
+                         counts.data(), n};
+  fc.AddCounts(window);
+  fc.Admit(hashes, window);
 }
 
 // Greedy coverage, used as the OPT reference in quality assertions: greedy
