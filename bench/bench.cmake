@@ -23,6 +23,16 @@ streamkc_bench(bench_set_cover)
 streamkc_bench(bench_runtime)
 streamkc_bench(bench_serving)
 
+# Experiment smoke: each experiment bench runs at small scale and must exit
+# 0, so one that CHECK-aborts fails tier-1. Only the exit code is checked.
+foreach(name bench_tradeoff bench_lower_bound bench_oracle_cases
+             bench_universe_reduction bench_sketches bench_baselines
+             bench_reporting bench_ablation bench_set_cover)
+  add_test(NAME ${name}_smoke COMMAND ${name})
+  set_tests_properties(${name}_smoke PROPERTIES
+    ENVIRONMENT "STREAMKC_BENCH_SCALE=small" LABELS "tier1" TIMEOUT 300)
+endforeach()
+
 # --metrics-out contract: an unwritable sink must fail fast (the probe
 # runs before the experiment), never silently drop the dump at the end.
 add_test(NAME bench_metrics_out_unwritable_fails

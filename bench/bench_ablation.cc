@@ -88,15 +88,16 @@ void A2_NoiseFloor() {
       c.phi = 0.01;
       c.noise_floor_sigmas = sigmas;
       c.seed = 100u + t;
+      const CountSketchRows rows(c.depth, SplitMix64(c.seed));
       F2HeavyHitters none(c);
-      for (uint64_t i = 0; i < 4096; ++i) none.Add(i, 8);
-      spurious += !none.Extract().empty();
+      for (uint64_t i = 0; i < 4096; ++i) none.Add(rows, i, 8);
+      spurious += !none.Extract(rows).empty();
 
       // Stream WITH a real heavy coordinate.
       F2HeavyHitters some(c);
-      some.Add(999999, 600);
-      for (uint64_t i = 0; i < 4096; ++i) some.Add(i, 8);
-      auto out = some.Extract();
+      some.Add(rows, 999999, 600);
+      for (uint64_t i = 0; i < 4096; ++i) some.Add(rows, i, 8);
+      auto out = some.Extract(rows);
       recalled += std::any_of(out.begin(), out.end(), [](const HeavyHitter& h) {
         return h.id == 999999;
       });

@@ -27,7 +27,6 @@
 #include "runtime/edge_batch.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
-#include "sketch/f2_contributing.h"
 #include "sketch/f2_heavy_hitters.h"
 #include "sketch/l0_estimator.h"
 #include "util/random.h"
@@ -108,28 +107,17 @@ void BM_CountSketchAdd(benchmark::State& state) {
 BENCHMARK(BM_CountSketchAdd)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_F2HeavyHittersAdd(benchmark::State& state) {
-  F2HeavyHitters hh({.phi = 1.0 / static_cast<double>(state.range(0)),
-                     .seed = 1});
+  const F2HeavyHitters::Config cfg{
+      .phi = 1.0 / static_cast<double>(state.range(0)), .seed = 1};
+  const CountSketchRows rows(cfg.depth, SplitMix64(cfg.seed));
+  F2HeavyHitters hh(cfg);
   uint64_t x = 0;
   for (auto _ : state) {
-    hh.Add(++x % 4096);
+    hh.Add(rows, ++x % 4096);
   }
   benchmark::DoNotOptimize(hh.EstimateF2());
 }
 BENCHMARK(BM_F2HeavyHittersAdd)->Arg(16)->Arg(256);
-
-void BM_F2ContributingAdd(benchmark::State& state) {
-  F2Contributing fc({.gamma = 0.05,
-                     .max_class_size = static_cast<uint64_t>(state.range(0)),
-                     .domain_size = 1 << 16,
-                     .seed = 1});
-  uint64_t x = 0;
-  for (auto _ : state) {
-    fc.Add(++x % 65536);
-  }
-  benchmark::DoNotOptimize(fc.num_levels());
-}
-BENCHMARK(BM_F2ContributingAdd)->Arg(64)->Arg(1 << 14);
 
 void BM_OracleProcess(benchmark::State& state) {
   Params p = Params::Practical(1 << 12, 1 << 12, 32, 8);

@@ -9,13 +9,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/large_set.h"
+#include "hash/mersenne.h"
 #include "sketch/f2_contributing.h"
 #include "sketch/f2_heavy_hitters.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/l0_estimator.h"
+#include "util/random.h"
 
 namespace streamkc {
 namespace {
@@ -40,10 +45,12 @@ void HeavyHitterContract() {
                             3000.0 / std::pow(i + 1.0, zipf));
           f2 += static_cast<double>(freq[i]) * freq[i];
         }
-        F2HeavyHitters hh({.phi = phi, .seed = 100u + s});
-        for (int i = 0; i < num_items; ++i) hh.Add(i, freq[i]);
-        bytes = hh.MemoryBytes();
-        auto out = hh.Extract();
+        const F2HeavyHitters::Config cfg{.phi = phi, .seed = 100u + s};
+        const CountSketchRows rows(cfg.depth, SplitMix64(cfg.seed));
+        F2HeavyHitters hh(cfg);
+        for (int i = 0; i < num_items; ++i) hh.Add(rows, i, freq[i]);
+        bytes = hh.MemoryBytes() + rows.MemoryBytes();
+        auto out = hh.Extract(rows);
         for (int i = 0; i < num_items; ++i) {
           if (static_cast<double>(freq[i]) * freq[i] < phi * f2) continue;
           ++heavy_total;
@@ -71,6 +78,36 @@ void HeavyHitterContract() {
   table.Print();
 }
 
+// Feeds `updates` (id, count) as LargeSet feeds its contributing sketches:
+// closed windows of at most LargeSetComplete::kWindowEdges updates, each
+// window's distinct ids ascending, hashed once, counted, then admitted.
+void AddClosedWindows(F2Contributing& fc, const F2Contributing::Hashes& hashes,
+                      const std::vector<std::pair<uint64_t, int64_t>>& updates) {
+  std::map<uint64_t, int64_t> window;
+  auto close = [&] {
+    std::vector<uint64_t> ids, folded;
+    std::vector<int64_t> counts;
+    for (const auto& [id, count] : window) {
+      ids.push_back(id);
+      folded.push_back(MersenneFold(id));
+      counts.push_back(count);
+    }
+    const size_t n = ids.size();
+    std::vector<uint64_t> keys(n), row_hashes(size_t{hashes.rows.depth()} * n);
+    hashes.HashFoldedBatch(folded.data(), n, keys.data(), row_hashes.data());
+    const HashedIds block{ids.data(), row_hashes.data(), keys.data(),
+                          counts.data(), n};
+    fc.AddCounts(block);
+    fc.Admit(hashes, block);
+    window.clear();
+  };
+  for (size_t i = 0; i < updates.size(); ++i) {
+    window[updates[i].first] += updates[i].second;
+    if ((i + 1) % LargeSetComplete::kWindowEdges == 0) close();
+  }
+  if (!window.empty()) close();
+}
+
 void ContributingContract() {
   bench::Banner("E8 (cont.): F2-Contributing (Theorem 2.11)",
                 "one representative from every gamma-contributing class");
@@ -87,20 +124,25 @@ void ContributingContract() {
     size_t bytes = 0;
     double share = 0;
     for (int s = 0; s < seeds; ++s) {
-      F2Contributing fc({.gamma = 0.2,
-                         .max_class_size = 4096,
-                         .domain_size = 16384,
-                         .seed = 500u + s});
+      const F2Contributing::Config cfg{.phi = 0.05,
+                                       .max_class_size = 4096,
+                                       .domain_size = 16384,
+                                       .seed = 500u + s};
+      const F2Contributing::Hashes hashes =
+          F2Contributing::MakeHashes(8, cfg.seed);
+      F2Contributing fc(cfg);
       double class_f2 = static_cast<double>(plant.size) * plant.weight *
                         plant.weight;
       double noise_f2 = 4096;
       share = class_f2 / (class_f2 + noise_f2);
+      std::vector<std::pair<uint64_t, int64_t>> updates;
       for (uint64_t j = 0; j < plant.size; ++j) {
-        fc.Add(100000 + j, plant.weight);
+        updates.emplace_back(100000 + j, plant.weight);
       }
-      for (uint64_t i = 0; i < 4096; ++i) fc.Add(i);
-      bytes = fc.MemoryBytes();
-      auto out = fc.Extract();
+      for (uint64_t i = 0; i < 4096; ++i) updates.emplace_back(i, 1);
+      AddClosedWindows(fc, hashes, updates);
+      bytes = fc.MemoryBytes() + hashes.MemoryBytes();
+      auto out = fc.Extract(hashes);
       hits += std::any_of(out.begin(), out.end(),
                           [&](const ContributingCoordinate& cc) {
                             return cc.id >= 100000 &&

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/random.h"
 
 namespace streamkc {
 
@@ -31,16 +32,18 @@ F2HeavyHitters::Config MakeHhConfig(const DsjDistinguisher::Config& c) {
 }  // namespace
 
 DsjDistinguisher::DsjDistinguisher(const Config& config)
-    : config_(config), hh_(MakeHhConfig(config)) {}
+    : config_(config),
+      hh_(MakeHhConfig(config)),
+      rows_(F2HeavyHitters::Config{}.depth, SplitMix64(config.seed)) {}
 
 void DsjDistinguisher::Process(const Edge& edge) {
   // a[j] counts the players whose set holds item j = the reduced set id.
-  hh_.Add(edge.set);
+  hh_.Add(rows_, edge.set);
 }
 
 DsjDistinguisher::Verdict DsjDistinguisher::Finalize() const {
   Verdict v;
-  for (const HeavyHitter& h : hh_.Extract()) {
+  for (const HeavyHitter& h : hh_.Extract(rows_)) {
     if (h.estimate > v.max_estimate) {
       v.max_estimate = h.estimate;
       v.heaviest_item = h.id;
@@ -54,7 +57,9 @@ DsjDistinguisher::Verdict DsjDistinguisher::Finalize() const {
   return v;
 }
 
-size_t DsjDistinguisher::MemoryBytes() const { return hh_.MemoryBytes(); }
+size_t DsjDistinguisher::MemoryBytes() const {
+  return hh_.MemoryBytes() + rows_.MemoryBytes();
+}
 
 bool DsjExperimentCorrect(const DsjInstance& dsj, double space_factor,
                           uint64_t seed, size_t* memory_bytes) {

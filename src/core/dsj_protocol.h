@@ -52,6 +52,7 @@ class DsjDistinguisher : public StreamingEstimator {
  private:
   Config config_;
   F2HeavyHitters hh_;
+  CountSketchRows rows_;  // the sketch's row hashes
 };
 
 // Convenience: full experiment on one instance. Returns true iff the verdict

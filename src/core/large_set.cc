@@ -45,8 +45,7 @@ F2Contributing::Config MakeContributingConfig(const Params& p, double phi,
                                               uint64_t class_bound,
                                               uint64_t domain, uint64_t seed) {
   F2Contributing::Config c;
-  c.gamma = phi;
-  c.phi_factor = 1.0;  // we pass the final φ directly
+  c.phi = phi;
   c.max_class_size = std::max<uint64_t>(1, class_bound);
   c.domain_size = std::max<uint64_t>(2, domain);
   c.sample_factor = p.contributing_sample_factor;
@@ -66,7 +65,7 @@ LargeSetComplete::LargeSetComplete(const Config& config)
       num_supersets_(NumSupersets(config.params, config.w)),
       hashes_(F2Contributing::MakeHashes(config.params.log_wise_degree,
                                          SplitMix64(config.seed ^ 0x7777))),
-      cntr_small_(F2Contributing::WithoutHashes(MakeContributingConfig(
+      cntr_small_(MakeContributingConfig(
           config.params,
           std::min(1.0, config.params.phi1_factor * config.params.alpha *
                             config.params.alpha /
@@ -75,13 +74,13 @@ LargeSetComplete::LargeSetComplete(const Config& config)
           static_cast<uint64_t>(
               std::ceil(3.0 * config.params.s * config.params.alpha)) +
               1,
-          num_supersets_, SplitMix64(config.seed ^ 0x3333)))),
-      cntr_large_(F2Contributing::WithoutHashes(MakeContributingConfig(
+          num_supersets_, SplitMix64(config.seed ^ 0x3333))),
+      cntr_large_(MakeContributingConfig(
           config.params,
           std::min(1.0, config.params.phi2_factor /
                             Log2AtLeast1(config.params.alpha)),
           LargeClassBound(config.params, num_supersets_), num_supersets_,
-          SplitMix64(config.seed ^ 0x4444)))),
+          SplitMix64(config.seed ^ 0x4444))),
       pool_hash_(config.params.log_wise_degree,
                  SplitMix64(config.seed ^ 0x5555)),
       sample_coverage_({.num_mins = config.params.l0_num_mins,

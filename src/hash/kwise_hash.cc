@@ -1,7 +1,5 @@
 #include "hash/kwise_hash.h"
 
-#include "util/math_util.h"
-
 namespace streamkc {
 
 KWiseHash::KWiseHash(uint32_t d, uint64_t seed) {
@@ -20,13 +18,6 @@ KWiseHash::KWiseHash(uint32_t d, uint64_t seed) {
   // coefficient would silently lower the independence. Probability ~2^-61,
   // but cheap to rule out.
   if (d >= 2 && coeffs_.back() == 0) coeffs_.back() = 1;
-}
-
-KWiseHash KWiseHash::LogWise(uint64_t m, uint64_t n, uint64_t seed) {
-  CHECK_GE(m, 1u);
-  CHECK_GE(n, 1u);
-  uint32_t bits = CeilLog2(m) + CeilLog2(n);
-  return KWiseHash(bits + 8, seed);
 }
 
 }  // namespace streamkc

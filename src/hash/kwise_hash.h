@@ -51,9 +51,6 @@ class KWiseHash : public SpaceAccounted {
   // Convenience factories for the independence levels the paper names.
   static KWiseHash Pairwise(uint64_t seed) { return KWiseHash(2, seed); }
   static KWiseHash FourWise(uint64_t seed) { return KWiseHash(4, seed); }
-  // Θ(log(mn))-wise independence (Lemma A.2): d = ceil(log2(m·n)) + 8, so the
-  // Chernoff arguments with limited independence (Lemma A.3) apply.
-  static KWiseHash LogWise(uint64_t m, uint64_t n, uint64_t seed);
 
   uint32_t degree() const { return static_cast<uint32_t>(coeffs_.size()); }
 

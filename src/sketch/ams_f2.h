@@ -5,9 +5,9 @@
 // averaging `cols` copies controls variance and taking the median of `rows`
 // averages boosts confidence (median-of-means). Space: rows·cols words.
 //
-// Used as the F2 reference inside F2HeavyHitters (a coordinate is a
-// φ-HeavyHitter iff a[j]² ≥ φ·F2, Definition 2.6) and by the lower-bound
-// distinguisher of Section 5.
+// Serves the proxy state CoverageSketchState (runtime/sketch_states.h) and
+// bench_micro. F2HeavyHitters does not use it: its F2 reference is its own
+// CountSketch rows, each a bucketed AMS sketch (count_sketch.h).
 
 #ifndef STREAMKC_SKETCH_AMS_F2_H_
 #define STREAMKC_SKETCH_AMS_F2_H_

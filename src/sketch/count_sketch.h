@@ -14,12 +14,13 @@
 // evaluation per row instead of two.
 //
 // The row hashes depend only on the id, and they form a family of their
-// own (CountSketchRows): a sketch built from a Config owns one, while a
-// counters-only sketch (CountersOnly) takes every row hash from a family
-// the caller holds. Block updates hash their ids up front with
-// HashFoldedBatch and hand each one its precomputed row values through the
-// *Hashed entry points; LargeSet hashes each superset once per batch for
-// every level of its contributing sketches this way (f2_contributing.h).
+// own (CountSketchRows). A sketch built from a Config owns one (ServingState's
+// set sketch); a counters-only sketch (CountersOnly) takes every row hash
+// from a family the caller holds, which is how F2HeavyHitters runs, so that
+// the levels of LargeSet's contributing sketches share one family. Block
+// updates hash their ids up front with HashFoldedBatch and hand each one its
+// precomputed row values through the *Hashed entry points; LargeSet hashes
+// each superset once per batch for every level this way (f2_contributing.h).
 
 #ifndef STREAMKC_SKETCH_COUNT_SKETCH_H_
 #define STREAMKC_SKETCH_COUNT_SKETCH_H_
@@ -84,9 +85,6 @@ class CountSketch : public SpaceMetered {
   // EstimateF2 and QuickF2 apply, with row hashes from a family of
   // config.depth rows that the caller holds.
   static CountSketch CountersOnly(const Config& config);
-
-  // The sketch's own rows (empty for a counters-only sketch).
-  const CountSketchRows& rows() const { return rows_; }
 
   // a[id] += delta.
   void Add(uint64_t id, int64_t delta = 1);

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "hash/mersenne.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/random.h"
@@ -28,26 +27,13 @@ F2Contributing::Hashes F2Contributing::MakeHashes(uint32_t sampler_degree,
                                 SplitMix64(seed ^ 0x5eed))};
 }
 
-F2Contributing::F2Contributing(const Config& config)
-    : F2Contributing(config, true) {}
-
-F2Contributing F2Contributing::WithoutHashes(const Config& config) {
-  return F2Contributing(config, false);
-}
-
-F2Contributing::F2Contributing(const Config& config, bool own_hashes)
-    : config_(config) {
-  CHECK_GT(config.gamma, 0.0);
+F2Contributing::F2Contributing(const Config& config) : config_(config) {
+  CHECK_GT(config.phi, 0.0);
   CHECK_GE(config.max_class_size, 1u);
-  if (own_hashes) {
-    sampler_ = KWiseHash::LogWise(config.domain_size, config.domain_size,
-                                  SplitMix64(config.seed ^ 0xabcd));
-  }
   Rng rng(config.seed);
 
   uint32_t num_levels = CeilLog2(config.max_class_size) + 1;
   double log_m = Log2AtLeast1(static_cast<double>(config.domain_size));
-  double phi = std::min(1.0, config.phi_factor * config.gamma);
 
   bool have_full_rate_level = false;
   for (uint32_t i = 0; i < num_levels; ++i) {
@@ -64,28 +50,9 @@ F2Contributing::F2Contributing(const Config& config, bool own_hashes)
     if (rate >= 1.0) num = kRateDen;
     num = std::max<uint64_t>(num, 1);
     F2HeavyHitters::Config hh;
-    hh.phi = phi;
+    hh.phi = std::min(1.0, config.phi);
     hh.seed = rng.Fork();
-    levels_.push_back(Level{num, own_hashes ? F2HeavyHitters(hh)
-                                            : F2HeavyHitters::WithoutRows(hh)});
-  }
-}
-
-void F2Contributing::Add(uint64_t id, int64_t delta) {
-  AddFolded(id, MersenneFold(id), delta);
-}
-
-void F2Contributing::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
-  CHECK(sampler_.has_value());
-  // One shared hash evaluation, and only when some level samples; levels_
-  // is sorted by decreasing rate, so the first failing threshold ends the
-  // walk (samples are nested).
-  const uint64_t key = levels_.back().rate_num < kRateDen
-                           ? sampler_->MapRangeFolded(folded, kRateDen)
-                           : 0;
-  for (auto& level : levels_) {
-    if (key >= level.rate_num) break;
-    level.hh.AddFolded(id, folded, delta);
+    levels_.push_back(Level{num, F2HeavyHitters(hh)});
   }
 }
 
@@ -125,42 +92,28 @@ constexpr uint32_t kFcMagic = 0x46324354;  // "F2CT"
 }  // namespace
 
 void F2Contributing::Save(std::ostream& os) const {
-  WriteHeader(os, kFcMagic, 2);
-  WriteDouble(os, config_.gamma);
+  WriteHeader(os, kFcMagic, 3);
+  WriteDouble(os, config_.phi);
   WriteU64(os, config_.max_class_size);
   WriteU64(os, config_.domain_size);
-  WriteDouble(os, config_.phi_factor);
   WriteDouble(os, config_.sample_factor);
   WriteU64(os, config_.seed);
-  WriteU32(os, sampler_.has_value() ? 1 : 0);
   WriteU64(os, levels_.size());
   for (const Level& level : levels_) level.hh.Save(os);
 }
 
 F2Contributing F2Contributing::Load(std::istream& is) {
-  CheckHeader(is, kFcMagic, 2);
+  CheckHeader(is, kFcMagic, 3);
   Config config;
-  config.gamma = ReadDouble(is);
+  config.phi = ReadDouble(is);
   config.max_class_size = ReadU64(is);
   config.domain_size = ReadU64(is);
-  config.phi_factor = ReadDouble(is);
   config.sample_factor = ReadDouble(is);
   config.seed = ReadU64(is);
-  F2Contributing out =
-      ReadU32(is) != 0 ? F2Contributing(config) : WithoutHashes(config);
+  F2Contributing out(config);
   CHECK_EQ(ReadU64(is), out.levels_.size());  // same config ⇒ same geometry
   for (Level& level : out.levels_) level.hh = F2HeavyHitters::Load(is);
   return out;
-}
-
-void F2Contributing::Merge(const F2Contributing& other) {
-  CHECK(sampler_.has_value());
-  CHECK_EQ(levels_.size(), other.levels_.size());
-  CHECK_EQ(config_.seed, other.config_.seed);
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    CHECK_EQ(levels_[i].rate_num, other.levels_[i].rate_num);
-    levels_[i].hh.Merge(other.levels_[i].hh);
-  }
 }
 
 void F2Contributing::Merge(const F2Contributing& other, const Hashes& hashes) {
@@ -170,17 +123,6 @@ void F2Contributing::Merge(const F2Contributing& other, const Hashes& hashes) {
     CHECK_EQ(levels_[i].rate_num, other.levels_[i].rate_num);
     levels_[i].hh.Merge(other.levels_[i].hh, hashes.rows);
   }
-}
-
-std::vector<ContributingCoordinate> F2Contributing::Extract() const {
-  CHECK(sampler_.has_value());
-  std::vector<ContributingCoordinate> all;
-  for (uint32_t l = 0; l < levels_.size(); ++l) {
-    for (const HeavyHitter& hh : levels_[l].hh.Extract()) {
-      all.push_back(ContributingCoordinate{hh.id, hh.estimate, l});
-    }
-  }
-  return OnePerId(std::move(all));
 }
 
 std::vector<ContributingCoordinate> F2Contributing::Extract(
@@ -219,7 +161,7 @@ std::vector<ContributingCoordinate> F2Contributing::OnePerId(
 }
 
 size_t F2Contributing::MemoryBytes() const {
-  size_t bytes = sampler_.has_value() ? sampler_->MemoryBytes() : 0;
+  size_t bytes = 0;
   for (const auto& level : levels_) {
     bytes += level.hh.MemoryBytes() + sizeof(uint64_t);
   }

@@ -18,22 +18,22 @@
 // frequency.
 //
 // Every hash the levels read depends on the id alone: the shared level
-// sampler's key and each level's CountSketch rows. A sketch built from a
-// Config owns its sampler, and each level's heavy-hitter sketch its rows;
-// Add() is one update, admitted at once. LargeSet instead builds both of a
-// repetition's sketches WithoutHashes and passes them one Hashes — one
-// sampler and one row family for every level of both — through the window
-// path (AddCounts, Admit, Extract with the open window; see
-// f2_heavy_hitters.h), which takes a block of distinct ids hashed once for
-// all levels. Sharing is sound because levels are analysed one at a time
-// and union-bounded, so nothing relies on independence between them.
+// sampler's key and the CountSketch rows of every level's heavy-hitter
+// sketch. The sketch holds counters and candidates only; the caller holds
+// the hashes, one Hashes (a level sampler and one row family) that every
+// level reads. LargeSet gives both of a repetition's sketches the same
+// Hashes and drives them through the window path (AddCounts, Admit,
+// Extract with the open window; see f2_heavy_hitters.h), which takes a
+// block of distinct ids hashed once for all levels. Sharing is sound
+// because levels are analysed one at a time and union-bounded, so nothing
+// relies on independence between them (docs/ALGORITHMS.md, "Shared
+// hashes").
 
 #ifndef STREAMKC_SKETCH_F2_CONTRIBUTING_H_
 #define STREAMKC_SKETCH_F2_CONTRIBUTING_H_
 
 #include <cstdint>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -53,25 +53,26 @@ struct ContributingCoordinate {
 class F2Contributing : public SpaceMetered {
  public:
   struct Config {
-    // Contribution threshold γ.
-    double gamma = 0.01;
+    // Heavy-hitter threshold φ of every level, capped at 1: the paper's
+    // Θ̃(γ) for contribution threshold γ (Theorem 2.11 divides γ by
+    // Θ(log n · log^{c+1} m); LargeSet passes its φ1 and φ2).
+    double phi = 0.0025;
     // Upper bound r on the size of contributing classes to search for
     // (the paper's second argument; see Remark 4.12 for why bounding it
     // matters). Levels are 2^0 .. 2^ceil(log2 r).
     uint64_t max_class_size = 1u << 20;
-    // Domain size hint (the m in ρ = 12·log m / 2^i); used for the
-    // per-level sampling rate and hash independence.
+    // Domain size hint: the m of the per-level sampling rate below.
     uint64_t domain_size = 1u << 20;
-    // Heavy-hitter threshold per level: φ = phi_factor · γ. The paper's
-    // theory value divides by Θ(log n · log^{c+1} m); practical default 1/4.
-    double phi_factor = 0.25;
     // Sampling-rate numerator multiplier: rate_i = sample_factor·log2(m)/2^i.
     double sample_factor = 12.0;
     uint64_t seed = 1;
   };
 
-  // The hashes every level reads: the shared level sampler (key range
-  // kRateDen) and the CountSketch row family of every level's sketch.
+  // The hashes every level reads: the level sampler (key range kRateDen)
+  // and the CountSketch row family of every level's sketch. Level i keeps
+  // the ids whose key falls below its threshold, so the per-level samples
+  // are nested and one key serves every level; each level alone is a
+  // uniform sample at its own rate, which is all Lemma 2.9 / Claim 2.8 need.
   struct Hashes {
     KWiseHash sampler;
     CountSketchRows rows;
@@ -88,42 +89,27 @@ class F2Contributing : public SpaceMetered {
   // a row family as deep as every level's sketch.
   static Hashes MakeHashes(uint32_t sampler_degree, uint64_t seed);
 
-  // Owns a Θ(log mn)-wise level sampler for the domain; each level's
-  // heavy-hitter sketch owns its rows.
   explicit F2Contributing(const Config& config);
-
-  // Levels only, built WithoutRows: the window path and Merge take the
-  // sampler and rows from the caller's Hashes.
-  static F2Contributing WithoutHashes(const Config& config);
-
-  // One update, admitted at once (a window of one). Owned hashes only.
-  void Add(uint64_t id, int64_t delta = 1);
-
-  // Hash-once ingest path: `folded` must equal MersenneFold(id).
-  void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
 
   // The window path over a block of distinct ids with their keys and row
   // hashes (HashedIds): each level, in decreasing rate, keeps the ids whose
   // key passes its threshold (nested, so every level filters the previous
   // level's) and takes them through its heavy-hitter sketch's namesake.
   // Admit wants the window's ids ascending.
+  //
+  // Extract returns one representative (at least) from each γ-contributing
+  // class of size ≤ max_class_size, deduplicated by id (max estimate wins),
+  // sorted by descending estimate (ties to the smaller id).
   void AddCounts(const HashedIds& block);
   void Admit(const Hashes& hashes, const HashedIds& window);
-  std::vector<ContributingCoordinate> Extract(const Hashes& hashes,
-                                              const HashedIds& open) const;
-
-  // One representative (at least) from each γ-contributing class of size
-  // ≤ max_class_size, deduplicated by id (max estimate wins), sorted by
-  // descending estimate (ties to the smaller id). Owned hashes only.
-  std::vector<ContributingCoordinate> Extract() const;
+  std::vector<ContributingCoordinate> Extract(
+      const Hashes& hashes, const HashedIds& open = {}) const;
 
   // Merges another instance built with the same Config (per-level sketch
-  // merge; the sampler and rows are seed-identical by construction).
-  void Merge(const F2Contributing& other);
+  // merge through the shared rows).
   void Merge(const F2Contributing& other, const Hashes& hashes);
 
-  // Binary checkpointing: config, whether the hashes are owned, and every
-  // level's heavy-hitter state.
+  // Binary checkpointing: config and every level's heavy-hitter state.
   void Save(std::ostream& os) const;
   static F2Contributing Load(std::istream& is);
 
@@ -145,8 +131,6 @@ class F2Contributing : public SpaceMetered {
 
   static constexpr uint64_t kRateDen = 1ULL << 40;
 
-  F2Contributing(const Config& config, bool own_hashes);
-
   // Sorts one entry per id, its largest estimate from the first level that
   // reports it, most frequent first.
   static std::vector<ContributingCoordinate> OnePerId(
@@ -159,14 +143,6 @@ class F2Contributing : public SpaceMetered {
   void ForEachLevel(const HashedIds& block, Fn fn) const;
 
   Config config_;
-  // The Θ(log mn)-wise sampler shared by all levels: level i keeps ids
-  // whose key falls below its threshold, so the per-level samples are
-  // nested and one hash evaluation serves every level. Each level in
-  // isolation is a uniform sample at its own rate, which is all Lemma 2.9 /
-  // Claim 2.8 need; levels are analyzed separately and union-bounded, so
-  // cross-level independence is never used. Absent when built
-  // WithoutHashes.
-  std::optional<KWiseHash> sampler_;
   std::vector<Level> levels_;  // sorted by decreasing rate
 };
 

@@ -17,12 +17,13 @@ namespace streamkc {
 
 namespace {
 
+constexpr double kMaxWidth = 1u << 22;
+
 CountSketch::Config MakeCountSketchConfig(const F2HeavyHitters::Config& c) {
   CountSketch::Config cs;
   cs.depth = c.depth;
   double w = c.width_factor / c.phi;
-  cs.width = static_cast<uint32_t>(
-      std::min<double>(std::max(w, 8.0), static_cast<double>(c.max_width)));
+  cs.width = static_cast<uint32_t>(std::min(std::max(w, 8.0), kMaxWidth));
   cs.seed = SplitMix64(c.seed);
   return cs;
 }
@@ -36,16 +37,8 @@ bool MoreFrequent(const HeavyHitter& a, const HeavyHitter& b) {
 }  // namespace
 
 F2HeavyHitters::F2HeavyHitters(const Config& config)
-    : F2HeavyHitters(config, CountSketch(MakeCountSketchConfig(config))) {}
-
-F2HeavyHitters F2HeavyHitters::WithoutRows(const Config& config) {
-  return F2HeavyHitters(
-      config, CountSketch::CountersOnly(MakeCountSketchConfig(config)));
-}
-
-F2HeavyHitters::F2HeavyHitters(const Config& config, CountSketch count_sketch)
     : config_(config),
-      count_sketch_(std::move(count_sketch)),
+      count_sketch_(CountSketch::CountersOnly(MakeCountSketchConfig(config))),
       capacity_(static_cast<size_t>(
           std::max(4.0, config.cand_factor / config.phi))) {
   CHECK_GT(config.phi, 0.0);
@@ -53,15 +46,11 @@ F2HeavyHitters::F2HeavyHitters(const Config& config, CountSketch count_sketch)
   candidates_.reserve(2 * capacity_ + 1);
 }
 
-void F2HeavyHitters::Add(uint64_t id, int64_t delta) {
-  AddFolded(id, MersenneFold(id), delta);
-}
-
-void F2HeavyHitters::AddFolded(uint64_t id, uint64_t folded, int64_t delta) {
-  const CountSketchRows& rows = count_sketch_.rows();
+void F2HeavyHitters::Add(const CountSketchRows& rows, uint64_t id,
+                         int64_t delta) {
   CHECK_EQ(rows.depth(), config_.depth);
   uint64_t hashes[CountSketch::kMaxDepth];
-  rows.HashFolded(folded, hashes);
+  rows.HashFolded(MersenneFold(id), hashes);
   const HashedIds one{&id, hashes, nullptr, &delta, 1};
   const uint32_t entry = 0;
   AddCounts(one, &entry, 1);
@@ -154,33 +143,29 @@ constexpr uint32_t kHhMagic = 0x46324848;  // "F2HH"
 }  // namespace
 
 void F2HeavyHitters::Save(std::ostream& os) const {
-  WriteHeader(os, kHhMagic, 2);
+  WriteHeader(os, kHhMagic, 3);
   WriteDouble(os, config_.phi);
   WriteU32(os, config_.depth);
   WriteDouble(os, config_.width_factor);
   WriteDouble(os, config_.cand_factor);
   WriteDouble(os, config_.noise_floor_sigmas);
-  WriteU32(os, config_.max_width);
   WriteU64(os, config_.seed);
-  WriteU32(os, count_sketch_.rows().depth() > 0 ? 1 : 0);
   count_sketch_.Save(os);
   WriteU64(os, candidates_.size());
   for (uint64_t id : candidates_) WriteU64(os, id);
 }
 
 F2HeavyHitters F2HeavyHitters::Load(std::istream& is) {
-  CheckHeader(is, kHhMagic, 2);
+  CheckHeader(is, kHhMagic, 3);
   Config config;
   config.phi = ReadDouble(is);
   config.depth = ReadU32(is);
   config.width_factor = ReadDouble(is);
   config.cand_factor = ReadDouble(is);
   config.noise_floor_sigmas = ReadDouble(is);
-  config.max_width = ReadU32(is);
   config.seed = ReadU64(is);
-  const bool own_rows = ReadU32(is) != 0;
-  F2HeavyHitters out(config, own_rows ? CountSketch::Load(is)
-                                      : CountSketch::LoadCountersOnly(is));
+  F2HeavyHitters out(config);
+  out.count_sketch_ = CountSketch::LoadCountersOnly(is);
   uint64_t n = ReadU64(is);
   CHECK_LE(n, 4 * out.capacity_ + 16);
   for (uint64_t i = 0; i < n; ++i) {
@@ -191,13 +176,9 @@ F2HeavyHitters F2HeavyHitters::Load(std::istream& is) {
   return out;
 }
 
-void F2HeavyHitters::Merge(const F2HeavyHitters& other) {
-  Merge(other, count_sketch_.rows());
-}
-
 void F2HeavyHitters::Merge(const F2HeavyHitters& other,
                            const CountSketchRows& rows) {
-  // Full config equality, not just seed + phi: depth/width_factor/max_width
+  // Full config equality, not just seed + phi: depth and width_factor
   // determine the CountSketch geometry and cand_factor the candidate
   // capacity. The inner CountSketch re-checks its own shape, but failing
   // here names the mismatched field instead of a derived quantity, and
@@ -209,7 +190,6 @@ void F2HeavyHitters::Merge(const F2HeavyHitters& other,
   CHECK_EQ(config_.width_factor, other.config_.width_factor);
   CHECK_EQ(config_.cand_factor, other.config_.cand_factor);
   CHECK_EQ(config_.noise_floor_sigmas, other.config_.noise_floor_sigmas);
-  CHECK_EQ(config_.max_width, other.config_.max_width);
   count_sketch_.Merge(other.count_sketch_);
   std::vector<uint64_t> merged;
   merged.reserve(candidates_.size() + other.candidates_.size());
@@ -218,10 +198,6 @@ void F2HeavyHitters::Merge(const F2HeavyHitters& other,
                  std::back_inserter(merged));
   candidates_.assign(merged.begin(), merged.end());
   if (candidates_.size() > capacity_) PruneCandidates(rows);
-}
-
-std::vector<HeavyHitter> F2HeavyHitters::Extract() const {
-  return Extract(count_sketch_.rows(), HashedIds{}, nullptr, 0);
 }
 
 std::vector<HeavyHitter> F2HeavyHitters::Extract(const CountSketchRows& rows,

@@ -20,16 +20,17 @@
 //     when the stream ends.
 //
 // Counter updates are linear and admission reads only the counters, so the
-// two separate. Add() runs both for one update (a window of one). The
-// window path — AddCounts per block, Admit at a window's end, Extract with
-// the open window — sums a block's updates per distinct id first and admits
-// once per window over the ids the window touched, in ascending id order:
-// the counters are then the per-update loop's for any blocking, and the
-// candidates are a function of the window's contents, not of their order.
-// LargeSet drives this path with windows of its repetition's own stream
-// (large_set.h); a sketch built WithoutRows takes its row hashes from the
-// caller's CountSketchRows there, so the levels of a repetition's
-// contributing sketches share one row family.
+// two separate. The sketch holds counters and candidates only; every call
+// that reads a hash takes the row family from its caller, a CountSketchRows
+// of config.depth rows. The window path — AddCounts per block, Admit at a
+// window's end, Extract with the open window — sums a block's updates per
+// distinct id first and admits once per window over the ids the window
+// touched, in ascending id order: the counters are then the per-update
+// loop's for any blocking, and the candidates are a function of the
+// window's contents, not of their order. LargeSet drives this path with
+// windows of its repetition's own stream (large_set.h), every level of its
+// contributing sketches on one row family; Add() is a window of one, which
+// the DSJ distinguisher runs (core/dsj_protocol.h).
 
 #ifndef STREAMKC_SKETCH_F2_HEAVY_HITTERS_H_
 #define STREAMKC_SKETCH_F2_HEAVY_HITTERS_H_
@@ -69,7 +70,8 @@ class F2HeavyHitters : public SpaceMetered {
     double phi = 0.01;
     // CountSketch rows.
     uint32_t depth = 5;
-    // CountSketch width multiplier: width = width_factor / φ. At 16/φ the
+    // CountSketch width multiplier: width = width_factor / φ, within
+    // [8, 2^22] (the cap keeps tiny φ within memory). At 16/φ the
     // per-row noise √(F2/width) is √(φF2)/4, a quarter of the heaviness
     // margin, which keeps the noise floor (see Extract) below real heavy
     // hitters.
@@ -80,64 +82,44 @@ class F2HeavyHitters : public SpaceMetered {
     // 0 disables the floor — used by the ablation bench to demonstrate the
     // spurious-hitter failure mode it prevents.
     double noise_floor_sigmas = 3.0;
-    // Hard cap on width (memory safety at tiny φ).
-    uint32_t max_width = 1u << 22;
     uint64_t seed = 1;
   };
 
-  // Owns its CountSketch rows, drawn from config.seed.
   explicit F2HeavyHitters(const Config& config);
 
-  // Counters and candidates only: the window path's calls and Merge take
-  // the rows from a family of config.depth rows that the caller holds.
-  static F2HeavyHitters WithoutRows(const Config& config);
-
-  // One update, admitted at once (a window of one). Own rows only.
-  void Add(uint64_t id, int64_t delta = 1);
-
-  // Hash-once ingest path: `folded` must equal MersenneFold(id). The raw id
-  // is still needed as the candidate-set key.
-  void AddFolded(uint64_t id, uint64_t folded, int64_t delta = 1);
+  // One update, admitted at once (a window of one).
+  void Add(const CountSketchRows& rows, uint64_t id, int64_t delta = 1);
 
   // The window path, over the entries entries[0..num) of `block`:
   //  * AddCounts adds each entry's count to its counters;
   //  * Admit (at a window's end; the entries' ids ascending) skips
   //    candidates, admits the ids that pass both gates and prunes at twice
   //    the capacity;
-  //  * Extract (const) also evaluates the open window's entries through the
-  //    same gates, as if the window had closed, without pruning.
+  //  * Extract (const) reports every coordinate whose estimated frequency
+  //    passes the φ test against the estimated F2, most frequent first
+  //    (ties to the smaller id); it also evaluates the open window's
+  //    entries through the same gates, as if the window had closed,
+  //    without pruning.
   void AddCounts(const HashedIds& block, const uint32_t* entries, size_t num);
   void Admit(const CountSketchRows& rows, const HashedIds& window,
              const uint32_t* entries, size_t num);
   std::vector<HeavyHitter> Extract(const CountSketchRows& rows,
-                                   const HashedIds& open,
-                                   const uint32_t* entries, size_t num) const;
-
-  // All coordinates whose estimated frequency passes the φ test against the
-  // estimated F2, most-frequent first (ties to the smaller id). Own rows;
-  // may be called repeatedly.
-  std::vector<HeavyHitter> Extract() const;
+                                   const HashedIds& open = {},
+                                   const uint32_t* entries = nullptr,
+                                   size_t num = 0) const;
 
   // Merges another instance built with the same Config: counters add
   // (linearity) and the candidate sets union (then prune to capacity). The
   // merged instance answers for the concatenation of both streams.
-  void Merge(const F2HeavyHitters& other);
   void Merge(const F2HeavyHitters& other, const CountSketchRows& rows);
 
-  // Binary checkpointing: CountSketch counters + candidate ids in id order
-  // (so Save∘Load∘Save is byte-stable), and whether the rows are owned.
+  // Binary checkpointing: config, CountSketch counters and candidate ids in
+  // id order (so Save∘Load∘Save is byte-stable).
   void Save(std::ostream& os) const;
   static F2HeavyHitters Load(std::istream& is);
 
-  // Point estimate for one coordinate (CountSketch median). Own rows.
-  double EstimateFrequency(uint64_t id) const {
-    return count_sketch_.PointQuery(id);
-  }
-
-  // Current F2 estimate (from the CountSketch rows).
+  // Current F2 estimate (from the CountSketch counters).
   double EstimateF2() const { return count_sketch_.EstimateF2(); }
-
-  double phi() const { return config_.phi; }
 
   size_t MemoryBytes() const override;
   const char* ComponentName() const override { return "f2_heavy_hitters"; }
@@ -146,8 +128,6 @@ class F2HeavyHitters : public SpaceMetered {
   void ReportSpace(SpaceAccountant* acct) const override;
 
  private:
-  F2HeavyHitters(const Config& config, CountSketch count_sketch);
-
   bool IsCandidate(uint64_t id) const;
   // The two admission gates for one id given its row hashes.
   bool PassesGates(const uint64_t* row_hashes, size_t stride) const;

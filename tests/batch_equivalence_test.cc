@@ -120,33 +120,6 @@ TEST(BatchEquivalence, CountSketchBitIdentical) {
   EXPECT_DOUBLE_EQ(per_edge.EstimateF2(), batched.EstimateF2());
 }
 
-TEST(BatchEquivalence, F2HeavyHittersFoldedIdentical) {
-  std::vector<Edge> edges = SyntheticEdges(8000, 13, 256, 64);
-  F2HeavyHitters per_edge({.phi = 0.05, .seed = 21});
-  F2HeavyHitters folded_path({.phi = 0.05, .seed = 21});
-  for (const Edge& e : edges) per_edge.Add(e.element);
-  for (const Edge& e : edges) {
-    folded_path.AddFolded(e.element, MersenneFold(e.element));
-  }
-  EXPECT_EQ(Blob(per_edge), Blob(folded_path));
-}
-
-TEST(BatchEquivalence, F2ContributingFoldedIdentical) {
-  std::vector<Edge> edges = SyntheticEdges(8000, 17, 256, 128);
-  F2Contributing::Config cfg;
-  cfg.gamma = 0.05;
-  cfg.domain_size = 128;
-  cfg.max_class_size = 64;
-  cfg.seed = 31;
-  F2Contributing per_edge(cfg);
-  F2Contributing folded_path(cfg);
-  for (const Edge& e : edges) per_edge.Add(e.element);
-  for (const Edge& e : edges) {
-    folded_path.AddFolded(e.element, MersenneFold(e.element));
-  }
-  EXPECT_EQ(Blob(per_edge), Blob(folded_path));
-}
-
 // Block sizes for the block-update differentials: single updates, both
 // sides of the old 128-id tile, the serving path's 4096-edge batch, and
 // (0 = the whole stream) one call for everything.
@@ -349,10 +322,7 @@ TEST(BatchEquivalence, F2HeavyHittersWindowContract) {
   const std::vector<uint64_t> ids = SkewedIds(40000, 13, 6144);
   for (double phi : kPhis) {
     const F2HeavyHitters::Config cfg{.phi = phi, .seed = 21};
-    // The family an owning sketch with this config draws, so that the
-    // per-update Add() loop and the window path share counters.
-    const F2Contributing::Hashes hashes{
-        KWiseHash(8, 1), CountSketchRows(cfg.depth, SplitMix64(cfg.seed))};
+    const F2Contributing::Hashes hashes{KWiseHash(8, 1), RowsFor(cfg)};
     auto add = [](F2HeavyHitters& hh, const HashedIds& block) {
       hh.AddCounts(block, IdentitySlots(block.n), block.n);
     };
@@ -360,7 +330,7 @@ TEST(BatchEquivalence, F2HeavyHittersWindowContract) {
       hh.Admit(hashes.rows, window, IdentitySlots(window.n), window.n);
     };
     const std::string label = "phi " + std::to_string(phi);
-    const F2HeavyHitters empty = F2HeavyHitters::WithoutRows(cfg);
+    const F2HeavyHitters empty(cfg);
     EXPECT_GT(ExpectWindowContract(empty, hashes, ids, label + " skewed ids",
                                    add, admit)
                   .rises,
@@ -380,7 +350,7 @@ TEST(BatchEquivalence, F2HeavyHittersWindowContract) {
     // Counters are the per-update loop's: Add() admits after every update,
     // the window path once per window, and they count the same.
     F2HeavyHitters per_update(cfg);
-    for (uint64_t id : ids) per_update.Add(id);
+    for (uint64_t id : ids) per_update.Add(hashes.rows, id);
     F2HeavyHitters windowed = empty;
     for (size_t i = 0; i < ids.size(); i += 1000) {
       const std::vector<uint64_t> updates(
@@ -398,7 +368,7 @@ TEST(BatchEquivalence, F2ContributingWindowContract) {
   // rate, deduplicated to one) and Q at φ2 = 1/6 (nine nested levels). As
   // in LargeSet, both read one Hashes.
   struct Case {
-    double gamma;
+    double phi;
     uint64_t class_bound;
     uint32_t levels;
   };
@@ -411,13 +381,12 @@ TEST(BatchEquivalence, F2ContributingWindowContract) {
   };
   for (const Case& c : {Case{1.0 / 64, 13, 1}, Case{1.0 / 6, 6144, 9}}) {
     F2Contributing::Config cfg;
-    cfg.gamma = c.gamma;
-    cfg.phi_factor = 1.0;
+    cfg.phi = c.phi;
     cfg.max_class_size = c.class_bound;
     cfg.domain_size = 6144;
     cfg.sample_factor = 4.0;
     cfg.seed = 31;
-    const F2Contributing empty = F2Contributing::WithoutHashes(cfg);
+    const F2Contributing empty(cfg);
     ASSERT_EQ(empty.num_levels(), c.levels);
     const std::string label = "class bound " + std::to_string(c.class_bound);
     EXPECT_GT(ExpectWindowContract(empty, hashes, ids, label + " skewed ids",
@@ -428,7 +397,7 @@ TEST(BatchEquivalence, F2ContributingWindowContract) {
     // The full-rate level sees every fading id: it admits and prunes.
     const WindowTrace fading = ExpectWindowContract(
         empty, hashes,
-        FadingIds(static_cast<uint64_t>(4 / c.gamma), 8, 1500, 5),
+        FadingIds(static_cast<uint64_t>(4 / c.phi), 8, 1500, 5),
         label + " fading ids", add, admit);
     EXPECT_GT(fading.rises, 0) << label;
     EXPECT_GT(fading.falls, 0) << label;
@@ -447,14 +416,13 @@ TEST(BatchEquivalence, F2ContributingWindowContract) {
 TEST(BatchEquivalence, ExtractReadsTheOpenWindowThroughTheGates) {
   const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 33);
   F2Contributing::Config cfg;
-  cfg.gamma = 1.0 / 64;  // capacity 256: no prune below 513 distinct ids
-  cfg.phi_factor = 1.0;
+  cfg.phi = 1.0 / 64;  // capacity 256: no prune below 513 distinct ids
   cfg.max_class_size = 6144;
   cfg.domain_size = 6144;
   cfg.sample_factor = 4.0;
   cfg.seed = 35;
   const std::vector<uint64_t> ids = SkewedIds(3 * kWindow + 1500, 19, 500);
-  F2Contributing fc = F2Contributing::WithoutHashes(cfg);
+  F2Contributing fc(cfg);
   std::vector<uint64_t> window;
   for (size_t i = 0; i < ids.size(); i += 256) {
     const std::vector<uint64_t> updates(
@@ -473,7 +441,7 @@ TEST(BatchEquivalence, ExtractReadsTheOpenWindowThroughTheGates) {
   EXPECT_EQ(Blob(fc), before);  // the evaluation mutated nothing
   F2Contributing closed = fc;
   closed.Admit(hashes, open.view());
-  const auto want = closed.Extract(hashes, HashedIds{});
+  const auto want = closed.Extract(hashes);
   ASSERT_FALSE(want.empty());
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {

@@ -5,8 +5,8 @@
 //   * every batch size n ∈ [0, 64] — crosses the 8-lane block boundary at
 //     every remainder phase, plus 0 (no-op) and sizes with multiple full
 //     vector blocks;
-//   * degrees 2, 4 and Θ(log mn) (= 48, the LogWise(2^20, 2^20) degree) —
-//     the three independence levels the paper uses;
+//   * degrees 2, 4 and Θ(log mn) (= 48, Params::log_wise_degree at
+//     m = n = 2^20) — the three independence levels the paper uses;
 //   * misaligned input/output pointers — batch views land on arbitrary
 //     8-byte offsets, never guaranteed 32-byte SIMD alignment, and `out`
 //     may alias `folded`;
@@ -43,7 +43,7 @@ namespace streamkc {
 namespace {
 
 constexpr uint64_t kP = kMersennePrime61;
-constexpr uint32_t kLogWiseDegree = 48;  // LogWise(2^20, 2^20): 20+20+8
+constexpr uint32_t kLogWiseDegree = 48;  // m = n = 2^20: 20 + 20 + 8
 
 #define SKIP_WITHOUT_AVX2()                                        \
   do {                                                             \

@@ -124,13 +124,6 @@ TEST(KWiseHash, KeepClipsAtOne) {
   }
 }
 
-TEST(KWiseHash, LogWiseDegreeScales) {
-  KWiseHash small = KWiseHash::LogWise(16, 16, 1);
-  KWiseHash big = KWiseHash::LogWise(1 << 20, 1 << 20, 1);
-  EXPECT_GT(big.degree(), small.degree());
-  EXPECT_EQ(small.degree(), 4u + 4u + 8u);
-}
-
 TEST(KWiseHash, MemoryProportionalToDegree) {
   KWiseHash d2(2, 1), d16(16, 1);
   EXPECT_EQ(d2.MemoryBytes(), 2 * sizeof(uint64_t));

@@ -28,16 +28,19 @@ TEST(Robustness, ExtremeIdsInSketches) {
   l0.Add(kHugeId - 1);
   EXPECT_DOUBLE_EQ(l0.Estimate(), 3.0);
 
-  F2HeavyHitters hh({.phi = 0.5, .seed = 2});
-  for (int i = 0; i < 50; ++i) hh.Add(kHugeId);
-  auto out = hh.Extract();
+  const F2HeavyHitters::Config hh_cfg{.phi = 0.5, .seed = 2};
+  const CountSketchRows rows = RowsFor(hh_cfg);
+  F2HeavyHitters hh(hh_cfg);
+  for (int i = 0; i < 50; ++i) hh.Add(rows, kHugeId);
+  auto out = hh.Extract(rows);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.front().id, kHugeId);
 
-  F2Contributing fc({.gamma = 0.5, .max_class_size = 4, .domain_size = 16,
+  const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 3);
+  F2Contributing fc({.phi = 0.125, .max_class_size = 4, .domain_size = 16,
                      .seed = 3});
-  for (int i = 0; i < 50; ++i) fc.Add(kHugeId);
-  EXPECT_FALSE(fc.Extract().empty());
+  AddClosedWindow(fc, hashes, {{kHugeId, 50}});
+  EXPECT_FALSE(fc.Extract(hashes).empty());
 }
 
 TEST(Robustness, EstimatorOnEmptyStream) {

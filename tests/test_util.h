@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/large_set.h"
 #include "core/streaming_interface.h"
 #include "dist/process_tree.h"
 #include "fault/faulty_stream.h"
@@ -41,9 +42,9 @@ inline void FeedSystem(const SetSystem& sys, ArrivalOrder order, uint64_t seed,
   FeedStream(stream, alg);
 }
 
-// Feeds `updates` (id, count) to a sketch built WithoutHashes as one closed
-// window, the way LargeSet drives it: the distinct ids ascending, hashed
-// once by `hashes`, summed into the counters, then admitted.
+// Feeds `updates` (id, count) to a sketch as one closed window, the way
+// LargeSet drives it: the distinct ids ascending, hashed once by `hashes`,
+// summed into the counters, then admitted.
 inline void AddClosedWindow(
     F2Contributing& fc, const F2Contributing::Hashes& hashes,
     std::vector<std::pair<uint64_t, int64_t>> updates) {
@@ -65,6 +66,25 @@ inline void AddClosedWindow(
                          counts.data(), n};
   fc.AddCounts(window);
   fc.Admit(hashes, window);
+}
+
+// Feeds `updates` in order as closed windows of at most
+// LargeSetComplete::kWindowEdges updates each.
+inline void AddClosedWindows(
+    F2Contributing& fc, const F2Contributing::Hashes& hashes,
+    const std::vector<std::pair<uint64_t, int64_t>>& updates) {
+  constexpr size_t kWindow = LargeSetComplete::kWindowEdges;
+  for (size_t i = 0; i < updates.size(); i += kWindow) {
+    AddClosedWindow(fc, hashes,
+                    {updates.begin() + i,
+                     updates.begin() + std::min(updates.size(), i + kWindow)});
+  }
+}
+
+// The row family of an F2HeavyHitters test sketch: config.depth rows drawn
+// from the config's seed, as DsjDistinguisher draws its own.
+inline CountSketchRows RowsFor(const F2HeavyHitters::Config& config) {
+  return CountSketchRows(config.depth, SplitMix64(config.seed));
 }
 
 // Greedy coverage, used as the OPT reference in quality assertions: greedy
